@@ -1,6 +1,6 @@
 """Desk-scale training framework for ternary spiking neural networks."""
 
-from .loss import TMPRConfig, avg_ce_loss, tmpr_grad, tmpr_loss, total_loss
+from .loss import TMPRConfig, avg_ce_loss, tmpr_grad, tmpr_loss
 from .network import Network, build_network, forward, predict
 from .neuron import (
     CTSNParams,
@@ -46,6 +46,5 @@ __all__ = [
     "ternary_step_soft",
     "tmpr_grad",
     "tmpr_loss",
-    "total_loss",
     "train_epoch",
 ]

@@ -3,7 +3,9 @@
 ``backward_exact`` walks the unrolled computation graph node by node,
 propagating adjoints through every dependency path (decay, reset, memory
 blend, spatial fan-out) with the rectangular surrogate substituted at every
-spike node.  It is the engine used for training.
+spike node.  It is the engine used for training; ``loss_and_grads`` wraps
+it with the forward pass, both losses and the regularizer's adjoint
+injection, and is the one entry point for training and the gradient checks.
 
 ``backward_recursion`` evaluates the closed-form per-timestep factor
 products instead: the ternary potential adjoint is a sum over later
@@ -131,27 +133,41 @@ class GradSet:
                 raise NumericError(f"non-finite gradient in {name}")
 
 
+def relative_errors(a: GradSet, b: GradSet, min_abs: float = 0.0):
+    """Per-entry relative errors between two gradient sets, one parameter at a time.
+
+    Yields (name, index, va, vb, rel): the flat indices of the compared
+    entries, both sets' values there and |va - vb| / max(|va|, |vb|).
+    Entries where both magnitudes are at most ``min_abs`` are skipped; a pair
+    of exact zeros counts as zero error, and a non-finite entry as infinite
+    error.
+    """
+    for (name, ga), (_, gb) in zip(a.named(), b.named()):
+        fa, fb = ga.ravel(), gb.ravel()
+        denom = np.maximum(np.abs(fa), np.abs(fb))
+        keep = ~(denom <= min_abs)  # not denom > min_abs: NaN entries stay in
+        idx = np.flatnonzero(keep)
+        va, vb, d = fa[keep], fb[keep], denom[keep]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.where(d > 0.0, np.abs(va - vb) / d, 0.0)
+        rel[~(np.isfinite(va) & np.isfinite(vb))] = np.inf
+        yield name, idx, va, vb, rel
+
+
 def max_relative_error(
     a: GradSet, b: GradSet, min_abs: float = 0.0
 ) -> tuple[float, str]:
     """Worst per-parameter relative error between two gradient sets.
 
-    Entries where both magnitudes are at most ``min_abs`` are skipped; a pair
-    of exact zeros counts as zero error.  Returns the error and a descriptor
-    of the worst entry (parameter name and flat index).
+    Skips entries as ``relative_errors`` does.  Returns the error and a
+    descriptor of the first worst entry (parameter name and flat index).
     """
     worst = 0.0
     where = "none"
-    for (name, ga), (_, gb) in zip(a.named(), b.named()):
-        fa, fb = ga.ravel(), gb.ravel()
-        for i in range(fa.size):
-            denom = max(abs(fa[i]), abs(fb[i]))
-            if denom <= min_abs:
-                continue
-            rel = abs(fa[i] - fb[i]) / denom if denom > 0.0 else 0.0
-            if rel > worst:
-                worst = rel
-                where = f"{name}[{i}]"
+    for name, idx, _, _, rel in relative_errors(a, b, min_abs):
+        if rel.size and rel.max() > worst:
+            k = int(np.argmax(rel))  # first maximum, so ties go to the earliest entry
+            worst, where = float(rel[k]), f"{name}[{idx[k]}]"
     return worst, where
 
 
@@ -296,6 +312,35 @@ def _blend_param_partials(dh: Array, h_prev: Array, u: Array, static: bool):
 # ---------------------------------------------------------------------------
 # exact graph traversal
 # ---------------------------------------------------------------------------
+
+
+def loss_and_grads(net: "Network", input_seq, labels, tmpr=None, smooth=False):
+    """Forward one batch and return (ce, tmpr_loss, logits, grads).
+
+    ``grads`` are the exact gradients of ce + tmpr_loss: the classifier
+    gradient enters at the readout and, when ``tmpr`` is active, the
+    regularizer's direct term is injected at every captured potential.
+    ``smooth=True`` runs the continuous stand-in network instead of the
+    spiking one.  Training and the gradient checks both go through here.
+    """
+    from . import network as net_mod  # deferred: network depends on this module's types
+
+    logits, cache = net_mod.forward(net, input_seq, smooth=smooth)
+    ce = loss_mod.avg_ce_loss(logits, labels)
+    dL_dO = loss_mod.avg_ce_grad(logits, labels)
+    tmpr_val = 0.0
+    du_extra = None
+    if tmpr is not None and tmpr.active:
+        pots = cache.potentials()
+        tmpr_val = loss_mod.tmpr_loss(pots, tmpr)
+        n_layers, n_steps = len(pots), len(pots[0])
+        du_extra = [
+            [loss_mod.tmpr_grad(pots[l][t], t + 1, n_steps, n_layers, tmpr.lam) for t in range(n_steps)]
+            for l in range(n_layers)
+        ]
+    mode = "ctsn" if net.cfg.is_ctsn else "ternary"
+    grads = backward_exact(cache, dL_dO, net, mode, du_extra=du_extra)
+    return ce, tmpr_val, logits, grads
 
 
 def backward_exact(
@@ -538,35 +583,15 @@ def surrogate_smooth_forward(net: "Network", input_seq, labels, tmpr=None) -> fl
     the loss is differentiable almost everywhere and central finite
     differences of this function validate the analytic backward pass.
     """
-    lval, _, _, _ = smooth_loss_parts(net, input_seq, labels, tmpr)
-    return lval
+    from . import network as net_mod  # deferred: network depends on this module's types
 
-
-def smooth_loss_parts(net: "Network", input_seq, labels, tmpr=None):
-    """Stand-in loss with the pieces the gradcheck suites need.
-
-    Returns (loss, cache, dL_dO, du_extra); du_extra is None when the
-    regularizer is inactive.
-    """
-    from .network import forward  # deferred: network depends on this module's types
-
-    logits, cache = forward(net, input_seq, smooth=True)
-    ce = loss_mod.avg_ce_loss(logits, labels)
-    dL_dO = loss_mod.avg_ce_grad(logits, labels)
-    du_extra = None
-    total = ce
+    logits, cache = net_mod.forward(net, input_seq, smooth=True)
+    total = loss_mod.avg_ce_loss(logits, labels)
     if tmpr is not None and tmpr.active:
-        pots = cache.potentials()
-        total = total + loss_mod.tmpr_loss(pots, tmpr)
-        n_layers = len(pots)
-        n_steps = len(pots[0])
-        du_extra = [
-            [loss_mod.tmpr_grad(pots[l][t], t + 1, n_steps, n_layers, tmpr.lam) for t in range(n_steps)]
-            for l in range(n_layers)
-        ]
+        total = total + loss_mod.tmpr_loss(cache.potentials(), tmpr)
     if not np.isfinite(total):
         raise NumericError("non-finite stand-in loss")
-    return total, cache, dL_dO, du_extra
+    return total
 
 
 def finite_difference(loss_fn, net: "Network", step: float) -> GradSet:
@@ -578,37 +603,32 @@ def finite_difference(loss_fn, net: "Network", step: float) -> GradSet:
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     grads = GradSet.zeros_like(net)
-
-    def probe(arr: Array, out: Array) -> None:
-        flat_in, flat_out = arr.ravel(), out.ravel()
-        for i in range(flat_in.size):
-            orig = flat_in[i]
-            flat_in[i] = orig + step
-            f_plus = loss_fn()
-            flat_in[i] = orig - step
-            f_minus = loss_fn()
-            flat_in[i] = orig
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericError("non-finite loss during finite differencing")
-            flat_out[i] = (f_plus - f_minus) / (2.0 * step)
-
-    def probe_omega(p: CTSNParams, out: Array) -> None:
-        for i, name in enumerate(("omega_alpha", "omega_beta", "omega_gamma")):
-            orig = getattr(p, name)
-            setattr(p, name, orig + step)
-            f_plus = loss_fn()
-            setattr(p, name, orig - step)
-            f_minus = loss_fn()
-            setattr(p, name, orig)
-            if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                raise NumericError("non-finite loss during finite differencing")
-            out[i] = (f_plus - f_minus) / (2.0 * step)
-
+    in_place = lambda values: None  # ravel() views already write through
+    # (flat parameter values, flat gradient slot, write-back into the network)
+    slots = []
     for l, layer in enumerate(net.layers):
-        probe(layer.w, grads.dw[l])
-        probe(layer.b, grads.db[l])
+        slots.append((layer.w.ravel(), grads.dw[l].ravel(), in_place))
+        slots.append((layer.b.ravel(), grads.db[l].ravel(), in_place))
         if layer.omega is not None:
-            probe_omega(layer.omega, grads.domega[l])
-    probe(net.readout.w, grads.dw_out)
-    probe(net.readout.b, grads.db_out)
+            slots.append((layer.omega.as_vector(), grads.domega[l], layer.omega.set_vector))
+    slots.append((net.readout.w.ravel(), grads.dw_out.ravel(), in_place))
+    slots.append((net.readout.b.ravel(), grads.db_out.ravel(), in_place))
+
+    for values, out, write in slots:
+        for i in range(values.size):
+            orig = values[i]
+
+            def loss_at(x: float) -> float:
+                values[i] = x
+                write(values)
+                f = loss_fn()
+                if not np.isfinite(f):
+                    raise NumericError("non-finite loss during finite differencing")
+                return f
+
+            try:
+                out[i] = central_diff(loss_at, orig, step)
+            finally:
+                values[i] = orig
+                write(values)
     return grads

@@ -140,7 +140,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["neuron.kind"] = args.neuron
     if cfg["data.source"] == "synth_events":
         if "tmpr.lambda" not in overridden:
-            cfg["tmpr.lambda"] = 0.01
+            cfg["tmpr.lambda"] = TMPRConfig.default_for("neuromorphic").lam
         if "train.weight_decay" not in overridden:
             cfg["train.weight_decay"] = 5e-4
     return cfg
@@ -323,23 +323,17 @@ def cmd_gradcheck(cfg: dict, paper_recursion: bool) -> int:
 
 def _demo_parameter_report(seed: int) -> None:
     """Per-parameter table on one small stand-in network."""
-    net, input_seq, labels = gradcheck._smooth_case(seed, 999, "ternary", None)
-    _, cache, dL_dO, _ = bptt.smooth_loss_parts(net, input_seq, labels, None)
-    analytic = bptt.backward_exact(cache, dL_dO, net, "ternary")
+    net, input_seq, labels = gradcheck._smooth_case(seed, 999, "ternary")
+    _, _, _, analytic = bptt.loss_and_grads(net, input_seq, labels, smooth=True)
     fd = bptt.finite_difference(
-        lambda: bptt.surrogate_smooth_forward(net, input_seq, labels, None), net, gradcheck.FD_STEP_DEFAULT
+        lambda: bptt.surrogate_smooth_forward(net, input_seq, labels), net, gradcheck.FD_STEP_DEFAULT
     )
     print("per-parameter report (one sample network, analytic vs central differences):")
     print(f"  {'parameter':<18}{'analytic':>15}{'oracle':>15}{'rel err':>12}  status")
-    for (name, ga), (_, gf) in zip(analytic.named(), fd.named()):
-        fa, ff = ga.ravel(), gf.ravel()
-        for i in range(fa.size):
-            denom = max(abs(fa[i]), abs(ff[i]))
-            if denom <= gradcheck.FD_GRAD_FLOOR:
-                continue
-            rel = abs(fa[i] - ff[i]) / denom
-            status = "pass" if rel <= gradcheck.TOL_FD else "FAIL"
-            print(f"  {name + '[' + str(i) + ']':<18}{fa[i]:>15.8f}{ff[i]:>15.8f}{rel:>12.2e}  {status}")
+    for name, idx, fa, ff, rel in bptt.relative_errors(analytic, fd, min_abs=gradcheck.FD_GRAD_FLOOR):
+        for i, a, f, r in zip(idx, fa, ff, rel):
+            status = "pass" if r <= gradcheck.TOL_FD else "FAIL"
+            print(f"  {name + '[' + str(i) + ']':<18}{a:>15.8f}{f:>15.8f}{r:>12.2e}  {status}")
 
 
 def cmd_hist(cfg: dict, model_path: str) -> int:
@@ -357,11 +351,7 @@ def cmd_hist(cfg: dict, model_path: str) -> int:
     bins, lo, hi = cfg["hist.bins"], cfg["hist.lo"], cfg["hist.hi"]
     edges = np.linspace(lo, hi, bins + 1)
     totals = {l: np.zeros((net.n_steps, bins), dtype=np.int64) for l in range(len(net.layers))}
-    n = len(eval_ds.labels)
-    for start in range(0, n, 256):
-        idx = np.arange(start, min(start + 256, n))
-        xs_seq, _ = data_mod.encode_batch(eval_ds, idx, net.n_steps)
-        _, cache = net_mod.forward(net, xs_seq)
+    for _, _, cache in trainer.eval_batches(net, eval_ds):
         for l in range(len(net.layers)):
             counts, _ = net_mod.capture_histograms(cache, l, bins, (lo, hi))
             totals[l] += counts

@@ -96,12 +96,12 @@ def _kink_distance(cache: bptt.StepCache, cfg: NeuronConfig) -> float:
     return dist
 
 
-def _smooth_case(seed: int, case: int, kind: str, tmpr: TMPRConfig | None):
+def _smooth_case(seed: int, case: int, kind: str):
     """Deterministically find a stand-in case with kink clearance."""
     for attempt in range(200):
         rng = component_rng(seed, 2, case, attempt)
         net, input_seq, labels = random_network(rng, kind=kind)
-        _, cache, _, _ = bptt.smooth_loss_parts(net, input_seq, labels, tmpr)
+        _, cache = net_mod.forward(net, input_seq, smooth=True)
         if _kink_distance(cache, net.cfg) > _KINK_MARGIN:
             return net, input_seq, labels
     raise RuntimeError(f"no kink-free stand-in case found for seed {seed}, case {case}")
@@ -144,11 +144,9 @@ def suite_fd(
     """
     tmpr = TMPRConfig(lam=0.05) if with_tmpr else None
     worst_err, worst_where = 0.0, "none"
-    mode = "ternary" if kind == "ternary" else "ctsn"
     for i in range(n_networks):
-        net, input_seq, labels = _smooth_case(seed, i, kind, tmpr)
-        _, cache, dL_dO, du_extra = bptt.smooth_loss_parts(net, input_seq, labels, tmpr)
-        g_exact = bptt.backward_exact(cache, dL_dO, net, mode, du_extra=du_extra)
+        net, input_seq, labels = _smooth_case(seed, i, kind)
+        _, _, _, g_exact = bptt.loss_and_grads(net, input_seq, labels, tmpr, smooth=True)
         g_fd = bptt.finite_difference(
             lambda: bptt.surrogate_smooth_forward(net, input_seq, labels, tmpr), net, step
         )
@@ -199,12 +197,13 @@ def suite_tmpr_fd(seed: int = 0, n_configs: int = 100, tol: float = TOL_TMPR) ->
         flat = pots[l][t].ravel()
         for probe in rng.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[probe]
-            flat[probe] = orig + step
-            f_plus = loss_mod.tmpr_loss(pots, cfg)
-            flat[probe] = orig - step
-            f_minus = loss_mod.tmpr_loss(pots, cfg)
+
+            def loss_at(x: float) -> float:
+                flat[probe] = x
+                return loss_mod.tmpr_loss(pots, cfg)
+
+            fd = bptt.central_diff(loss_at, orig, step)
             flat[probe] = orig
-            fd = (f_plus - f_minus) / (2.0 * step)
             err = abs(fd - analytic.ravel()[probe])
             if err > worst_err:
                 worst_err, worst_where = err, f"config {i}: layer {l}, step {t + 1}, entry {probe}"

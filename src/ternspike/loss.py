@@ -124,7 +124,3 @@ def tmpr_grad(u_tilde: Array, t: int, n_steps: int, n_layers: int, lam: float) -
     u_tilde = np.asarray(u_tilde, dtype=np.float64)
     return (2.0 * lam / (t * n_steps * n_layers * u_tilde.size)) * u_tilde
 
-
-def total_loss(ce: float, tmpr: float) -> float:
-    """Training objective: classifier loss plus regularizer."""
-    return ce + tmpr

@@ -1,9 +1,9 @@
 """Dense float64 array substrate and deterministic randomness.
 
-Arrays are plain row-major ``numpy.ndarray`` objects in float64; this module
-pins the conventions (dtype, shape checking, error reporting) the rest of the
-package relies on.  All reductions run single-threaded through numpy, so a
-fixed environment reproduces results bit-for-bit across runs.
+Arrays are plain row-major ``numpy.ndarray`` objects in float64 (``Array``);
+this module also holds the numerically stable sigmoid.  All reductions run
+single-threaded through numpy, so a fixed environment reproduces results
+bit-for-bit across runs.
 
 Randomness is always explicit: every stochastic routine takes a
 ``numpy.random.Generator``.  Generators are PCG64 instances derived from a
@@ -13,37 +13,9 @@ a pure function of the root seed.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from .errors import DimensionError
-
 Array = np.ndarray
-
-
-def tensor(data, shape: Sequence[int] | None = None) -> Array:
-    """Build a float64 row-major array, optionally reshaped."""
-    arr = np.asarray(data, dtype=np.float64, order="C")
-    if shape is not None:
-        arr = arr.reshape(tuple(shape))
-    return arr
-
-
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product with explicit inner-dimension checking.
-
-    Raises:
-        DimensionError: naming both operand shapes when the inner
-            dimensions disagree.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sigmoid(x) -> Array:
@@ -55,51 +27,6 @@ def sigmoid(x) -> Array:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def relu(x) -> Array:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def square(x) -> Array:
-    x = np.asarray(x, dtype=np.float64)
-    return x * x
-
-
-def _check_same_shape(op: str, a: Array, b: Array) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op} operand shapes disagree: {a.shape} vs {b.shape}")
-
-
-def elementwise(op: str, a, b=None, scalar: float | None = None) -> Array:
-    """Pointwise operation dispatcher.
-
-    ``op`` is one of ``add``, ``sub``, ``mul`` (binary), ``relu``,
-    ``sigmoid``, ``square`` (unary), or ``scale`` (unary with ``scalar``).
-    Binary operands must have equal shapes.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if op in ("add", "sub", "mul"):
-        if b is None:
-            raise DimensionError(f"{op} requires two operands")
-        b = np.asarray(b, dtype=np.float64)
-        _check_same_shape(op, a, b)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        return a * b
-    if op == "relu":
-        return relu(a)
-    if op == "sigmoid":
-        return sigmoid(a)
-    if op == "square":
-        return square(a)
-    if op == "scale":
-        if scalar is None:
-            raise DimensionError("scale requires a scalar factor")
-        return a * float(scalar)
-    raise ValueError(f"unknown elementwise op {op!r}")
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

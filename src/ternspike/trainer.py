@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bptt, loss as loss_mod, network as net_mod
+from . import bptt, network as net_mod
 from .data import Dataset, encode_batch
 from .errors import FormatError, LengthError, NumericError
 from .loss import TMPRConfig
@@ -94,22 +94,22 @@ def sgd_step(
 ) -> None:
     """In-place momentum update: v <- m*v + (g + wd*p); p <- p - lr*v."""
 
-    def upd(p: Array, g: Array, v: Array, wd: float, name: str) -> None:
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name}")
+    grads.check_finite()  # before any update, so a bad gradient leaves the model untouched
+
+    def upd(p: Array, g: Array, v: Array, wd: float) -> None:
         v *= momentum
         v += g + wd * p
         p -= lr * v
 
     for l, layer in enumerate(net.layers):
-        upd(layer.w, grads.dw[l], vel.vw[l], weight_decay, f"layer{l}.w")
-        upd(layer.b, grads.db[l], vel.vb[l], weight_decay, f"layer{l}.b")
+        upd(layer.w, grads.dw[l], vel.vw[l], weight_decay)
+        upd(layer.b, grads.db[l], vel.vb[l], weight_decay)
         if layer.omega is not None:
             om = layer.omega.as_vector()
-            upd(om, grads.domega[l], vel.vomega[l], 0.0, f"layer{l}.omega")
+            upd(om, grads.domega[l], vel.vomega[l], 0.0)
             layer.omega.set_vector(om)
-    upd(net.readout.w, grads.dw_out, vel.vw_out, weight_decay, "readout.w")
-    upd(net.readout.b, grads.db_out, vel.vb_out, weight_decay, "readout.b")
+    upd(net.readout.w, grads.dw_out, vel.vw_out, weight_decay)
+    upd(net.readout.b, grads.db_out, vel.vb_out, weight_decay)
 
 
 def check_omega_constraint(net: net_mod.Network) -> None:
@@ -120,26 +120,6 @@ def check_omega_constraint(net: net_mod.Network) -> None:
         for name, val in zip(("alpha", "beta", "gamma"), effective_params(layer.omega)):
             if not 0.0 < val < 1.0:
                 raise NumericError(f"layer {l} effective {name} = {val} left (0, 1)")
-
-
-def _batch_grads(net: net_mod.Network, xs_seq, labels, tmpr: TMPRConfig):
-    """Forward one batch, return (ce, tmpr_loss, grads, logits)."""
-    mode = "ctsn" if net.cfg.is_ctsn else "ternary"
-    logits, cache = net_mod.forward(net, xs_seq)
-    ce = loss_mod.avg_ce_loss(logits, labels)
-    dL_dO = loss_mod.avg_ce_grad(logits, labels)
-    du_extra = None
-    tmpr_val = 0.0
-    if tmpr.active:
-        pots = cache.potentials()
-        tmpr_val = loss_mod.tmpr_loss(pots, tmpr)
-        n_layers, n_steps = len(pots), len(pots[0])
-        du_extra = [
-            [loss_mod.tmpr_grad(pots[l][t], t + 1, n_steps, n_layers, tmpr.lam) for t in range(n_steps)]
-            for l in range(n_layers)
-        ]
-    grads = bptt.backward_exact(cache, dL_dO, net, mode, du_extra=du_extra)
-    return ce, tmpr_val, grads, logits
 
 
 def train_epoch(
@@ -165,7 +145,7 @@ def train_epoch(
         idx = order[start : start + cfg.batch_size]
         xs_seq, labels = encode_batch(data, idx, cfg.n_steps)
         try:
-            ce, tmpr_val, grads, logits = _batch_grads(net, xs_seq, labels, cfg.tmpr)
+            ce, tmpr_val, logits, grads = bptt.loss_and_grads(net, xs_seq, labels, cfg.tmpr)
         except NumericError as exc:
             raise NumericError(f"batch starting at sample {start}: {exc}") from exc
         sgd_step(net, grads, vel, lr, cfg.momentum, cfg.weight_decay)
@@ -181,16 +161,23 @@ def train_epoch(
     }
 
 
+def eval_batches(net: net_mod.Network, data: Dataset, batch_size: int = 256):
+    """Forward the dataset in order; yield (labels, logits, cache) per batch."""
+    n = len(data.labels)
+    for start in range(0, n, batch_size):
+        idx = np.arange(start, min(start + batch_size, n))
+        xs_seq, labels = encode_batch(data, idx, net.n_steps)
+        logits, cache = net_mod.forward(net, xs_seq)
+        yield labels, logits, cache
+
+
 def evaluate(net: net_mod.Network, data: Dataset, batch_size: int = 256) -> float:
     """Fraction of correct time-averaged predictions over the dataset."""
     n = len(data.labels)
     if n == 0:
         return 0.0
     correct = 0
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        xs_seq, labels = encode_batch(data, idx, net.n_steps)
-        logits, _ = net_mod.forward(net, xs_seq)
+    for labels, logits, _ in eval_batches(net, data, batch_size):
         correct += int(np.sum(net_mod.predict(logits) == labels))
     return correct / n
 

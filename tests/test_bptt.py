@@ -12,12 +12,13 @@ from ternspike.bptt import (
     finite_difference,
     grad_h_G,
     kappa,
+    loss_and_grads,
     max_relative_error,
-    smooth_loss_parts,
+    relative_errors,
     surrogate_smooth_forward,
     xi,
 )
-from ternspike.errors import StateError
+from ternspike.errors import NumericError, StateError
 from ternspike.gradcheck import random_network
 from ternspike.loss import TMPRConfig
 from ternspike.network import Layer, Network, forward, smooth_spike
@@ -257,9 +258,8 @@ class TestFiniteDifferenceOracle:
     def test_exact_backward_matches_fd_on_standin(self, kind, mode):
         from ternspike.gradcheck import _smooth_case
 
-        net, seq, labels = _smooth_case(7, 0, kind, None)
-        _, cache, dL_dO, _ = smooth_loss_parts(net, seq, labels, None)
-        g_exact = backward_exact(cache, dL_dO, net, mode)
+        net, seq, labels = _smooth_case(7, 0, kind)
+        _, _, _, g_exact = loss_and_grads(net, seq, labels, smooth=True)
         g_fd = finite_difference(lambda: surrogate_smooth_forward(net, seq, labels), net, 1e-6)
         err, where = max_relative_error(g_exact, g_fd, min_abs=1e-8)
         assert err <= 1e-5, where
@@ -268,9 +268,8 @@ class TestFiniteDifferenceOracle:
         from ternspike.gradcheck import _smooth_case
 
         tmpr = TMPRConfig(lam=0.05)
-        net, seq, labels = _smooth_case(8, 1, "ctsn_static", tmpr)
-        _, cache, dL_dO, du_extra = smooth_loss_parts(net, seq, labels, tmpr)
-        g_exact = backward_exact(cache, dL_dO, net, "ctsn", du_extra=du_extra)
+        net, seq, labels = _smooth_case(8, 1, "ctsn_static")
+        _, _, _, g_exact = loss_and_grads(net, seq, labels, tmpr, smooth=True)
         g_fd = finite_difference(lambda: surrogate_smooth_forward(net, seq, labels, tmpr), net, 1e-6)
         err, where = max_relative_error(g_exact, g_fd, min_abs=1e-8)
         assert err <= 1e-5, where
@@ -280,6 +279,19 @@ class TestFiniteDifferenceOracle:
         before = net.layers[0].w.copy()
         finite_difference(lambda: float(net.layers[0].w.sum()), net, 1e-6)
         np.testing.assert_array_equal(net.layers[0].w, before)
+
+    def test_fd_nonfinite_loss_raises_and_restores(self):
+        net = _tiny_identity_net(kind="ctsn_static")
+        net.layers[0].omega.set_vector([0.3, -0.2, 0.1])
+        before = net.copy()
+
+        def loss():
+            return np.nan if net.layers[0].omega.omega_beta != -0.2 else 1.0
+
+        with pytest.raises(NumericError, match="non-finite loss"):
+            finite_difference(loss, net, 1e-6)
+        assert net.layers[0].omega.as_vector().tolist() == before.layers[0].omega.as_vector().tolist()
+        np.testing.assert_array_equal(net.layers[0].w, before.layers[0].w)
 
 
 class TestCtsnRecursionGap:
@@ -314,6 +326,29 @@ class TestGradSet:
         assert names[0] == "layer0.w"
         assert names[-2:] == ["readout.w", "readout.b"]
         assert any(n.endswith(".omega") for n in names)
+
+    def test_relative_errors_skip_floor_and_flag_nonfinite(self):
+        rng = component_rng(49)
+        net, _, _ = random_network(rng, kind="ternary")
+        a, b = GradSet.zeros_like(net), GradSet.zeros_like(net)
+        a.dw[0].flat[:3] = [1.0, 2.0, 1e-9]
+        b.dw[0].flat[:3] = [1.5, 2.0, 0.0]
+        a.db_out[0] = np.nan
+        errs = {name: (idx.tolist(), rel.tolist()) for name, idx, _, _, rel in relative_errors(a, b, 1e-8)}
+        assert errs["layer0.w"] == ([0, 1], [0.5 / 1.5, 0.0])
+        assert errs["readout.b"] == ([0], [np.inf])
+        assert max_relative_error(a, b, 1e-8) == (np.inf, "readout.b[0]")
+
+    def test_max_relative_error_tie_goes_to_first_entry(self):
+        rng = component_rng(50)
+        net, _, _ = random_network(rng, kind="ternary")
+        a, b = GradSet.zeros_like(net), GradSet.zeros_like(net)
+        a.dw[0].flat[[1, 2]] = 1.0
+        a.dw_out.flat[0] = 1.0
+        b.dw[0].flat[[1, 2]] = 0.5
+        b.dw_out.flat[0] = 0.5
+        assert max_relative_error(a, b) == (0.5, "layer0.w[1]")
+        assert max_relative_error(a, a) == (0.0, "none")
 
     def test_check_finite_flags_offender(self):
         rng = component_rng(48)

@@ -49,6 +49,12 @@ class TestConfigResolution:
         cfg = resolve_config(_args("train", "--neuron", "ctsn_static"))
         assert cfg["neuron.kind"] == "ctsn_static"
 
+    def test_event_data_defaults_unless_set(self):
+        cfg = resolve_config(_args("train", "--data.source", "synth_events"))
+        assert (cfg["tmpr.lambda"], cfg["train.weight_decay"]) == (0.01, 5e-4)
+        cfg = resolve_config(_args("train", "--data.source", "synth_events", "--tmpr.lambda", "0.05"))
+        assert cfg["tmpr.lambda"] == 0.05
+
     def test_no_tmpr_flag(self):
         cfg = resolve_config(_args("train", "--no-tmpr"))
         assert cfg["tmpr.enabled"] is False

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ternspike import bptt, loss as loss_mod, network as net_mod, trainer
+from ternspike import bptt, network as net_mod
 from ternspike.loss import TMPRConfig
 from ternspike.neuron import NeuronConfig
 from ternspike.numerics import component_rng
@@ -45,23 +45,10 @@ def _case(kind):
     return net, seq, labels
 
 
-def _loss_and_grads(net, seq, labels, tmpr, smooth):
-    """(ce, tmpr_loss, grads) through the package's loss-and-gradient paths."""
-    if not smooth:
-        ce, tmpr_val, grads, _ = trainer._batch_grads(net, seq, labels, tmpr)
-        return ce, tmpr_val, grads
-    logits, cache = net_mod.forward(net, seq, smooth=True)
-    ce = loss_mod.avg_ce_loss(logits, labels)
-    tmpr_val = loss_mod.tmpr_loss(cache.potentials(), tmpr)
-    _, cache, dL_dO, du_extra = bptt.smooth_loss_parts(net, seq, labels, tmpr)
-    mode = "ctsn" if net.cfg.is_ctsn else "ternary"
-    return ce, tmpr_val, bptt.backward_exact(cache, dL_dO, net, mode, du_extra=du_extra)
-
-
 def _measure(kind, tmpr_on, smooth):
     net, seq, labels = _case(kind)
     tmpr = TMPRConfig(lam=0.05, enabled=tmpr_on)
-    ce, tmpr_val, grads = _loss_and_grads(net, seq, labels, tmpr, smooth)
+    ce, tmpr_val, _, grads = bptt.loss_and_grads(net, seq, labels, tmpr, smooth=smooth)
     out = {
         "ce": ce,
         "tmpr": tmpr_val,

@@ -9,7 +9,6 @@ from ternspike.loss import (
     softmax,
     tmpr_grad,
     tmpr_loss,
-    total_loss,
 )
 from ternspike.numerics import seeded_rng
 
@@ -145,10 +144,3 @@ class TestTMPRGrad:
             fd = (f_plus - f_minus) / (2 * step)
             assert analytic.flat[i] == pytest.approx(fd, abs=1e-8)
 
-
-class TestTotalLoss:
-    def test_sum(self):
-        assert total_loss(0.7, 0.05) == pytest.approx(0.75)
-
-    def test_disabled_regularizer_passthrough(self):
-        assert total_loss(1.23, 0.0) == 1.23

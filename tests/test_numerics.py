@@ -1,70 +1,11 @@
 import numpy as np
-import pytest
 
-from ternspike.errors import DimensionError
-from ternspike.numerics import (
-    component_rng,
-    elementwise,
-    matmul,
-    relu,
-    seeded_rng,
-    sigmoid,
-    square,
-    tensor,
-)
-
-
-class TestMatmul:
-    def test_identity(self):
-        out = matmul(np.eye(2), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [4.0]])
-
-    def test_hand_product(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[11.0]])
-
-    def test_zero_row(self):
-        out = matmul(np.array([[0.0, 0.0]]), np.array([[3.0], [4.0]]))
-        np.testing.assert_array_equal(out, [[0.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(1, 2\).*\(3, 1\)"):
-            matmul(np.ones((1, 2)), np.ones((3, 1)))
-
-    def test_identity_property_random(self):
-        rng = seeded_rng(0)
-        for _ in range(20):
-            m = int(rng.integers(1, 6))
-            x = rng.normal(size=(m, int(rng.integers(1, 6))))
-            np.testing.assert_array_equal(matmul(np.eye(m), x), x)
+from ternspike.numerics import component_rng, seeded_rng, sigmoid
 
 
 class TestElementwise:
     def test_sigmoid_at_zero_exact(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
-
-    def test_relu_negative(self):
-        assert relu(np.array([-2.5]))[0] == 0.0
-
-    def test_square(self):
-        np.testing.assert_array_equal(square(np.array([1.0, -2.0])), [1.0, 4.0])
-
-    def test_dispatcher_matches_direct(self):
-        x = np.array([-1.5, 0.0, 2.0])
-        np.testing.assert_array_equal(elementwise("relu", x), relu(x))
-        np.testing.assert_array_equal(elementwise("sigmoid", x), sigmoid(x))
-        np.testing.assert_array_equal(elementwise("square", x), square(x))
-        np.testing.assert_array_equal(elementwise("scale", x, scalar=2.0), 2.0 * x)
-
-    def test_binary_ops(self):
-        a, b = np.array([1.0, 2.0]), np.array([3.0, 5.0])
-        np.testing.assert_array_equal(elementwise("add", a, b), [4.0, 7.0])
-        np.testing.assert_array_equal(elementwise("sub", a, b), [-2.0, -3.0])
-        np.testing.assert_array_equal(elementwise("mul", a, b), [3.0, 10.0])
-
-    def test_binary_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            elementwise("add", np.ones(2), np.ones(3))
 
     def test_sigmoid_finite_on_extremes(self):
         out = sigmoid(np.array([-1e4, -50.0, 50.0, 1e4]))
@@ -73,19 +14,7 @@ class TestElementwise:
     def test_unary_commutes_with_reshape(self):
         rng = seeded_rng(1)
         x = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(relu(x).ravel(), relu(x.ravel()))
         np.testing.assert_array_equal(sigmoid(x).ravel(), sigmoid(x.ravel()))
-
-
-class TestTensor:
-    def test_dtype_and_order(self):
-        arr = tensor([[1, 2], [3, 4]])
-        assert arr.dtype == np.float64
-        assert arr.flags["C_CONTIGUOUS"]
-
-    def test_reshape(self):
-        arr = tensor([1, 2, 3, 4, 5, 6], shape=(2, 3))
-        assert arr.shape == (2, 3)
 
 
 class TestRng:

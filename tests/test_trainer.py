@@ -91,6 +91,24 @@ class TestSgdStep:
         with pytest.raises(NumericError, match="layer0.b"):
             sgd_step(net, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.0)
 
+    def test_nonfinite_gradient_leaves_model_untouched(self):
+        # the offender comes last in update order; nothing may move before the raise
+        net = _toy_net(kind="ctsn_static")
+        vel = Velocity.zeros_like(net)
+        grads = bptt.GradSet.zeros_like(net)
+        grads.dw[0][:] = 1.0
+        grads.db_out[0] = np.inf
+        before = net.copy()
+        with pytest.raises(NumericError, match="readout.b"):
+            sgd_step(net, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.1)
+        for now, then in zip(net.layers + [net.readout], before.layers + [before.readout]):
+            np.testing.assert_array_equal(now.w, then.w)
+            np.testing.assert_array_equal(now.b, then.b)
+        for now, then in zip(net.layers, before.layers):
+            np.testing.assert_array_equal(now.omega.as_vector(), then.omega.as_vector())
+        for buf in vel.vw + vel.vb + vel.vomega + [vel.vw_out, vel.vb_out]:
+            assert not np.any(buf)
+
 
 class TestTrainEpoch:
     def test_single_step_descends_on_fixed_batch(self):
@@ -104,7 +122,7 @@ class TestTrainEpoch:
 
         def total(n):
             xs, labels = data_mod.encode_batch(data, np.arange(len(data.labels)), 3)
-            ce, tm, _, _ = trainer._batch_grads(n, xs, labels, cfg.tmpr)
+            ce, tm, _, _ = bptt.loss_and_grads(n, xs, labels, cfg.tmpr)
             return ce + tm
 
         before = total(net)
