@@ -18,6 +18,11 @@ from its potential-to-memory derivative (it uses the blend coefficient
 alone), so the two disagree beyond T=1 by construction; the gradcheck
 command reports that gap instead of hiding it.
 
+Both engines read the stacked trace of ``network.forward`` and work one
+layer at a time over all timesteps: the factors are formed over the whole
+(T, B, D) stack, only the adjoint recurrence itself steps through time, and
+each linear map's gradients are one matrix product over its T*B rows.
+
 The factor functions (``epsilon``, ``kappa``, ``xi``, ``choice``,
 ``grad_h_G``) are also exported standalone so each can be pinned by direct
 value tests.
@@ -26,71 +31,15 @@ value tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import loss as loss_mod
-from .errors import NumericError, StateError
-from .neuron import CTSNParams, effective_params
+from . import loss as loss_mod, network as net_mod
+from .errors import NumericError
+from .network import Network, Trace
+from .neuron import CTSNParams, decay, effective_params
 from .numerics import Array
-
-if TYPE_CHECKING:
-    from .network import Network
-
-
-# ---------------------------------------------------------------------------
-# cached forward records
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class StepEntry:
-    """Everything the backward passes need about one (layer, timestep)."""
-
-    u: Array          # decayed pre-blend potential u(t)
-    h: Array          # memory term h(t) (zero for plain ternary)
-    u_tilde: Array    # post-integration potential the neuron fired from
-    o: Array          # emitted spikes (continuous under the smooth stand-in)
-    surrogate: Array  # rectangular window H(u~(t))
-    layer_input: Array  # o^{l-1}(t), the spatial input to this layer
-
-
-@dataclass
-class StepCache:
-    """Immutable record of one forward pass: ``entries[layer][timestep]``."""
-
-    entries: list[list[StepEntry | None]]
-
-    @classmethod
-    def empty(cls, n_layers: int, n_steps: int) -> "StepCache":
-        return cls(entries=[[None] * n_steps for _ in range(n_layers)])
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.entries)
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def put(self, layer: int, t: int, entry: StepEntry) -> None:
-        if self.entries[layer][t] is not None:
-            raise StateError(f"cache record for layer {layer}, step {t} already written")
-        self.entries[layer][t] = entry
-
-    def validate(self) -> None:
-        if not self.entries or self.n_steps == 0:
-            raise StateError("empty step cache")
-        for l, row in enumerate(self.entries):
-            for t, e in enumerate(row):
-                if e is None:
-                    raise StateError(f"cache record missing for layer {l}, step {t}")
-
-    def potentials(self) -> list[list[Array]]:
-        """Captured post-integration potentials, ``[layer][timestep]``."""
-        self.validate()
-        return [[e.u_tilde for e in row] for row in self.entries]
 
 
 @dataclass
@@ -108,7 +57,7 @@ class GradSet:
     db_out: Array
 
     @classmethod
-    def zeros_like(cls, net: "Network") -> "GradSet":
+    def zeros_like(cls, net: Network) -> "GradSet":
         return cls(
             dw=[np.zeros_like(layer.w) for layer in net.layers],
             db=[np.zeros_like(layer.b) for layer in net.layers],
@@ -253,7 +202,7 @@ def xi(h_next_inputs, o, u_tilde, H, params: CTSNParams, kind: str, tau: float):
 # ---------------------------------------------------------------------------
 
 
-def _mode_for(net: "Network", mode: str) -> None:
+def _mode_for(net: Network, mode: str) -> None:
     if mode == "ternary" and net.cfg.kind != "ternary":
         raise ValueError(f"mode 'ternary' but network kind is {net.cfg.kind!r}")
     if mode == "ctsn" and not net.cfg.is_ctsn:
@@ -266,36 +215,56 @@ def _mode_for(net: "Network", mode: str) -> None:
         )
 
 
-def _readout_backward(cache: StepCache, dL_dO: Sequence[Array], net: "Network", grads: GradSet):
-    """Gradients of the readout map and the adjoint stream on the top spikes."""
-    top = cache.entries[-1]
-    n_steps = cache.n_steps
-    if len(dL_dO) != n_steps:
-        raise ValueError(f"got {len(dL_dO)} upstream gradients for {n_steps} timesteps")
-    for t in range(n_steps):
-        g = np.asarray(dL_dO[t], dtype=np.float64)
-        grads.dw_out += top[t].o.T @ g
-        grads.db_out += g.sum(axis=0)
-    return [np.asarray(dL_dO[t], dtype=np.float64) @ net.readout.w.T for t in range(n_steps)]
+def _layer_param_grads(x: Array, dx: Array, w: Array, below: bool = True):
+    """(dW, db, input adjoint) of one linear map from its output adjoints.
+
+    ``dx`` is (T, B, D_out).  ``x`` is the map's input: (T, B, D_in), or
+    (B, D_in) when every timestep shares it, where dW = x^T sum_t dx(t).
+    The input adjoint is None unless ``below`` (the network input needs none).
+    """
+    flat = dx.reshape(-1, dx.shape[-1])
+    if x.ndim == 2:
+        dw = x.T @ dx.sum(axis=0)
+    else:
+        dw = x.reshape(-1, x.shape[-1]).T @ flat
+    adjoint = (flat @ w.T).reshape(dx.shape[:-1] + w.shape[:1]) if below else None
+    return dw, flat.sum(axis=0), adjoint
 
 
-def _layer_param_grads(entries, dx, layer, grads: GradSet, l: int):
-    """Accumulate dW/db from the potential adjoints, then pass adjoints down."""
-    for t in range(len(entries)):
-        grads.dw[l] += entries[t].layer_input.T @ dx[t]
-        grads.db[l] += dx[t].sum(axis=0)
-    return [dx[t] @ layer.w.T for t in range(len(entries))]
+def _backward(cache: Trace, dL_dO, net: Network, mode: str, du_extra, sweep) -> GradSet:
+    """Readout, then each layer top-down.  ``sweep(cache, l, direct, H, omega)``
+    turns the adjoints entering layer l's potentials directly (A * H plus any
+    injection) into dL/dx, and returns the omega gradient (None if ternary)."""
+    _mode_for(net, mode)
+    if len(dL_dO) != cache.n_steps:
+        raise ValueError(f"got {len(dL_dO)} upstream gradients for {cache.n_steps} timesteps")
+    g = np.stack([np.asarray(d, dtype=np.float64) for d in dL_dO])
+    dw_out, db_out, A = _layer_param_grads(cache.layers[-1].o, g, net.readout.w)
+    n_layers = cache.n_layers
+    dw, db, domega = [None] * n_layers, [None] * n_layers, [None] * n_layers
+    for l in reversed(range(n_layers)):
+        H = cache.surrogate(l)
+        direct = A * H
+        if du_extra is not None:
+            direct += np.asarray(du_extra[l], dtype=np.float64)
+        dx, domega[l] = sweep(cache, l, direct, H, net.layers[l].omega)
+        dw[l], db[l], A = _layer_param_grads(cache.layer_input(l), dx, net.layers[l].w, below=l > 0)
+    return GradSet(dw=dw, db=db, domega=domega, dw_out=dw_out, db_out=db_out)
 
 
-def _chain_omega(grads: GradSet, l: int, layer, d_alpha: float, d_beta: float, d_gamma: float):
-    alpha, beta, gamma = effective_params(layer.omega)
-    grads.domega[l][0] = d_alpha * alpha * (1.0 - alpha)
-    grads.domega[l][1] = d_beta * beta * (1.0 - beta)
-    grads.domega[l][2] = d_gamma * gamma * (1.0 - gamma)
+def _chain_omega(omega: CTSNParams, partials) -> Array:
+    """Raw-omega gradient from the (alpha, beta, gamma) partials via the sigmoid."""
+    return np.array([d * p * (1.0 - p) for d, p in zip(partials, effective_params(omega))])
 
 
-def _blend_param_partials(dh: Array, h_prev: Array, u: Array, static: bool):
-    """Per-step contributions to (d_alpha, d_beta, d_gamma) before the sigmoid chain."""
+def _blend_partials(dh: Array, h: Array, u: Array, static: bool):
+    """(d_alpha, d_beta, d_gamma) of one layer before the sigmoid chain.
+
+    ``dh`` is the memory adjoint and ``h`` the memory, both (T, B, D); ``u``
+    is the decayed potential from the second step on, (T - 1, B, D).  The
+    first step contributes nothing: both blend inputs are zero there.
+    """
+    dh, h_prev = dh[1:], h[:-1]
     if static:
         return (
             float(np.sum(dh * np.maximum(h_prev, 0.0))),
@@ -314,7 +283,7 @@ def _blend_param_partials(dh: Array, h_prev: Array, u: Array, static: bool):
 # ---------------------------------------------------------------------------
 
 
-def loss_and_grads(net: "Network", input_seq, labels, tmpr=None, smooth=False):
+def loss_and_grads(net: Network, input_seq, labels, tmpr=None, smooth=False):
     """Forward one batch and return (ce, tmpr_loss, logits, grads).
 
     ``grads`` are the exact gradients of ce + tmpr_loss: the classifier
@@ -323,8 +292,6 @@ def loss_and_grads(net: "Network", input_seq, labels, tmpr=None, smooth=False):
     ``smooth=True`` runs the continuous stand-in network instead of the
     spiking one.  Training and the gradient checks both go through here.
     """
-    from . import network as net_mod  # deferred: network depends on this module's types
-
     logits, cache = net_mod.forward(net, input_seq, smooth=smooth)
     ce = loss_mod.avg_ce_loss(logits, labels)
     dL_dO = loss_mod.avg_ce_grad(logits, labels)
@@ -333,20 +300,16 @@ def loss_and_grads(net: "Network", input_seq, labels, tmpr=None, smooth=False):
     if tmpr is not None and tmpr.active:
         pots = cache.potentials()
         tmpr_val = loss_mod.tmpr_loss(pots, tmpr)
-        n_layers, n_steps = len(pots), len(pots[0])
-        du_extra = [
-            [loss_mod.tmpr_grad(pots[l][t], t + 1, n_steps, n_layers, tmpr.lam) for t in range(n_steps)]
-            for l in range(n_layers)
-        ]
+        du_extra = loss_mod.tmpr_injection(pots, tmpr.lam)
     mode = "ctsn" if net.cfg.is_ctsn else "ternary"
     grads = backward_exact(cache, dL_dO, net, mode, du_extra=du_extra)
     return ce, tmpr_val, logits, grads
 
 
 def backward_exact(
-    cache: StepCache,
+    cache: Trace,
     dL_dO: Sequence[Array],
-    net: "Network",
+    net: Network,
     mode: str,
     du_extra: Sequence[Sequence[Array]] | None = None,
 ) -> GradSet:
@@ -358,83 +321,46 @@ def backward_exact(
     term); it then propagates through every temporal and spatial path like
     any other contribution.
     """
-    cache.validate()
-    _mode_for(net, mode)
-    grads = GradSet.zeros_like(net)
-    A = _readout_backward(cache, dL_dO, net, grads)
-    for l in reversed(range(cache.n_layers)):
-        entries = cache.entries[l]
-        inj = du_extra[l] if du_extra is not None else None
-        if mode == "ternary":
-            dx = _exact_sweep_ternary(entries, A, inj, net.cfg.tau)
-        else:
-            dx, (da, dbta, dg) = _exact_sweep_ctsn(entries, A, inj, net.layers[l].omega, net.cfg)
-            _chain_omega(grads, l, net.layers[l], da, dbta, dg)
-        A = _layer_param_grads(entries, dx, net.layers[l], grads, l)
-    return grads
+    sweep = _exact_sweep_ternary if mode == "ternary" else _exact_sweep_ctsn
+    return _backward(cache, dL_dO, net, mode, du_extra, sweep)
 
 
-def _exact_sweep_ternary(entries, A, inj, tau: float):
-    """Adjoint sweep over one ternary layer, newest timestep first.
+def _exact_sweep_ternary(cache: Trace, l: int, du: Array, H: Array, omega):
+    """Adjoint sweep over one ternary layer, newest timestep first, in place.
 
     du(t) = A(t) * H(t) + inj(t) + du(t+1) * epsilon(t); the epsilon factor
     bundles the leak through 1 - |o| with the surrogate reset path.
     """
-    n_steps = len(entries)
-    dx: list[Array | None] = [None] * n_steps
-    du_next: Array | None = None
-    for t in reversed(range(n_steps)):
-        e = entries[t]
-        du = A[t] * e.surrogate
-        if inj is not None:
-            du = du + inj[t]
-        if du_next is not None:
-            du = du + du_next * epsilon(e.u, e.o, e.surrogate, tau)
-        dx[t] = du
-        du_next = du
-    return dx
+    tr = cache.layers[l]
+    eps = epsilon(tr.u_tilde[:-1], tr.o[:-1], H[:-1], cache.cfg.tau)
+    for t in reversed(range(len(du) - 1)):
+        du[t] += du[t + 1] * eps[t]
+    return du, None
 
 
-def _exact_sweep_ctsn(entries, A, inj, omega: CTSNParams, cfg):
-    """Adjoint sweep over one complemented layer (two carried adjoints).
+def _exact_sweep_ctsn(cache: Trace, l: int, du_tilde: Array, H: Array, omega: CTSNParams):
+    """Adjoint sweep over one complemented layer (two carried adjoints), in place.
 
     The potential adjoint flows through u(t+1) = tau * u~(t) * (1 - |o(t)|)
     into the blend; the memory adjoint flows along h(t+1) -> h(t) with the
-    blend's h-derivative.  Both reach the blend's parameters each step.
+    blend's h-derivative.  Both reach the blend's parameters.
     """
-    n_steps = len(entries)
-    tau = cfg.tau
-    static = cfg.kind == "ctsn_static"
+    tr, cfg = cache.layers[l], cache.cfg
+    tau, static = cfg.tau, cfg.kind == "ctsn_static"
     alpha, beta, gamma = effective_params(omega)
-    dx: list[Array | None] = [None] * n_steps
-    du_next: Array | None = None   # adjoint of u(t+1)
-    dh_carry: Array | None = None  # adjoint reaching h(t) from h(t+1)
-    d_alpha = d_beta = d_gamma = 0.0
-    for t in reversed(range(n_steps)):
-        e = entries[t]
-        du_tilde = A[t] * e.surrogate
-        if inj is not None:
-            du_tilde = du_tilde + inj[t]
-        if du_next is not None:
-            du_tilde = du_tilde + du_next * (
-                tau * (1.0 - np.abs(e.o)) - tau * e.u_tilde * np.sign(e.o) * e.surrogate
-            )
-        dh = du_tilde if dh_carry is None else du_tilde + dh_carry
-        h_prev = entries[t - 1].h if t > 0 else np.zeros_like(e.h)
-        da, dbta, dg = _blend_param_partials(dh, h_prev, e.u, static)
-        d_alpha += da
-        d_beta += dbta
-        d_gamma += dg
-        if static:
-            gu = np.full_like(e.u, gamma)
-            gh = np.where(h_prev >= 0.0, alpha, beta)
-        else:
-            gu = np.where(e.u >= 0.0, beta, gamma)
-            gh = np.full_like(h_prev, alpha)
-        du_next = dh * gu
-        dh_carry = dh * gh
-        dx[t] = du_tilde
-    return dx, (d_alpha, d_beta, d_gamma)
+    o, ut = tr.o[:-1], tr.u_tilde[:-1]
+    carry = tau * (1.0 - np.abs(o)) - tau * ut * np.sign(o) * H[:-1]  # du(t+1)/du~(t)
+    u = decay(ut, o, tau)  # u(t + 1)
+    if static:  # blend derivatives of the step from t into t + 1
+        gu, gh = np.full_like(u, gamma), np.where(tr.h[:-1] >= 0.0, alpha, beta)
+    else:
+        gu, gh = np.where(u >= 0.0, beta, gamma), np.full_like(u, alpha)
+    dh = np.empty_like(du_tilde)  # memory adjoint
+    dh[-1] = du_tilde[-1]
+    for t in reversed(range(len(du_tilde) - 1)):
+        du_tilde[t] += dh[t + 1] * gu[t] * carry[t]
+        dh[t] = du_tilde[t] + dh[t + 1] * gh[t]
+    return du_tilde, _chain_omega(omega, _blend_partials(dh, tr.h, u, static))
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +369,9 @@ def _exact_sweep_ctsn(entries, A, inj, omega: CTSNParams, cfg):
 
 
 def backward_recursion(
-    cache: StepCache,
+    cache: Trace,
     dL_dO: Sequence[Array],
-    net: "Network",
+    net: Network,
     mode: str,
     du_extra: Sequence[Sequence[Array]] | None = None,
     stats: dict | None = None,
@@ -461,106 +387,61 @@ def backward_recursion(
     dict is supplied, counts how many such additive blend terms entered the
     potential-adjoint products (zero whenever T <= 2).
     """
-    cache.validate()
-    _mode_for(net, mode)
     if stats is not None:
         stats["comp_grad_factors"] = 0
-    grads = GradSet.zeros_like(net)
-    A = _readout_backward(cache, dL_dO, net, grads)
-    n_steps = cache.n_steps
-    for l in reversed(range(cache.n_layers)):
-        entries = cache.entries[l]
-        inj = du_extra[l] if du_extra is not None else None
-        direct = []
-        for t in range(n_steps):
-            d = A[t] * entries[t].surrogate
-            if inj is not None:
-                d = d + inj[t]
-            direct.append(d)
-        if mode == "ternary":
-            dx = _recursion_ternary(entries, direct, net.cfg.tau)
-        else:
-            dx = _recursion_ctsn(entries, direct, net.layers[l].omega, net.cfg, stats)
-            da, dbta, dg = _recursion_omega(entries, dx, net.layers[l].omega, net.cfg)
-            _chain_omega(grads, l, net.layers[l], da, dbta, dg)
-        A = _layer_param_grads(entries, dx, net.layers[l], grads, l)
-    return grads
+    if mode == "ternary":
+        sweep = _recursion_ternary
+    else:
+        sweep = lambda cache, l, direct, H, omega: _recursion_ctsn(cache, l, direct, H, omega, stats)
+    return _backward(cache, dL_dO, net, mode, du_extra, sweep)
 
 
-def _recursion_ternary(entries, direct, tau: float):
+def _recursion_ternary(cache: Trace, l: int, direct: Array, H: Array, omega):
     """Literal factor-product sum for one ternary layer."""
-    n_steps = len(entries)
-    eps = [epsilon(e.u, e.o, e.surrogate, tau) for e in entries]
-    dx = []
+    tr = cache.layers[l]
+    eps = epsilon(tr.u_tilde, tr.o, H, cache.cfg.tau)
+    n_steps = len(direct)
+    dx = direct.copy()
     for t in range(n_steps):
-        acc = direct[t].copy()
         for t_next in range(t + 1, n_steps):
-            prod = np.ones_like(acc)
+            prod = np.ones_like(dx[t])
             for k in range(1, t_next - t + 1):
                 prod = prod * eps[t_next - k]
-            acc += direct[t_next] * prod
-        dx.append(acc)
-    return dx
+            dx[t] += direct[t_next] * prod
+    return dx, None
 
 
-def _recursion_ctsn(entries, direct, omega: CTSNParams, cfg, stats):
-    """Literal xi-product sum for one complemented layer."""
-    n_steps = len(entries)
-    alpha, beta, gamma = effective_params(omega)
+def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNParams, stats):
+    """Literal xi-product sum for one complemented layer, then its omega gradient.
+
+    The closed form only defines potential adjoints; the memory adjoint is
+    recovered by the one-step relation dh(t) = du~(t) + dh(t+1) * gh(t).
+    """
+    tr, cfg = cache.layers[l], cache.cfg
+    n_steps = len(direct)
+    alpha, beta, _ = effective_params(omega)
+    u = cache.decayed(l)
     xis = [
-        xi(
-            (entries[t].h, entries[t + 1].u),
-            entries[t].o,
-            entries[t].u_tilde,
-            entries[t].surrogate,
-            omega,
-            cfg.kind,
-            cfg.tau,
-        )
+        xi((tr.h[t], u[t + 1]), tr.o[t], tr.u_tilde[t], H[t], omega, cfg.kind, cfg.tau)
         for t in range(n_steps - 1)
     ]
     # blend-h-derivative pair for step s: d h(s+1) / d h(s), branch on h(s)
-    gh = [grad_h_G(entries[s].h, cfg.kind, alpha, beta) for s in range(n_steps - 1)]
-    dx = []
+    gh = [grad_h_G(tr.h[s], cfg.kind, alpha, beta) for s in range(n_steps - 1)]
+    dx = direct.copy()
     for t in range(n_steps):
-        acc = direct[t].copy()
         if t + 1 < n_steps:
-            acc += direct[t + 1] * xis[t]
+            dx[t] += direct[t + 1] * xis[t]
         for t_next in range(t + 2, n_steps):
             prod = xis[t].copy()
             for s in range(t + 1, t_next):
                 prod = prod * (xis[s] + gh[s])
                 if stats is not None:
                     stats["comp_grad_factors"] += 1
-            acc += direct[t_next] * prod
-        dx.append(acc)
-    return dx
-
-
-def _recursion_omega(entries, dx, omega: CTSNParams, cfg):
-    """Blend-parameter gradients from the recursion's potential adjoints.
-
-    The closed form only defines potential adjoints; the memory adjoint is
-    recovered by the one-step relation dh(t) = du~(t) + dh(t+1) * gh(t).
-    """
-    n_steps = len(entries)
-    static = cfg.kind == "ctsn_static"
-    alpha, beta, gamma = effective_params(omega)
-    d_alpha = d_beta = d_gamma = 0.0
-    dh_next: Array | None = None
-    for t in reversed(range(n_steps)):
-        e = entries[t]
-        if dh_next is None:
-            dh = dx[t]
-        else:
-            dh = dx[t] + dh_next * grad_h_G(e.h, cfg.kind, alpha, beta)
-        h_prev = entries[t - 1].h if t > 0 else np.zeros_like(e.h)
-        da, dbta, dg = _blend_param_partials(dh, h_prev, e.u, static)
-        d_alpha += da
-        d_beta += dbta
-        d_gamma += dg
-        dh_next = dh
-    return d_alpha, d_beta, d_gamma
+            dx[t] += direct[t_next] * prod
+    dh = dx.copy()
+    for t in reversed(range(n_steps - 1)):
+        dh[t] = dx[t] + dh[t + 1] * gh[t]
+    return dx, _chain_omega(omega, _blend_partials(dh, tr.h, u[1:], cfg.kind == "ctsn_static"))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +456,7 @@ def central_diff(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
-def surrogate_smooth_forward(net: "Network", input_seq, labels, tmpr=None) -> float:
+def surrogate_smooth_forward(net: Network, input_seq, labels, tmpr=None) -> float:
     """Scalar loss of the continuous stand-in network.
 
     The firing nonlinearity is replaced by its continuous piecewise-linear
@@ -583,8 +464,6 @@ def surrogate_smooth_forward(net: "Network", input_seq, labels, tmpr=None) -> fl
     the loss is differentiable almost everywhere and central finite
     differences of this function validate the analytic backward pass.
     """
-    from . import network as net_mod  # deferred: network depends on this module's types
-
     logits, cache = net_mod.forward(net, input_seq, smooth=True)
     total = loss_mod.avg_ce_loss(logits, labels)
     if tmpr is not None and tmpr.active:
@@ -594,7 +473,7 @@ def surrogate_smooth_forward(net: "Network", input_seq, labels, tmpr=None) -> fl
     return total
 
 
-def finite_difference(loss_fn, net: "Network", step: float) -> GradSet:
+def finite_difference(loss_fn, net: Network, step: float) -> GradSet:
     """Central-difference gradients of ``loss_fn()`` w.r.t. every parameter.
 
     ``loss_fn`` is a zero-argument closure over ``net``; each parameter entry

@@ -73,7 +73,7 @@ def random_network(
     return net, input_seq, labels
 
 
-def _kink_distance(cache: bptt.StepCache, cfg: NeuronConfig) -> float:
+def _kink_distance(cache: net_mod.Trace, cfg: NeuronConfig) -> float:
     """Distance of the nearest cached value to a derivative kink.
 
     Exact zeros are ignored: they are structural constants (first-step
@@ -81,18 +81,13 @@ def _kink_distance(cache: bptt.StepCache, cfg: NeuronConfig) -> float:
     """
     edge = cfg.v_th + cfg.a
     dist = np.inf
-    for row in cache.entries:
-        for e in row:
-            d_edge = np.abs(np.abs(e.u_tilde) - edge)
-            dist = min(dist, float(d_edge.min()))
-            if cfg.kind == "ctsn_static":
-                vals = np.abs(e.h[e.h != 0.0])
-                if vals.size:
-                    dist = min(dist, float(vals.min()))
-            elif cfg.kind == "ctsn_neuromorphic":
-                vals = np.abs(e.u[e.u != 0.0])
-                if vals.size:
-                    dist = min(dist, float(vals.min()))
+    for l, tr in enumerate(cache.layers):
+        dist = min(dist, float(np.abs(np.abs(tr.u_tilde) - edge).min()))
+        if cfg.is_ctsn:  # the blend branches on h (static) or on u (neuromorphic)
+            vals = tr.h if cfg.kind == "ctsn_static" else cache.decayed(l)
+            vals = np.abs(vals[vals != 0.0])
+            if vals.size:
+                dist = min(dist, float(vals.min()))
     return dist
 
 

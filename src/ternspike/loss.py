@@ -68,9 +68,9 @@ def avg_ce_loss(outputs, labels) -> float:
     avg = _averaged_logits(outputs)
     if np.any(labels < 0) or np.any(labels >= avg.shape[1]):
         raise ValueError("label index out of range")
-    p = softmax(avg)
-    picked = p[np.arange(labels.shape[0]), labels]
-    return float(-np.mean(np.log(picked)))
+    shifted = avg - avg.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))  # log-sum-exp, stays finite for any margin
+    return float(np.mean(log_norm - shifted[np.arange(labels.shape[0]), labels]))
 
 
 def avg_ce_grad(outputs, labels) -> list[Array]:
@@ -124,3 +124,9 @@ def tmpr_grad(u_tilde: Array, t: int, n_steps: int, n_layers: int, lam: float) -
     u_tilde = np.asarray(u_tilde, dtype=np.float64)
     return (2.0 * lam / (t * n_steps * n_layers * u_tilde.size)) * u_tilde
 
+
+def tmpr_injection(potentials, lam: float) -> list[Array]:
+    """``tmpr_grad`` at every timestep of every layer, one (T, B, D) stack per layer."""
+    n_layers, n_steps = len(potentials), len(potentials[0])
+    t = np.arange(1, n_steps + 1)
+    return [(2.0 * lam / (t * n_steps * n_layers * u[0].size))[:, None, None] * u for u in potentials]

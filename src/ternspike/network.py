@@ -6,26 +6,33 @@ top layer's spikes into real-valued logits at every timestep.  Prediction
 averages the logits over time and takes the argmax (ties resolve to the
 lowest class index).
 
-``forward`` runs the whole sequence and records every per-(layer, timestep)
-quantity the gradient engines need.  With ``smooth=True`` the firing
-nonlinearity is swapped for its continuous piecewise-linear stand-in, which
-is what the finite-difference gradient checks differentiate.
+``forward`` runs the network layer by layer, each layer over all timesteps
+at once (the network is feedforward, so a layer's whole spike train is known
+before the next layer starts).  It records one ``LayerTrace`` per spiking
+layer, arrays shaped (timesteps, batch, features), which is everything the
+gradient engines need.  With ``smooth=True`` the firing nonlinearity is
+swapped for its continuous piecewise-linear stand-in, which is what the
+finite-difference gradient checks differentiate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .bptt import StepCache, StepEntry
 from .errors import DimensionError, StateError
-from .neuron import (
+from .neuron import (  # the step functions stay importable here for per-step callers and wrappers
     CTSNParams,
     NeuronConfig,
-    NeuronState,
     ctsn_step,
+    decay,
+    effective_params,
+    g_neuromorphic,
+    g_static,
     surrogate,
+    ternary_fire,
     ternary_step,
     ternary_step_soft,
 )
@@ -108,7 +115,7 @@ def build_network(
     return Network(layers=layers, readout=readout, cfg=cfg, n_steps=n_steps)
 
 
-def smooth_spike(u_tilde: Array, v_th: float, a: float) -> Array:
+def smooth_spike(u_tilde: Array, v_th: float, a: float, out: Array | None = None) -> Array:
     """Continuous stand-in for the firing function.
 
     Identity inside the surrogate window (|u| < v_th + a), clamped outside;
@@ -117,14 +124,134 @@ def smooth_spike(u_tilde: Array, v_th: float, a: float) -> Array:
     values +-1, so the stand-in matches real spikes at the window edges.
     """
     edge = v_th + a
-    return np.clip(np.asarray(u_tilde, dtype=np.float64), -edge, edge)
+    return np.clip(np.asarray(u_tilde, dtype=np.float64), -edge, edge, out=out)
 
 
-def forward(net: Network, input_seq, smooth: bool = False) -> tuple[list[Array], StepCache]:
-    """Run the sequence, returning per-timestep logits and the full cache.
+@dataclass
+class LayerTrace:
+    """One spiking layer over the whole sequence; arrays are (T, B, D).
+
+    ``u_tilde`` is the potential the neuron fired from, ``o`` the spikes
+    (continuous under the smooth stand-in) and ``h`` the complemented unit's
+    memory term, None for the plain ternary unit (whose potential is u~
+    itself).  The surrogate window and the complemented unit's decayed
+    potential are not stored: ``Trace`` recomputes them from these.
+    """
+
+    u_tilde: Array
+    o: Array
+    h: Array | None = None
+
+
+@dataclass
+class Trace:
+    """Record of one forward pass: one ``LayerTrace`` per spiking layer.
+
+    ``x`` is the network input, (B, D_in) when every timestep shares one
+    array (direct encoding) and (T, B, D_in) otherwise.
+    """
+
+    layers: list[LayerTrace]
+    x: Array
+    cfg: NeuronConfig
+
+    def __post_init__(self) -> None:
+        if not self.layers or len(self.layers[0].u_tilde) == 0:
+            raise StateError("empty trace")
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layers)
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.layers[0].u_tilde)
+
+    def layer_input(self, l: int) -> Array:
+        """Spatial input of layer l: the network input or the spikes below."""
+        return self.x if l == 0 else self.layers[l - 1].o
+
+    def surrogate(self, l: int) -> Array:
+        """Rectangular window H(u~) of layer l at every timestep."""
+        return surrogate(self.layers[l].u_tilde, self.cfg.v_th, self.cfg.a)
+
+    def decayed(self, l: int) -> Array:
+        """u(t) of layer l: the potential itself for the ternary unit; for the
+        complemented unit tau * u~(t-1) * (1 - |o(t-1)|), zero at the first step."""
+        tr = self.layers[l]
+        if tr.h is None:
+            return tr.u_tilde
+        u = np.zeros_like(tr.u_tilde)
+        u[1:] = decay(tr.u_tilde[:-1], tr.o[:-1], self.cfg.tau)
+        return u
+
+    def potentials(self) -> list[Array]:
+        """Captured post-integration potentials, one (T, B, D) stack per layer."""
+        return [tr.u_tilde for tr in self.layers]
+
+    @property
+    def entries(self) -> list[list[SimpleNamespace]]:
+        """Per-(layer, timestep) views under the per-step names, ``entries[layer][timestep]``:
+        u, h (zero for the ternary unit), u_tilde, o, surrogate and layer_input."""
+        rows = []
+        for l, tr in enumerate(self.layers):
+            u, H, x = self.decayed(l), self.surrogate(l), self.layer_input(l)
+            h = np.zeros_like(tr.u_tilde) if tr.h is None else tr.h
+            rows.append([
+                SimpleNamespace(u=u[t], h=h[t], u_tilde=tr.u_tilde[t], o=tr.o[t], surrogate=H[t],
+                                layer_input=x if x.ndim == 2 else x[t])
+                for t in range(self.n_steps)
+            ])
+        return rows
+
+
+def _affine(x: Array, layer: Layer) -> Array:
+    """x @ w + b over every (timestep, batch) row of x in one matrix product."""
+    out = x.reshape(-1, x.shape[-1]) @ layer.w
+    out += layer.b
+    return out.reshape(x.shape[:-1] + out.shape[-1:])
+
+
+def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps: int, fire) -> LayerTrace:
+    """All timesteps of one spiking layer.
+
+    ``pre`` is the input current, (T, B, D), or (B, D) when every timestep
+    shares it.  A stacked ``pre`` is turned into u~ in place; each step's
+    results are written straight into the trace arrays.
+    """
+    shape = (n_steps,) + pre.shape[-2:]
+    stacked = pre.ndim == 3
+    u_tilde = pre if stacked else np.empty(shape)
+    o = np.empty(shape)
+    h = np.empty(shape) if cfg.is_ctsn else None
+    if cfg.is_ctsn:
+        alpha, beta, gamma = effective_params(omega)
+        blend = g_static if cfg.kind == "ctsn_static" else g_neuromorphic
+    for t in range(n_steps):
+        x = pre[t] if stacked else pre
+        if t == 0:  # zero initial state: u~(1) = x(1)
+            if h is not None:
+                h[0] = 0.0
+            if not stacked:
+                u_tilde[0] = x
+        elif h is not None:
+            blend(h[t - 1], decay(u_tilde[t - 1], o[t - 1], cfg.tau), alpha, beta, gamma, out=h[t])
+            np.add(h[t], x, out=u_tilde[t])
+        elif cfg.reset == "soft":
+            np.add(cfg.tau * (u_tilde[t - 1] - o[t - 1] * cfg.v_th), x, out=u_tilde[t])
+        else:
+            np.add(decay(u_tilde[t - 1], o[t - 1], cfg.tau), x, out=u_tilde[t])
+        fire(u_tilde[t], o[t])
+    return LayerTrace(u_tilde=u_tilde, o=o, h=h)
+
+
+def forward(net: Network, input_seq, smooth: bool = False) -> tuple[list[Array], Trace]:
+    """Run the sequence, returning per-timestep logits and the trace.
 
     ``input_seq`` is a sequence of length ``net.n_steps`` of (batch, input)
-    arrays.  State starts at zero and is private to this call.
+    arrays.  When every element is the same array object (direct encoding)
+    the first layer's input current is computed once for all timesteps.
+    State starts at zero and is private to this call.
     """
     if len(input_seq) != net.n_steps:
         raise DimensionError(f"input sequence has {len(input_seq)} steps, network expects {net.n_steps}")
@@ -132,43 +259,23 @@ def forward(net: Network, input_seq, smooth: bool = False) -> tuple[list[Array],
     first = np.asarray(input_seq[0], dtype=np.float64)
     if first.ndim != 2 or first.shape[1] != net.input_dim:
         raise DimensionError(f"input shape {first.shape} does not match input dim {net.input_dim}")
-    batch = first.shape[0]
+    if all(step is input_seq[0] for step in input_seq):
+        x = first
+    else:
+        for t, step in enumerate(input_seq):
+            if np.shape(step) != first.shape:
+                raise DimensionError(f"step {t} input shape {np.shape(step)} differs from {first.shape}")
+        x = np.stack([np.asarray(step, dtype=np.float64) for step in input_seq])
 
-    fire = None
     if smooth:
-        fire = lambda u: smooth_spike(u, cfg.v_th, cfg.a)
-
-    states = [NeuronState.zeros((batch, layer.w.shape[1])) for layer in net.layers]
-    cache = StepCache.empty(len(net.layers), net.n_steps)
-    logits: list[Array] = []
-    for t in range(net.n_steps):
-        cur = np.asarray(input_seq[t], dtype=np.float64)
-        if cur.shape != first.shape:
-            raise DimensionError(f"step {t} input shape {cur.shape} differs from {first.shape}")
-        for l, layer in enumerate(net.layers):
-            x = cur @ layer.w + layer.b
-            if cfg.is_ctsn:
-                o, states[l] = ctsn_step(states[l], x, layer.omega, cfg, fire=fire)
-            elif cfg.reset == "soft":
-                o, states[l] = ternary_step_soft(states[l], x, cfg, fire=fire)
-            else:
-                o, states[l] = ternary_step(states[l], x, cfg, fire=fire)
-            s = states[l]
-            cache.put(
-                l,
-                t,
-                StepEntry(
-                    u=s.u,
-                    h=s.h,
-                    u_tilde=s.u_tilde,
-                    o=o,
-                    surrogate=surrogate(s.u_tilde, cfg.v_th, cfg.a),
-                    layer_input=cur,
-                ),
-            )
-            cur = o
-        logits.append(cur @ net.readout.w + net.readout.b)
-    return logits, cache
+        fire = lambda u, out: smooth_spike(u, cfg.v_th, cfg.a, out=out)
+    else:
+        fire = lambda u, out: ternary_fire(u, cfg.v_th, out=out)
+    layers, cur = [], x
+    for layer in net.layers:
+        layers.append(_run_layer(_affine(cur, layer), layer.omega, cfg, net.n_steps, fire))
+        cur = layers[-1].o
+    return list(_affine(cur, net.readout)), Trace(layers, x, cfg)
 
 
 def predict(logits) -> Array:
@@ -180,7 +287,7 @@ def predict(logits) -> Array:
 
 
 def capture_histograms(
-    cache: StepCache,
+    cache: Trace,
     layer: int,
     bins: int = HIST_BINS_DEFAULT,
     value_range: tuple[float, float] = HIST_RANGE_DEFAULT,
@@ -193,14 +300,13 @@ def capture_histograms(
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    cache.validate()
     if not 0 <= layer < cache.n_layers:
         raise StateError(f"layer {layer} out of range for {cache.n_layers}-layer cache")
     lo, hi = value_range
     edges = np.linspace(lo, hi, bins + 1)
     counts = np.zeros((cache.n_steps, bins), dtype=np.int64)
     for t in range(cache.n_steps):
-        vals = np.clip(cache.entries[layer][t].u_tilde.ravel(), lo, hi)
+        vals = np.clip(cache.layers[layer].u_tilde[t].ravel(), lo, hi)
         counts[t], _ = np.histogram(vals, bins=edges)
     return counts, edges
 

@@ -118,16 +118,29 @@ class NeuronState:
         return cls(u=z(), h=z(), u_tilde=z(), o_prev=z())
 
 
-def ternary_fire(u_tilde: Array, v_th: float) -> Array:
-    """Threshold the potential into {-1, 0, +1}; comparisons are inclusive."""
+def ternary_fire(u_tilde: Array, v_th: float, out: Array | None = None) -> Array:
+    """Threshold the potential into {-1, 0, +1}; comparisons are inclusive.
+
+    ``v_th`` is positive, so the two comparisons never both hold; NaN fires
+    nothing.  ``out``, when given, is a float64 array that receives the spikes.
+    """
     u_tilde = np.asarray(u_tilde, dtype=np.float64)
-    return np.where(u_tilde >= v_th, 1.0, np.where(u_tilde <= -v_th, -1.0, 0.0))
+    if out is None:
+        out = np.empty_like(u_tilde)
+    np.greater_equal(u_tilde, v_th, out=out)
+    out -= u_tilde <= -v_th
+    return out
 
 
 def surrogate(u_tilde: Array, v_th: float, a: float) -> Array:
     """Rectangular spike-derivative stand-in: 1 where |u| - v_th < a, else 0."""
     u_tilde = np.asarray(u_tilde, dtype=np.float64)
     return (np.abs(u_tilde) - v_th < a).astype(np.float64)
+
+
+def decay(u_prev: Array, o_prev: Array, tau: float) -> Array:
+    """Leak with the spike reset folded in: tau * u(t-1) * (1 - |o(t-1)|)."""
+    return tau * u_prev * (1.0 - np.abs(o_prev))
 
 
 def _check_state_input(state: NeuronState, x: Array) -> Array:
@@ -149,7 +162,7 @@ def ternary_step(
     if cfg.kind != "ternary" or cfg.reset != "hard":
         raise ValueError("ternary_step requires kind='ternary', reset='hard'")
     x = _check_state_input(state, x)
-    u = cfg.tau * state.u * (1.0 - np.abs(state.o_prev)) + x
+    u = decay(state.u, state.o_prev, cfg.tau) + x
     o = ternary_fire(u, cfg.v_th) if fire is None else fire(u)
     return o, NeuronState(u=u, h=np.zeros_like(u), u_tilde=u, o_prev=o)
 
@@ -170,31 +183,35 @@ def ternary_step_soft(
     return o, NeuronState(u=u, h=np.zeros_like(u), u_tilde=u, o_prev=o)
 
 
-def g_static(h_prev: Array, u: Array, alpha: float, beta: float, gamma: float) -> Array:
+def g_static(
+    h_prev: Array, u: Array, alpha: float, beta: float, gamma: float, out: Array | None = None
+) -> Array:
     """Memory blend for static inputs: decay rate keyed on the sign of h.
 
     alpha * relu(h_prev) + beta * (-relu(-h_prev)) + gamma * u, i.e. positive
     memory decays with alpha, negative with beta; h_prev = 0 is branchless
-    (both sides vanish).
+    (both sides vanish).  ``out``, when given, receives the result.
     """
     h_prev = np.asarray(h_prev, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if h_prev.shape != u.shape:
         raise DimensionError(f"g_static shapes disagree: {h_prev.shape} vs {u.shape}")
-    return np.where(h_prev >= 0.0, alpha * h_prev, beta * h_prev) + gamma * u
+    return np.add(np.where(h_prev >= 0.0, alpha * h_prev, beta * h_prev), gamma * u, out=out)
 
 
-def g_neuromorphic(h_prev: Array, u: Array, alpha: float, beta: float, gamma: float) -> Array:
+def g_neuromorphic(
+    h_prev: Array, u: Array, alpha: float, beta: float, gamma: float, out: Array | None = None
+) -> Array:
     """Memory blend for event inputs: injection rate keyed on the sign of u.
 
     alpha * h_prev + beta * relu(u) + gamma * (-relu(-u)); u = 0 contributes
-    nothing from either side.
+    nothing from either side.  ``out``, when given, receives the result.
     """
     h_prev = np.asarray(h_prev, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if h_prev.shape != u.shape:
         raise DimensionError(f"g_neuromorphic shapes disagree: {h_prev.shape} vs {u.shape}")
-    return alpha * h_prev + np.where(u >= 0.0, beta * u, gamma * u)
+    return np.add(alpha * h_prev, np.where(u >= 0.0, beta * u, gamma * u), out=out)
 
 
 def ctsn_step(
@@ -213,7 +230,7 @@ def ctsn_step(
         raise ValueError("ctsn_step requires a ctsn_* neuron kind")
     x = _check_state_input(state, x)
     alpha, beta, gamma = effective_params(p)
-    u = cfg.tau * state.u_tilde * (1.0 - np.abs(state.o_prev))
+    u = decay(state.u_tilde, state.o_prev, cfg.tau)
     if cfg.kind == "ctsn_static":
         h = g_static(state.h, u, alpha, beta, gamma)
     else:

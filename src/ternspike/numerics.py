@@ -1,9 +1,10 @@
 """Dense float64 array substrate and deterministic randomness.
 
 Arrays are plain row-major ``numpy.ndarray`` objects in float64 (``Array``);
-this module also holds the numerically stable sigmoid.  All reductions run
-single-threaded through numpy, so a fixed environment reproduces results
-bit-for-bit across runs.
+this module also holds the numerically stable sigmoid.  Elementwise work and
+reductions run in numpy; matrix products go to its BLAS, which may split
+them over threads.  Reruns reproduce results bit-for-bit for a fixed
+machine and BLAS thread count; another thread count may move last bits.
 
 Randomness is always explicit: every stochastic routine takes a
 ``numpy.random.Generator``.  Generators are PCG64 instances derived from a

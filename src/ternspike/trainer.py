@@ -63,53 +63,34 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + float(np.cos(np.pi * epoch / total_epochs)))
 
 
-@dataclass
-class Velocity:
-    """Momentum buffers mirroring the parameter set."""
-
-    vw: list[Array]
-    vb: list[Array]
-    vomega: list[Array | None]
-    vw_out: Array
-    vb_out: Array
-
-    @classmethod
-    def zeros_like(cls, net: net_mod.Network) -> "Velocity":
-        return cls(
-            vw=[np.zeros_like(l.w) for l in net.layers],
-            vb=[np.zeros_like(l.b) for l in net.layers],
-            vomega=[np.zeros(3) if l.omega is not None else None for l in net.layers],
-            vw_out=np.zeros_like(net.readout.w),
-            vb_out=np.zeros_like(net.readout.b),
-        )
-
-
 def sgd_step(
     net: net_mod.Network,
     grads: bptt.GradSet,
-    vel: Velocity,
+    vel: bptt.GradSet,
     lr: float,
     momentum: float,
     weight_decay: float,
 ) -> None:
-    """In-place momentum update: v <- m*v + (g + wd*p); p <- p - lr*v."""
+    """In-place momentum update: v <- m*v + (g + wd*p); p <- p - lr*v.
 
+    ``vel`` holds the momentum buffers, one per parameter (start from
+    ``GradSet.zeros_like``).  Omega triples get no weight decay.
+    """
     grads.check_finite()  # before any update, so a bad gradient leaves the model untouched
-
-    def upd(p: Array, g: Array, v: Array, wd: float) -> None:
+    params = bptt.GradSet(
+        dw=[layer.w for layer in net.layers],
+        db=[layer.b for layer in net.layers],
+        domega=[layer.omega.as_vector() if layer.omega is not None else None for layer in net.layers],
+        dw_out=net.readout.w,
+        db_out=net.readout.b,
+    )
+    for (name, p), (_, g), (_, v) in zip(params.named(), grads.named(), vel.named()):
         v *= momentum
-        v += g + wd * p
+        v += g + (0.0 if name.endswith(".omega") else weight_decay) * p
         p -= lr * v
-
-    for l, layer in enumerate(net.layers):
-        upd(layer.w, grads.dw[l], vel.vw[l], weight_decay)
-        upd(layer.b, grads.db[l], vel.vb[l], weight_decay)
+    for layer, om in zip(net.layers, params.domega):
         if layer.omega is not None:
-            om = layer.omega.as_vector()
-            upd(om, grads.domega[l], vel.vomega[l], 0.0)
             layer.omega.set_vector(om)
-    upd(net.readout.w, grads.dw_out, vel.vw_out, weight_decay)
-    upd(net.readout.b, grads.db_out, vel.vb_out, weight_decay)
 
 
 def check_omega_constraint(net: net_mod.Network) -> None:
@@ -127,7 +108,7 @@ def train_epoch(
     data: Dataset,
     cfg: TrainConfig,
     epoch: int,
-    vel: Velocity,
+    vel: bptt.GradSet,
 ) -> dict:
     """One pass over the data: forward, losses, exact backward, SGD update.
 
@@ -190,7 +171,7 @@ def fit(
     metrics_path=None,
 ) -> list[dict]:
     """Full training run; optionally streams one metrics CSV row per epoch."""
-    vel = Velocity.zeros_like(net)
+    vel = bptt.GradSet.zeros_like(net)
     history = []
     rows = ["epoch,lr,ce_loss,tmpr_loss,train_acc,eval_acc"]
     for epoch in range(cfg.epochs):

@@ -262,7 +262,7 @@ def test_A12_parameter_constraint():
     at_init = [effective_params(l.omega) for l in net.layers]
     init_ok = all(v == 0.5 for triple in at_init for v in triple)
     tc = trainer.TrainConfig(epochs=8, seed=41, n_steps=4, batch_size=32, tmpr=TMPRConfig(lam=0.05))
-    vel = trainer.Velocity.zeros_like(net)
+    vel = bptt.GradSet.zeros_like(net)
     bounds_ok = True
     moved = False
     for epoch in range(tc.epochs):

@@ -143,10 +143,13 @@ class TestBackwardExact:
         assert grads.db[0][0] == 0.0
 
     def test_incomplete_cache_rejected(self):
+        # a trace is built whole by forward; the only incomplete one is empty
         net = _tiny_identity_net()
-        cache = bptt.StepCache.empty(1, 1)
         with pytest.raises(StateError):
-            backward_exact(cache, [np.array([[1.0]])], net, "ternary")
+            net_mod.Trace(layers=[], x=np.zeros((1, 1)), cfg=net.cfg)
+        no_steps = net_mod.LayerTrace(u_tilde=np.zeros((0, 1, 1)), o=np.zeros((0, 1, 1)))
+        with pytest.raises(StateError):
+            net_mod.Trace(layers=[no_steps], x=np.zeros((1, 1)), cfg=net.cfg)
 
     def test_mode_network_mismatch_rejected(self):
         net = _tiny_identity_net()
@@ -357,3 +360,20 @@ class TestGradSet:
         g.db[0][0] = np.nan
         with pytest.raises(Exception, match="layer0.b"):
             g.check_finite()
+
+
+class TestRerunDeterminism:
+    @pytest.mark.parametrize("kind,shared", [("ternary", True), ("ctsn_neuromorphic", False)])
+    def test_wide_batch_gradients_bit_identical(self, kind, shared):
+        # 784-800-800 is wide enough for the BLAS to split its products over
+        # threads; reruns on one machine with one thread count must still agree
+        rng = component_rng(12, int(shared))
+        net = net_mod.build_network((784, 800, 800), 10, NeuronConfig(kind=kind), 4, rng)
+        x = rng.normal(size=(64, 784))
+        seq = [x] * 4 if shared else [rng.normal(size=(64, 784)) for _ in range(4)]
+        labels = rng.integers(0, 10, size=64)
+        runs = [bptt.loss_and_grads(net, seq, labels, TMPRConfig(lam=0.05)) for _ in range(3)]
+        for ce, tmpr_val, _, grads in runs[1:]:
+            assert (ce, tmpr_val) == runs[0][:2]
+            for (name, a), (_, b) in zip(grads.named(), runs[0][3].named()):
+                assert a.tobytes() == b.tobytes(), name

@@ -8,6 +8,7 @@ from ternspike.loss import (
     avg_ce_loss,
     softmax,
     tmpr_grad,
+    tmpr_injection,
     tmpr_loss,
 )
 from ternspike.numerics import seeded_rng
@@ -38,6 +39,10 @@ class TestAvgCE:
         base = avg_ce_loss([o], labels)
         shifted = avg_ce_loss([o + 123.456], labels)
         assert shifted == pytest.approx(base, abs=1e-12)
+
+    def test_confident_wrong_prediction_stays_finite(self):
+        # log of a softmax probability underflows to log(0) = inf here
+        assert avg_ce_loss([np.array([[2000.0, -2000.0]])] * 2, np.array([1])) == 4000.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -144,3 +149,11 @@ class TestTMPRGrad:
             fd = (f_plus - f_minus) / (2 * step)
             assert analytic.flat[i] == pytest.approx(fd, abs=1e-8)
 
+
+    def test_injection_equals_per_step_gradient(self):
+        rng = seeded_rng(9)
+        pots = [rng.normal(size=(4, 3, d)) for d in (5, 2)]
+        inj = tmpr_injection(pots, 0.05)
+        for l, u in enumerate(pots):
+            for t in range(4):
+                assert inj[l][t].tobytes() == tmpr_grad(u[t], t + 1, 4, 2, 0.05).tobytes()

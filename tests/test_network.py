@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
 
-from ternspike.bptt import StepCache
+from ternspike import bptt
 from ternspike.errors import DimensionError, StateError
+from ternspike.loss import TMPRConfig
 from ternspike.network import (
     Layer,
     Network,
+    Trace,
     build_network,
     capture_histograms,
     forward,
     predict,
     write_histograms_csv,
 )
-from ternspike.neuron import CTSNParams, NeuronConfig
+from ternspike.neuron import (
+    CTSNParams,
+    NeuronConfig,
+    NeuronState,
+    ctsn_step,
+    surrogate,
+    ternary_step,
+    ternary_step_soft,
+)
 from ternspike.numerics import component_rng, seeded_rng
 
 
@@ -27,14 +37,15 @@ class TestForward:
         logits, cache = forward(net, seq)
         for o in logits:
             np.testing.assert_array_equal(o, 0.0)
-        cache.validate()
+        assert cache.n_layers == 1 and cache.n_steps == 3
 
     def test_cache_completeness(self):
         net = _net(dims=(4, 6, 5), n_steps=4)
         seq = [seeded_rng(1).normal(size=(2, 4)) for _ in range(4)]
         _, cache = forward(net, seq)
         assert cache.n_layers == 2 and cache.n_steps == 4
-        cache.validate()
+        for tr, width in zip(cache.layers, (6, 5)):
+            assert tr.u_tilde.shape == tr.o.shape == (4, 2, width)
 
     def test_t1_ternary_equals_t1_ctsn(self):
         # with zero initial state the first step of both neuron kinds is
@@ -76,6 +87,68 @@ class TestForward:
         b, _ = forward(net, seq)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+
+def _ctsn_net(kind, n_steps=4, seed=7):
+    net = _net(kind=kind, dims=(5, 6, 4), n_steps=n_steps, seed=seed, init_scale=2.0)
+    rng = seeded_rng(seed + 1)
+    for layer in net.layers:
+        if layer.omega is not None:
+            layer.omega.set_vector(rng.normal(0.0, 0.7, size=3))
+    return net
+
+
+CONFIGS = [("ternary", "hard"), ("ternary", "soft"), ("ctsn_static", "hard"), ("ctsn_neuromorphic", "hard")]
+
+
+class TestTrace:
+    @pytest.mark.parametrize("kind,reset", CONFIGS)
+    def test_matches_per_step_reference(self, kind, reset):
+        # the layer-by-layer trace is bit-identical to stepping the neuron functions
+        net = _ctsn_net(kind)
+        net.cfg = NeuronConfig(kind=kind, reset=reset)
+        seq = [seeded_rng(20 + t).normal(size=(3, 5)) for t in range(4)]
+        _, cache = forward(net, seq)
+        cur = seq
+        for l, layer in enumerate(net.layers):
+            state = NeuronState.zeros((3, layer.w.shape[1]))
+            outs = []
+            for t in range(4):
+                x = cur[t] @ layer.w + layer.b
+                if net.cfg.is_ctsn:
+                    o, state = ctsn_step(state, x, layer.omega, net.cfg)
+                elif reset == "soft":
+                    o, state = ternary_step_soft(state, x, net.cfg)
+                else:
+                    o, state = ternary_step(state, x, net.cfg)
+                e = cache.entries[l][t]
+                for name, want in (("u", state.u), ("h", state.h), ("u_tilde", state.u_tilde), ("o", o)):
+                    assert getattr(e, name).tobytes() == want.tobytes(), (l, t, name)
+                assert e.surrogate.tobytes() == surrogate(state.u_tilde, net.cfg.v_th, net.cfg.a).tobytes()
+                assert e.layer_input.tobytes() == cur[t].tobytes()
+                outs.append(o)
+            cur = outs
+
+    def test_ternary_trace_allocates_no_memory_term(self):
+        _, cache = forward(_net(dims=(4, 6, 5), n_steps=3), [seeded_rng(1).normal(size=(2, 4))] * 3)
+        assert all(tr.h is None for tr in cache.layers)
+        _, cache = forward(_ctsn_net("ctsn_static"), [seeded_rng(1).normal(size=(2, 5))] * 4)
+        assert all(tr.h.shape == tr.u_tilde.shape for tr in cache.layers)
+
+    @pytest.mark.parametrize("kind", ["ternary", "ctsn_static", "ctsn_neuromorphic"])
+    def test_shared_input_matches_distinct_copies(self, kind):
+        # direct encoding hands forward one array T times; copies take the stacked path
+        net = _ctsn_net(kind)
+        x = seeded_rng(3).normal(size=(6, 5))
+        labels = seeded_rng(4).integers(0, 3, size=6)
+        tmpr = TMPRConfig(lam=0.05)
+        shared = bptt.loss_and_grads(net, [x] * 4, labels, tmpr)
+        copies = bptt.loss_and_grads(net, [x.copy() for _ in range(4)], labels, tmpr)
+        assert shared[0] == copies[0] and shared[1] == copies[1]
+        for a, b in zip(shared[2], copies[2]):
+            assert a.tobytes() == b.tobytes()
+        err, where = bptt.max_relative_error(shared[3], copies[3])
+        assert err <= 1e-12, where
 
 
 class TestPredict:
@@ -132,8 +205,9 @@ class TestHistograms:
         np.testing.assert_array_equal(counts.sum(axis=1), batch * 6)
 
     def test_empty_cache_rejected(self):
+        # an empty trace cannot be built, so it never reaches the histogram
         with pytest.raises(StateError):
-            capture_histograms(StepCache.empty(1, 1), 0)
+            capture_histograms(Trace(layers=[], x=np.zeros((1, 4)), cfg=NeuronConfig()), 0)
 
     def test_bad_layer_rejected(self):
         net = _net(n_steps=1)

@@ -39,6 +39,16 @@ class TestFire:
         out = ternary_fire(rng.normal(0, 2, size=1000), 0.5)
         assert set(np.unique(out)) <= {-1.0, 0.0, 1.0}
 
+    def test_bytes_match_nested_select(self):
+        # including NaN, infinities, signed zeros and both thresholds exactly
+        rng = seeded_rng(4)
+        u = np.concatenate([rng.normal(0, 1, size=997), [np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, -0.5]])
+        want = np.where(u >= 0.5, 1.0, np.where(u <= -0.5, -1.0, 0.0))
+        assert ternary_fire(u, 0.5).tobytes() == want.tobytes()
+        out = np.full_like(u, 7.0)
+        assert ternary_fire(u, 0.5, out=out) is out
+        assert out.tobytes() == want.tobytes()
+
 
 class TestSurrogate:
     @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from ternspike.neuron import NeuronConfig, effective_params
 from ternspike.numerics import component_rng
 from ternspike.trainer import (
     TrainConfig,
-    Velocity,
     cosine_lr,
     evaluate,
     fit,
@@ -44,7 +43,7 @@ class TestCosineLr:
 class TestSgdStep:
     def test_plain_gradient_descent(self):
         net = _toy_net()
-        vel = Velocity.zeros_like(net)
+        vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
         grads.dw[0][:] = 1.0
         before = net.layers[0].w.copy()
@@ -53,7 +52,7 @@ class TestSgdStep:
 
     def test_decay_only_step(self):
         net = _toy_net()
-        vel = Velocity.zeros_like(net)
+        vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
         before = net.layers[0].w.copy()
         sgd_step(net, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.01)
@@ -62,7 +61,7 @@ class TestSgdStep:
     def test_momentum_doubles_in_two_steps(self):
         # constant gradient g: step 1 moves lr*g, step 2 moves lr*1.9*g
         net = _toy_net()
-        vel = Velocity.zeros_like(net)
+        vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
         grads.dw[0][:] = 2.0
         w0 = net.layers[0].w.copy()
@@ -78,14 +77,14 @@ class TestSgdStep:
     def test_omega_excluded_from_weight_decay(self):
         net = _toy_net(kind="ctsn_static")
         net.layers[0].omega.set_vector([1.0, -2.0, 0.5])
-        vel = Velocity.zeros_like(net)
+        vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
         sgd_step(net, grads, vel, lr=0.5, momentum=0.0, weight_decay=0.1)
         np.testing.assert_array_equal(net.layers[0].omega.as_vector(), [1.0, -2.0, 0.5])
 
     def test_nonfinite_gradient_names_layer(self):
         net = _toy_net()
-        vel = Velocity.zeros_like(net)
+        vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
         grads.db[0][0] = np.inf
         with pytest.raises(NumericError, match="layer0.b"):
@@ -94,7 +93,7 @@ class TestSgdStep:
     def test_nonfinite_gradient_leaves_model_untouched(self):
         # the offender comes last in update order; nothing may move before the raise
         net = _toy_net(kind="ctsn_static")
-        vel = Velocity.zeros_like(net)
+        vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
         grads.dw[0][:] = 1.0
         grads.db_out[0] = np.inf
@@ -106,7 +105,7 @@ class TestSgdStep:
             np.testing.assert_array_equal(now.b, then.b)
         for now, then in zip(net.layers, before.layers):
             np.testing.assert_array_equal(now.omega.as_vector(), then.omega.as_vector())
-        for buf in vel.vw + vel.vb + vel.vomega + [vel.vw_out, vel.vb_out]:
+        for _, buf in vel.named():
             assert not np.any(buf)
 
 
@@ -126,14 +125,14 @@ class TestTrainEpoch:
             return ce + tm
 
         before = total(net)
-        train_epoch(net, data, cfg, epoch=0, vel=Velocity.zeros_like(net))
+        train_epoch(net, data, cfg, epoch=0, vel=bptt.GradSet.zeros_like(net))
         assert total(net) < before
 
     def test_metrics_report_both_loss_components(self):
         data = _toy_data()
         net = _toy_net(kind="ctsn_static")
         cfg = TrainConfig(epochs=3, seed=0, n_steps=3, batch_size=32, tmpr=TMPRConfig(lam=0.05))
-        metrics = train_epoch(net, data, cfg, epoch=0, vel=Velocity.zeros_like(net))
+        metrics = train_epoch(net, data, cfg, epoch=0, vel=bptt.GradSet.zeros_like(net))
         assert set(metrics) >= {"lr", "ce_loss", "tmpr_loss", "train_acc"}
         assert metrics["tmpr_loss"] > 0.0
 
@@ -143,7 +142,7 @@ class TestTrainEpoch:
         for tmpr in (TMPRConfig(lam=0.0, enabled=True), TMPRConfig(lam=0.05, enabled=False)):
             net = _toy_net(kind="ctsn_static", seed=4)
             cfg = TrainConfig(epochs=3, seed=4, n_steps=3, batch_size=32, tmpr=tmpr)
-            vel = Velocity.zeros_like(net)
+            vel = bptt.GradSet.zeros_like(net)
             for epoch in range(3):
                 train_epoch(net, data, cfg, epoch, vel)
             results.append([l.w.copy() for l in net.layers] + [net.readout.w.copy()])
@@ -154,7 +153,7 @@ class TestTrainEpoch:
         data = _toy_data()
         net = _toy_net(kind="ctsn_static")
         cfg = TrainConfig(epochs=5, seed=0, n_steps=3, batch_size=32, tmpr=TMPRConfig(lam=0.05))
-        vel = Velocity.zeros_like(net)
+        vel = bptt.GradSet.zeros_like(net)
         for epoch in range(cfg.epochs):
             train_epoch(net, data, cfg, epoch, vel)
             for layer in net.layers:
