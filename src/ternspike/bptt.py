@@ -30,6 +30,7 @@ value tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,9 +78,12 @@ class GradSet:
         yield "readout.b", self.db_out
 
     def check_finite(self) -> None:
-        for name, arr in self.named():
-            if not np.all(np.isfinite(arr)):
-                raise NumericError(f"non-finite gradient in {name}")
+        """Raise NumericError naming the first parameter with a NaN or an infinity.  A finite
+        sum means every entry is finite, so only an array whose sum is not gets scanned."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, arr in self.named():
+                if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+                    raise NumericError(f"non-finite gradient in {name}")
 
 
 def relative_errors(a: GradSet, b: GradSet, min_abs: float = 0.0):
@@ -238,7 +242,7 @@ def _backward(cache: Trace, dL_dO, net: Network, mode: str, du_extra, sweep) -> 
     _mode_for(net, mode)
     if len(dL_dO) != cache.n_steps:
         raise ValueError(f"got {len(dL_dO)} upstream gradients for {cache.n_steps} timesteps")
-    g = np.stack([np.asarray(d, dtype=np.float64) for d in dL_dO])
+    g = np.asarray(dL_dO, dtype=np.float64)  # a (T, B, C) array passes through uncopied
     dw_out, db_out, A = _layer_param_grads(cache.layers[-1].o, g, net.readout.w)
     n_layers = cache.n_layers
     dw, db, domega = [None] * n_layers, [None] * n_layers, [None] * n_layers
@@ -252,9 +256,9 @@ def _backward(cache: Trace, dL_dO, net: Network, mode: str, du_extra, sweep) -> 
     return GradSet(dw=dw, db=db, domega=domega, dw_out=dw_out, db_out=db_out)
 
 
-def _chain_omega(omega: CTSNParams, partials) -> Array:
-    """Raw-omega gradient from the (alpha, beta, gamma) partials via the sigmoid."""
-    return np.array([d * p * (1.0 - p) for d, p in zip(partials, effective_params(omega))])
+def _chain_omega(factors, partials) -> Array:
+    """Raw-omega gradient from the partials, via the sigmoid at the effective ``factors``."""
+    return np.array([d * p * (1.0 - p) for d, p in zip(partials, factors)])
 
 
 def _blend_partials(dh: Array, h: Array, u: Array, static: bool):
@@ -267,14 +271,14 @@ def _blend_partials(dh: Array, h: Array, u: Array, static: bool):
     dh, h_prev = dh[1:], h[:-1]
     if static:
         return (
-            float(np.sum(dh * np.maximum(h_prev, 0.0))),
-            float(np.sum(dh * np.minimum(h_prev, 0.0))),
-            float(np.sum(dh * u)),
+            float((dh * np.maximum(h_prev, 0.0)).sum()),
+            float((dh * np.minimum(h_prev, 0.0)).sum()),
+            float((dh * u).sum()),
         )
     return (
-        float(np.sum(dh * h_prev)),
-        float(np.sum(dh * np.maximum(u, 0.0))),
-        float(np.sum(dh * np.minimum(u, 0.0))),
+        float((dh * h_prev).sum()),
+        float((dh * np.maximum(u, 0.0)).sum()),
+        float((dh * np.minimum(u, 0.0)).sum()),
     )
 
 
@@ -293,8 +297,7 @@ def loss_and_grads(net: Network, input_seq, labels, tmpr=None, smooth=False):
     spiking one.  Training and the gradient checks both go through here.
     """
     logits, cache = net_mod.forward(net, input_seq, smooth=smooth)
-    ce = loss_mod.avg_ce_loss(logits, labels)
-    dL_dO = loss_mod.avg_ce_grad(logits, labels)
+    ce, dL_dO = loss_mod.avg_ce_loss_and_grad(logits, labels)
     tmpr_val = 0.0
     du_extra = None
     if tmpr is not None and tmpr.active:
@@ -315,7 +318,8 @@ def backward_exact(
 ) -> GradSet:
     """Reverse traversal of the exact unrolled graph.
 
-    ``dL_dO[t]`` are the upstream gradients on the per-timestep logits.
+    ``dL_dO[t]`` are the upstream gradients on the per-timestep logits, a
+    sequence of (B, C) arrays or one (T, B, C) array.
     ``du_extra[l][t]``, when given, is an extra adjoint injected directly at
     layer l's post-integration potential at step t (the regularizer's direct
     term); it then propagates through every temporal and spatial path like
@@ -347,7 +351,7 @@ def _exact_sweep_ctsn(cache: Trace, l: int, du_tilde: Array, H: Array, omega: CT
     """
     tr, cfg = cache.layers[l], cache.cfg
     tau, static = cfg.tau, cfg.kind == "ctsn_static"
-    alpha, beta, gamma = effective_params(omega)
+    alpha, beta, gamma = tr.factors
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
     carry = tau * (1.0 - np.abs(o)) - tau * ut * np.sign(o) * H[:-1]  # du(t+1)/du~(t)
     u = decay(ut, o, tau)  # u(t + 1)
@@ -360,7 +364,7 @@ def _exact_sweep_ctsn(cache: Trace, l: int, du_tilde: Array, H: Array, omega: CT
     for t in reversed(range(len(du_tilde) - 1)):
         du_tilde[t] += dh[t + 1] * gu[t] * carry[t]
         dh[t] = du_tilde[t] + dh[t + 1] * gh[t]
-    return du_tilde, _chain_omega(omega, _blend_partials(dh, tr.h, u, static))
+    return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, static))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +423,7 @@ def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNPa
     """
     tr, cfg = cache.layers[l], cache.cfg
     n_steps = len(direct)
-    alpha, beta, _ = effective_params(omega)
+    alpha, beta, _ = tr.factors
     u = cache.decayed(l)
     xis = [
         xi((tr.h[t], u[t + 1]), tr.o[t], tr.u_tilde[t], H[t], omega, cfg.kind, cfg.tau)
@@ -441,7 +445,7 @@ def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNPa
     dh = dx.copy()
     for t in reversed(range(n_steps - 1)):
         dh[t] = dx[t] + dh[t + 1] * gh[t]
-    return dx, _chain_omega(omega, _blend_partials(dh, tr.h, u[1:], cfg.kind == "ctsn_static"))
+    return dx, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u[1:], cfg.kind == "ctsn_static"))
 
 
 # ---------------------------------------------------------------------------

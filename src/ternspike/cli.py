@@ -69,6 +69,10 @@ DEFAULTS: dict[str, object] = {
     "ablate.timesteps": "4",
 }
 
+# Counts and sizes that must be at least 1 (each model.hidden width too).
+AT_LEAST_ONE = ("train.epochs", "train.batch_size", "train.t", "data.n_train", "data.n_eval",
+                "data.dims", "data.classes", "hist.bins", "ablate.seeds")
+
 
 def _coerce(key: str, raw: str):
     """Parse a raw string per the default value's type."""
@@ -143,7 +147,23 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg["tmpr.lambda"] = TMPRConfig.default_for("neuromorphic").lam
         if "train.weight_decay" not in overridden:
             cfg["train.weight_decay"] = 5e-4
+    for key in AT_LEAST_ONE:
+        if cfg[key] < 1:
+            raise ConfigError(f"key {key}: must be at least 1, got {cfg[key]}")
+    _hidden_widths(cfg)
     return cfg
+
+
+def _hidden_widths(cfg: dict) -> list[int]:
+    """The comma-separated ``model.hidden`` widths, each at least 1."""
+    raw = str(cfg["model.hidden"])
+    try:
+        hidden = [int(v) for v in raw.split(",") if v.strip()]
+    except ValueError:
+        hidden = []
+    if not hidden or min(hidden) < 1:
+        raise ConfigError(f"key model.hidden: {raw!r} is not a list of layer widths of at least 1")
+    return hidden
 
 
 def echo_config(cfg: dict, out_dir: Path) -> None:
@@ -236,12 +256,9 @@ def build_datasets(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset, dict]
 
 
 def _build_net(cfg: dict, feature_dim: int, n_classes: int) -> net_mod.Network:
-    hidden = [int(v) for v in str(cfg["model.hidden"]).split(",") if v.strip()]
-    if not hidden:
-        raise ConfigError(f"model.hidden {cfg['model.hidden']!r} lists no layer widths")
     rng = component_rng(cfg["seed"], 0)
     return net_mod.build_network(
-        [feature_dim] + hidden,
+        [feature_dim] + _hidden_widths(cfg),
         n_classes,
         _neuron_config(cfg),
         cfg["train.t"],

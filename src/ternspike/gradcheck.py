@@ -102,17 +102,23 @@ def _smooth_case(seed: int, case: int, kind: str):
     raise RuntimeError(f"no kink-free stand-in case found for seed {seed}, case {case}")
 
 
+def _recursion_gaps(kind: str, seed: int, stream: int, n_networks: int):
+    """Closed-form recursion against exact traversal on the CE gradient of random network i,
+    drawn from ``component_rng(seed, stream, i)``: yields (i, net, worst relative error, where)."""
+    mode = "ternary" if kind == "ternary" else "ctsn"
+    for i in range(n_networks):
+        net, input_seq, labels = random_network(component_rng(seed, stream, i), kind=kind)
+        logits, cache = net_mod.forward(net, input_seq)
+        dL_dO = loss_mod.avg_ce_grad(logits, labels)
+        g_exact = bptt.backward_exact(cache, dL_dO, net, mode)
+        g_rec = bptt.backward_recursion(cache, dL_dO, net, mode)
+        yield (i, net, *bptt.max_relative_error(g_exact, g_rec))
+
+
 def suite_recursion_vs_exact(seed: int = 0, n_networks: int = 100, tol: float = TOL_RECURSION) -> SuiteResult:
     """Closed-form recursion against exact traversal on random ternary nets."""
     worst_err, worst_where = 0.0, "none"
-    for i in range(n_networks):
-        rng = component_rng(seed, 1, i)
-        net, input_seq, labels = random_network(rng, kind="ternary")
-        logits, cache = net_mod.forward(net, input_seq)
-        dL_dO = loss_mod.avg_ce_grad(logits, labels)
-        g_exact = bptt.backward_exact(cache, dL_dO, net, "ternary")
-        g_rec = bptt.backward_recursion(cache, dL_dO, net, "ternary")
-        err, where = bptt.max_relative_error(g_exact, g_rec)
+    for i, _, err, where in _recursion_gaps("ternary", seed, 1, n_networks):
         if err > worst_err:
             worst_err, worst_where = err, f"net {i}: {where}"
     return SuiteResult(
@@ -222,14 +228,7 @@ def ctsn_recursion_report(kind: str = "ctsn_static", seed: int = 0, n_networks: 
     """
     worst_err, worst_where = 0.0, "none"
     agree_t1 = True
-    for i in range(n_networks):
-        rng = component_rng(seed, 4, i)
-        net, input_seq, labels = random_network(rng, kind=kind)
-        logits, cache = net_mod.forward(net, input_seq)
-        dL_dO = loss_mod.avg_ce_grad(logits, labels)
-        g_exact = bptt.backward_exact(cache, dL_dO, net, "ctsn")
-        g_rec = bptt.backward_recursion(cache, dL_dO, net, "ctsn")
-        err, where = bptt.max_relative_error(g_exact, g_rec)
+    for i, net, err, where in _recursion_gaps(kind, seed, 4, n_networks):
         if net.n_steps == 1 and err > 1e-12:
             agree_t1 = False
         if err > worst_err:

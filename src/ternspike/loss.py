@@ -50,11 +50,32 @@ def softmax(logits: Array) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _averaged_logits(outputs) -> Array:
-    if len(outputs) == 0:
-        raise ValueError("need at least one timestep of logits")
-    stack = np.stack([np.asarray(o, dtype=np.float64) for o in outputs])
-    return stack.mean(axis=0)
+def avg_ce_loss_and_grad(logits, labels) -> tuple[float, Array]:
+    """Cross-entropy of the time-averaged logits and its gradient, from one softmax.
+
+    ``logits`` is (T, B, C), or a sequence of T (B, C) arrays.  The loss is
+    the batch mean of log-sum-exp minus the picked logit, which stays finite
+    for any margin.  Every timestep's gradient is (softmax(avg) - onehot) /
+    (B * T), repeated into a (T, B, C) array.
+    """
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 3 or len(logits) == 0:
+        raise ValueError("need at least one timestep of (batch, classes) logits")
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValueError("empty batch")
+    n_steps, batch, n_classes = logits.shape
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError("label index out of range")
+    avg = logits.mean(axis=0)
+    shifted = avg - avg.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    norm = e.sum(axis=-1, keepdims=True)
+    rows = np.arange(batch)
+    ce = float(np.mean(np.log(norm[:, 0]) - shifted[rows, labels]))
+    p = e / norm
+    p[rows, labels] -= 1.0
+    return ce, np.repeat(p[None] / (batch * n_steps), n_steps, axis=0)
 
 
 def avg_ce_loss(outputs, labels) -> float:
@@ -62,15 +83,7 @@ def avg_ce_loss(outputs, labels) -> float:
 
     ``outputs`` is a sequence of (B, C) logit arrays, one per timestep.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("empty batch")
-    avg = _averaged_logits(outputs)
-    if np.any(labels < 0) or np.any(labels >= avg.shape[1]):
-        raise ValueError("label index out of range")
-    shifted = avg - avg.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1))  # log-sum-exp, stays finite for any margin
-    return float(np.mean(log_norm - shifted[np.arange(labels.shape[0]), labels]))
+    return avg_ce_loss_and_grad(outputs, labels)[0]
 
 
 def avg_ce_grad(outputs, labels) -> list[Array]:
@@ -78,20 +91,15 @@ def avg_ce_grad(outputs, labels) -> list[Array]:
 
     Every timestep receives (softmax(avg) - onehot) / (B * T).
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    avg = _averaged_logits(outputs)
-    batch, n_classes = avg.shape
-    p = softmax(avg)
-    p[np.arange(batch), labels] -= 1.0
-    per_t = p / (batch * len(outputs))
-    return [per_t.copy() for _ in range(len(outputs))]
+    return list(avg_ce_loss_and_grad(outputs, labels)[1])
 
 
 def tmpr_loss(potentials, cfg: TMPRConfig) -> float:
     """Time-weighted mean-square penalty on captured potentials.
 
-    ``potentials[l][t]`` is the (B, D_l) post-integration potential of
-    spiking layer l at timestep index t (0-based; the 1/t weight uses t+1).
+    ``potentials[l]`` holds the post-integration potentials of spiking layer
+    l, one (B, D_l) array per timestep: a (T, B, D_l) stack or a sequence of
+    T arrays (the 1/t weight of timestep index t uses t+1).
 
         (1 / (T*L)) * sum_t (lam / t) * sum_l  mean-square(u~_l(t))
     """
@@ -101,15 +109,18 @@ def tmpr_loss(potentials, cfg: TMPRConfig) -> float:
     if n_layers == 0:
         raise StateError("no captured potentials")
     n_steps = len(potentials[0])
+    layer_sum = 0.0  # per timestep, summed over layers in layer order
+    for l, u in enumerate(potentials):
+        try:
+            u = np.asarray(u, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise StateError(f"missing or ragged potential record for layer {l}") from exc
+        if u.ndim != 3 or len(u) != n_steps:
+            raise StateError(f"layer {l} has {len(u)} potential records, expected {n_steps}")
+        layer_sum = layer_sum + np.square(u).reshape(n_steps, -1).sum(axis=1) / u[0].size
     total = 0.0
     for t in range(n_steps):
-        layer_sum = 0.0
-        for l in range(n_layers):
-            if len(potentials[l]) != n_steps or potentials[l][t] is None:
-                raise StateError(f"missing potential record for layer {l}, timestep {t + 1}")
-            u = np.asarray(potentials[l][t], dtype=np.float64)
-            layer_sum += float(np.sum(u * u)) / u.size
-        total += (cfg.lam / (t + 1)) * layer_sum
+        total += (cfg.lam / (t + 1)) * float(layer_sum[t])
     return total / (n_steps * n_layers)
 
 

@@ -22,13 +22,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import neuron as neuron_mod
 from .errors import DimensionError, StateError
 from .neuron import (  # the step functions stay importable here for per-step callers and wrappers
     CTSNParams,
     NeuronConfig,
     ctsn_step,
     decay,
-    effective_params,
     g_neuromorphic,
     g_static,
     surrogate,
@@ -134,13 +134,16 @@ class LayerTrace:
     ``u_tilde`` is the potential the neuron fired from, ``o`` the spikes
     (continuous under the smooth stand-in) and ``h`` the complemented unit's
     memory term, None for the plain ternary unit (whose potential is u~
-    itself).  The surrogate window and the complemented unit's decayed
-    potential are not stored: ``Trace`` recomputes them from these.
+    itself).  ``factors`` are the effective (alpha, beta, gamma) the blend
+    used, computed once per pass (None for the plain unit).  The surrogate
+    window and the complemented unit's decayed potential are not stored:
+    ``Trace`` recomputes them from these.
     """
 
     u_tilde: Array
     o: Array
     h: Array | None = None
+    factors: tuple[float, float, float] | None = None
 
 
 @dataclass
@@ -224,8 +227,10 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
     u_tilde = pre if stacked else np.empty(shape)
     o = np.empty(shape)
     h = np.empty(shape) if cfg.is_ctsn else None
+    factors = None
     if cfg.is_ctsn:
-        alpha, beta, gamma = effective_params(omega)
+        # looked up on the module, so a wrapper installed there sees the call
+        factors = alpha, beta, gamma = neuron_mod.effective_params(omega)
         blend = g_static if cfg.kind == "ctsn_static" else g_neuromorphic
     for t in range(n_steps):
         x = pre[t] if stacked else pre
@@ -242,11 +247,11 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
         else:
             np.add(decay(u_tilde[t - 1], o[t - 1], cfg.tau), x, out=u_tilde[t])
         fire(u_tilde[t], o[t])
-    return LayerTrace(u_tilde=u_tilde, o=o, h=h)
+    return LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=factors)
 
 
-def forward(net: Network, input_seq, smooth: bool = False) -> tuple[list[Array], Trace]:
-    """Run the sequence, returning per-timestep logits and the trace.
+def forward(net: Network, input_seq, smooth: bool = False) -> tuple[Array, Trace]:
+    """Run the sequence, returning the (T, B, C) per-timestep logits and the trace.
 
     ``input_seq`` is a sequence of length ``net.n_steps`` of (batch, input)
     arrays.  When every element is the same array object (direct encoding)
@@ -275,15 +280,14 @@ def forward(net: Network, input_seq, smooth: bool = False) -> tuple[list[Array],
     for layer in net.layers:
         layers.append(_run_layer(_affine(cur, layer), layer.omega, cfg, net.n_steps, fire))
         cur = layers[-1].o
-    return list(_affine(cur, net.readout)), Trace(layers, x, cfg)
+    return _affine(cur, net.readout), Trace(layers, x, cfg)
 
 
 def predict(logits) -> Array:
     """Class index per batch element: argmax of the time-averaged logits."""
     if len(logits) == 0:
         raise ValueError("need at least one timestep of logits")
-    mean = np.stack([np.asarray(o, dtype=np.float64) for o in logits]).mean(axis=0)
-    return np.argmax(mean, axis=1)
+    return np.argmax(np.asarray(logits, dtype=np.float64).mean(axis=0), axis=1)
 
 
 def capture_histograms(

@@ -22,12 +22,8 @@ Array = np.ndarray
 def sigmoid(x) -> Array:
     """Numerically stable logistic function; sigmoid(0) is exactly 0.5."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))  # exp(-x) on the non-negative side, exp(x) on the other
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def seeded_rng(seed: int) -> np.random.Generator:

@@ -77,20 +77,21 @@ def sgd_step(
     ``GradSet.zeros_like``).  Omega triples get no weight decay.
     """
     grads.check_finite()  # before any update, so a bad gradient leaves the model untouched
-    params = bptt.GradSet(
-        dw=[layer.w for layer in net.layers],
-        db=[layer.b for layer in net.layers],
-        domega=[layer.omega.as_vector() if layer.omega is not None else None for layer in net.layers],
-        dw_out=net.readout.w,
-        db_out=net.readout.b,
-    )
-    for (name, p), (_, g), (_, v) in zip(params.named(), grads.named(), vel.named()):
+
+    def update(p, g, v, decay=weight_decay):
         v *= momentum
-        v += g + (0.0 if name.endswith(".omega") else weight_decay) * p
+        v += g + decay * p
         p -= lr * v
-    for layer, om in zip(net.layers, params.domega):
+
+    for l, layer in enumerate(net.layers):
+        update(layer.w, grads.dw[l], vel.dw[l])
+        update(layer.b, grads.db[l], vel.db[l])
         if layer.omega is not None:
+            om = layer.omega.as_vector()
+            update(om, grads.domega[l], vel.domega[l], decay=0.0)
             layer.omega.set_vector(om)
+    update(net.readout.w, grads.dw_out, vel.dw_out)
+    update(net.readout.b, grads.db_out, vel.db_out)
 
 
 def check_omega_constraint(net: net_mod.Network) -> None:
@@ -143,13 +144,16 @@ def train_epoch(
 
 
 def eval_batches(net: net_mod.Network, data: Dataset, batch_size: int = 256):
-    """Forward the dataset in order; yield (labels, logits, cache) per batch."""
+    """Forward the dataset in order; yield (labels, logits, cache) per batch.
+
+    The generator keeps no reference to a yielded trace, so a consumer that
+    drops it holds one trace at a time.
+    """
     n = len(data.labels)
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
         xs_seq, labels = encode_batch(data, idx, net.n_steps)
-        logits, cache = net_mod.forward(net, xs_seq)
-        yield labels, logits, cache
+        yield (labels, *net_mod.forward(net, xs_seq))
 
 
 def evaluate(net: net_mod.Network, data: Dataset, batch_size: int = 256) -> float:
@@ -158,7 +162,8 @@ def evaluate(net: net_mod.Network, data: Dataset, batch_size: int = 256) -> floa
     if n == 0:
         return 0.0
     correct = 0
-    for labels, logits, _ in eval_batches(net, data, batch_size):
+    for labels, logits, cache in eval_batches(net, data, batch_size):
+        del cache  # free this trace before the next batch's forward
         correct += int(np.sum(net_mod.predict(logits) == labels))
     return correct / n
 

@@ -361,6 +361,27 @@ class TestGradSet:
         with pytest.raises(Exception, match="layer0.b"):
             g.check_finite()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_finite_names_every_parameter(self, bad):
+        rng = component_rng(51)
+        net, _, _ = random_network(rng, kind="ctsn_static")
+        names = [name for name, _ in GradSet.zeros_like(net).named()]
+        for name in names:
+            g = GradSet.zeros_like(net)
+            dict(g.named())[name].flat[-1] = bad
+            with pytest.raises(NumericError, match=f"in {name}$"):
+                g.check_finite()
+
+    def test_check_finite_accepts_overflowing_sum(self):
+        # the sum of two finite entries is inf; no entry is, so nothing is raised
+        rng = component_rng(52)
+        net, _, _ = random_network(rng, kind="ternary")
+        g = GradSet.zeros_like(net)
+        g.dw[0].flat[:2] = 1e308
+        with np.errstate(over="ignore"):
+            assert np.isinf(g.dw[0].sum())
+        g.check_finite()
+
 
 class TestRerunDeterminism:
     @pytest.mark.parametrize("kind,shared", [("ternary", True), ("ctsn_neuromorphic", False)])

@@ -82,6 +82,23 @@ class TestConfigResolution:
             assert hasattr(args, key.replace(".", "__"))
 
 
+class TestConfigDomains:
+    @pytest.mark.parametrize("key", cli.AT_LEAST_ONE + ("model.hidden",))
+    def test_value_below_one_exits_2_naming_key(self, key, tmp_path, capsys):
+        command = {"hist.bins": "hist", "ablate.seeds": "ablate"}.get(key, "train")
+        argv = [command, "--out_dir", str(tmp_path / "run"), f"--{key}", "0"]
+        if command == "hist":
+            argv += ["--model", str(tmp_path / "missing.bin")]
+        assert main(argv) == 2
+        assert f"key {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_every_hidden_width_checked(self, capsys):
+        for bad in ("12,0", "12,-3", "12,x"):
+            assert main(["train", "--model.hidden", bad]) == 2
+            assert "key model.hidden:" in capsys.readouterr().err
+
+
 class TestTrainCommand:
     def test_train_writes_outputs_and_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "run"

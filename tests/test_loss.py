@@ -6,6 +6,7 @@ from ternspike.loss import (
     TMPRConfig,
     avg_ce_grad,
     avg_ce_loss,
+    avg_ce_loss_and_grad,
     softmax,
     tmpr_grad,
     tmpr_injection,
@@ -74,6 +75,46 @@ class TestAvgCE:
         p = softmax(rng.normal(size=(6, 7)) * 50)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(p >= 0)
+
+
+def _reference_ce(outputs, labels):
+    """Loss and per-step gradient, restacking the per-step list for each as
+    two separate functions did."""
+    rows = np.arange(len(labels))
+    avg = np.stack([np.asarray(o, dtype=np.float64) for o in outputs]).mean(axis=0)
+    shifted = avg - avg.max(axis=-1, keepdims=True)
+    ce = float(np.mean(np.log(np.exp(shifted).sum(axis=-1)) - shifted[rows, labels]))
+    avg = np.stack([np.asarray(o, dtype=np.float64) for o in outputs]).mean(axis=0)
+    p = softmax(avg)
+    p[rows, labels] -= 1.0
+    return ce, [p / (len(labels) * len(outputs)) for _ in outputs]
+
+
+class TestLossHead:
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 3000.0])
+    def test_bit_equal_to_reference_and_per_step_functions(self, scale):
+        rng = seeded_rng(11)
+        for _ in range(20):
+            n_steps, batch, n_classes = rng.integers(1, 7), rng.integers(1, 40), rng.integers(2, 11)
+            logits = rng.normal(0.0, scale, size=(n_steps, batch, n_classes))
+            labels = rng.integers(0, n_classes, size=batch)
+            ce, grad = avg_ce_loss_and_grad(logits, labels)
+            want_ce, want_grad = _reference_ce(list(logits), labels)
+            assert grad.shape == logits.shape
+            assert ce == want_ce == avg_ce_loss(list(logits), labels)
+            for got, ref, per_step in zip(grad, want_grad, avg_ce_grad(list(logits), labels)):
+                assert got.tobytes() == ref.tobytes() == per_step.tobytes()
+
+    def test_margin_beyond_exp_underflow(self):
+        # a margin above ~745 underflows exp to 0: the loss is the margin, the gradient finite
+        logits = np.array([[[2000.0, -2000.0], [0.0, 800.0]]] * 3)
+        labels = np.array([1, 0])
+        ce, grad = avg_ce_loss_and_grad(logits, labels)
+        want_ce, want_grad = _reference_ce(list(logits), labels)
+        assert ce == want_ce == (4000.0 + 800.0) / 2
+        assert np.all(np.isfinite(grad))
+        for got, ref in zip(grad, want_grad):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestTMPRLoss:

@@ -19,6 +19,7 @@ from ternspike.neuron import (
     NeuronConfig,
     NeuronState,
     ctsn_step,
+    effective_params,
     surrogate,
     ternary_step,
     ternary_step_soft,
@@ -134,6 +135,14 @@ class TestTrace:
         assert all(tr.h is None for tr in cache.layers)
         _, cache = forward(_ctsn_net("ctsn_static"), [seeded_rng(1).normal(size=(2, 5))] * 4)
         assert all(tr.h.shape == tr.u_tilde.shape for tr in cache.layers)
+
+    def test_trace_keeps_effective_factors(self):
+        _, cache = forward(_net(dims=(4, 6, 5), n_steps=3), [seeded_rng(1).normal(size=(2, 4))] * 3)
+        assert all(tr.factors is None for tr in cache.layers)
+        net = _ctsn_net("ctsn_neuromorphic")
+        _, cache = forward(net, [seeded_rng(1).normal(size=(2, 5))] * 4)
+        for tr, layer in zip(cache.layers, net.layers):
+            assert tr.factors == effective_params(layer.omega)
 
     @pytest.mark.parametrize("kind", ["ternary", "ctsn_static", "ctsn_neuromorphic"])
     def test_shared_input_matches_distinct_copies(self, kind):

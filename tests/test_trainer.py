@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,41 @@ class TestSgdStep:
         for _, buf in vel.named():
             assert not np.any(buf)
 
+    def test_five_steps_match_literal_reference(self, tmp_path):
+        # v = m*v + (g + wd*p); p -= lr*v, one parameter at a time; omega gets no decay
+        lr, m, wd = 0.05, 0.9, 1e-3
+        net = _toy_net(kind="ctsn_static", dims=(6, 10, 5))
+        ref = net.copy()
+        vel = bptt.GradSet.zeros_like(net)
+        ref_vel = {}
+        rng = component_rng(17)
+        for _ in range(5):
+            grads = bptt.GradSet.zeros_like(net)
+            for _, g in grads.named():
+                g[...] = rng.normal(size=g.shape)
+            sgd_step(net, grads, vel, lr, m, wd)
+            params = {}
+            for l, layer in enumerate(ref.layers):
+                params[f"layer{l}.w"], params[f"layer{l}.b"] = layer.w, layer.b
+                params[f"layer{l}.omega"] = layer.omega.as_vector()
+            params["readout.w"], params["readout.b"] = ref.readout.w, ref.readout.b
+            for name, g in grads.named():
+                p = params[name]
+                v = ref_vel.get(name, np.zeros_like(g))
+                if name.endswith(".omega"):
+                    v = m * v + g
+                else:
+                    v = m * v + (g + wd * p)
+                p -= lr * v
+                ref_vel[name] = v
+            for l, layer in enumerate(ref.layers):
+                layer.omega.set_vector(params[f"layer{l}.omega"])
+        save_model(tmp_path / "step.bin", net)
+        save_model(tmp_path / "ref.bin", ref)
+        assert (tmp_path / "step.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+        for name, v in vel.named():
+            assert v.tobytes() == ref_vel[name].tobytes(), name
+
 
 class TestTrainEpoch:
     def test_single_step_descends_on_fixed_batch(self):
@@ -183,6 +220,25 @@ class TestEvaluate:
         data = _toy_data()
         net = _toy_net(seed=8)
         assert evaluate(net, data) == evaluate(net, data)
+
+    def test_evaluate_holds_one_trace_at_a_time(self):
+        # three batches of 256; the previous batch's trace must be gone before the next forward
+        rng = component_rng(23)
+        data = data_mod.synth_event_frames(768, 64, 4, 0.05, rng, classes=10)
+        net = net_mod.build_network((64, 256, 256), 10, NeuronConfig(kind="ctsn_neuromorphic"), 4, rng)
+        tracemalloc.start()
+        try:
+            xs_seq, _ = data_mod.encode_batch(data, np.arange(256), 4)
+            net_mod.forward(net, xs_seq)
+            one_forward = tracemalloc.get_traced_memory()[1]
+            del xs_seq
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            evaluate(net, data)
+            whole_pass = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert whole_pass <= 1.2 * one_forward
 
 
 class TestFitAndPersistence:
