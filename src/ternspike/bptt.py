@@ -303,7 +303,7 @@ def loss_and_grads(net: Network, input_seq, labels, tmpr=None, smooth=False):
     if tmpr is not None and tmpr.active:
         pots = cache.potentials()
         tmpr_val = loss_mod.tmpr_loss(pots, tmpr)
-        du_extra = loss_mod.tmpr_injection(pots, tmpr.lam)
+        du_extra = loss_mod.tmpr_grad(pots, tmpr.lam)
     mode = "ctsn" if net.cfg.is_ctsn else "ternary"
     grads = backward_exact(cache, dL_dO, net, mode, du_extra=du_extra)
     return ce, tmpr_val, logits, grads

@@ -24,7 +24,7 @@ import numpy as np
 from . import bptt, data as data_mod, gradcheck, network as net_mod, trainer
 from .errors import ConfigError, FormatError, NumericError
 from .loss import TMPRConfig
-from .neuron import NeuronConfig
+from .neuron import KINDS, NeuronConfig
 from .numerics import component_rng
 
 ENV_PREFIX = "TERNSPIKE_"
@@ -71,7 +71,9 @@ DEFAULTS: dict[str, object] = {
 
 # Counts and sizes that must be at least 1 (each model.hidden width too).
 AT_LEAST_ONE = ("train.epochs", "train.batch_size", "train.t", "data.n_train", "data.n_eval",
-                "data.dims", "data.classes", "hist.bins", "ablate.seeds")
+                "data.dims", "data.classes", "hist.bins", "ablate.seeds", "gradcheck.networks",
+                "gradcheck.fd_networks")
+GRADCHECK_MODES = KINDS + ("ctsn",)
 
 
 def _coerce(key: str, raw: str):
@@ -150,20 +152,24 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for key in AT_LEAST_ONE:
         if cfg[key] < 1:
             raise ConfigError(f"key {key}: must be at least 1, got {cfg[key]}")
-    _hidden_widths(cfg)
+    _positive_ints(cfg, "model.hidden")
+    _positive_ints(cfg, "ablate.timesteps")
+    if cfg["gradcheck.mode"] not in GRADCHECK_MODES:
+        raise ConfigError(f"key gradcheck.mode: must be one of {', '.join(GRADCHECK_MODES)}, "
+                          f"got {cfg['gradcheck.mode']!r}")
     return cfg
 
 
-def _hidden_widths(cfg: dict) -> list[int]:
-    """The comma-separated ``model.hidden`` widths, each at least 1."""
-    raw = str(cfg["model.hidden"])
+def _positive_ints(cfg: dict, key: str) -> list[int]:
+    """The comma list of integers under ``key``, each at least 1."""
+    raw = str(cfg[key])
     try:
-        hidden = [int(v) for v in raw.split(",") if v.strip()]
+        vals = [int(v) for v in raw.split(",") if v.strip()]
     except ValueError:
-        hidden = []
-    if not hidden or min(hidden) < 1:
-        raise ConfigError(f"key model.hidden: {raw!r} is not a list of layer widths of at least 1")
-    return hidden
+        vals = []
+    if not vals or min(vals) < 1:
+        raise ConfigError(f"key {key}: {raw!r} is not a comma list of integers of at least 1")
+    return vals
 
 
 def echo_config(cfg: dict, out_dir: Path) -> None:
@@ -258,7 +264,7 @@ def build_datasets(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset, dict]
 def _build_net(cfg: dict, feature_dim: int, n_classes: int) -> net_mod.Network:
     rng = component_rng(cfg["seed"], 0)
     return net_mod.build_network(
-        [feature_dim] + _hidden_widths(cfg),
+        [feature_dim] + _positive_ints(cfg, "model.hidden"),
         n_classes,
         _neuron_config(cfg),
         cfg["train.t"],
@@ -289,12 +295,22 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def cmd_eval(cfg: dict, model_path: str) -> int:
-    train_ds, eval_ds, _ = build_datasets(cfg)
+def _load_model(cfg: dict, model_path: str, eval_ds: data_mod.Dataset) -> net_mod.Network:
+    """The saved model under the configured neuron, checked against the eval set's input dim."""
     try:
         net = trainer.load_model(model_path, _neuron_config(cfg), cfg["train.t"])
     except (FormatError, OSError) as exc:
         raise ConfigError(f"cannot load model {model_path}: {exc}") from exc
+    if net.input_dim != eval_ds.feature_dim:
+        raise ConfigError(
+            f"model input dim {net.input_dim} does not match dataset feature dim {eval_ds.feature_dim}"
+        )
+    return net
+
+
+def cmd_eval(cfg: dict, model_path: str) -> int:
+    _, eval_ds, _ = build_datasets(cfg)
+    net = _load_model(cfg, model_path, eval_ds)
     acc = trainer.evaluate(net, eval_ds)
     print(f"eval accuracy {acc:.4f} on {len(eval_ds.labels)} samples")
     return 0
@@ -355,15 +371,8 @@ def _demo_parameter_report(seed: int) -> None:
 
 def cmd_hist(cfg: dict, model_path: str) -> int:
     out_dir = Path(cfg["out_dir"])
-    train_ds, eval_ds, _ = build_datasets(cfg)
-    try:
-        net = trainer.load_model(model_path, _neuron_config(cfg), cfg["train.t"])
-    except (FormatError, OSError) as exc:
-        raise ConfigError(f"cannot load model {model_path}: {exc}") from exc
-    if net.input_dim != eval_ds.feature_dim:
-        raise ConfigError(
-            f"model input dim {net.input_dim} does not match dataset feature dim {eval_ds.feature_dim}"
-        )
+    _, eval_ds, _ = build_datasets(cfg)
+    net = _load_model(cfg, model_path, eval_ds)
     echo_config(cfg, out_dir)
     bins, lo, hi = cfg["hist.bins"], cfg["hist.lo"], cfg["hist.hi"]
     edges = np.linspace(lo, hi, bins + 1)
@@ -387,10 +396,9 @@ _ABLATE_ARMS = (
 
 def run_ablation(cfg: dict) -> list[dict]:
     """Three-arm comparison with shared seeds and shared data order."""
-    timesteps = [int(v) for v in str(cfg["ablate.timesteps"]).split(",") if v.strip()]
     n_seeds = cfg["ablate.seeds"]
     rows = []
-    for t_steps in timesteps:
+    for t_steps in _positive_ints(cfg, "ablate.timesteps"):
         arm_accs = {name: [] for name, _, _ in _ABLATE_ARMS}
         for s in range(n_seeds):
             run_cfg = dict(cfg)

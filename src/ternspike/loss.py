@@ -42,14 +42,6 @@ class TMPRConfig:
         return self.enabled and self.lam > 0.0
 
 
-def softmax(logits: Array) -> Array:
-    """Row-wise softmax with max subtraction for stability."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def avg_ce_loss_and_grad(logits, labels) -> tuple[float, Array]:
     """Cross-entropy of the time-averaged logits and its gradient, from one softmax.
 
@@ -124,20 +116,12 @@ def tmpr_loss(potentials, cfg: TMPRConfig) -> float:
     return total / (n_steps * n_layers)
 
 
-def tmpr_grad(u_tilde: Array, t: int, n_steps: int, n_layers: int, lam: float) -> Array:
-    """Direct derivative of the regularizer w.r.t. one captured potential.
+def tmpr_grad(potentials, lam: float) -> list[Array]:
+    """Direct derivative of the regularizer w.r.t. every captured potential.
 
-    ``t`` is 1-based.  Elementwise 2*lam / (t*T*L*B*D) * u~; the B*D factor
-    is the element count of the (batch, features) array.
+    ``potentials`` is laid out as for ``tmpr_loss``; returns one (T, B, D_l)
+    stack per layer whose step t (1-based) is 2*lam / (t*T*L*B*D_l) * u~_l(t).
     """
-    if t < 1:
-        raise ValueError(f"timestep must be >= 1, got {t}")
-    u_tilde = np.asarray(u_tilde, dtype=np.float64)
-    return (2.0 * lam / (t * n_steps * n_layers * u_tilde.size)) * u_tilde
-
-
-def tmpr_injection(potentials, lam: float) -> list[Array]:
-    """``tmpr_grad`` at every timestep of every layer, one (T, B, D) stack per layer."""
     n_layers, n_steps = len(potentials), len(potentials[0])
     t = np.arange(1, n_steps + 1)
     return [(2.0 * lam / (t * n_steps * n_layers * u[0].size))[:, None, None] * u for u in potentials]

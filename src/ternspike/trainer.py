@@ -19,6 +19,7 @@ The final model is persisted in a flat binary format:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -258,25 +259,30 @@ def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:
         )
     (n_hidden,) = struct.unpack("<H", take(2))
     (n_arrays,) = struct.unpack("<I", take(4))
-    arrays = []
+    arrays, offsets = [], []
     for _ in range(n_arrays):
+        offsets.append(off)
         (ndim,) = struct.unpack("<I", take(4))
+        if ndim > 2:
+            raise FormatError(f"array at offset {offsets[-1]} has {ndim} dimensions, at most 2")
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arrays.append(np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy())
+        arrays.append(np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy())
+    if off != len(blob):
+        raise FormatError(f"{len(blob) - off} trailing bytes at offset {off}")
     per_hidden = 3 if cfg.is_ctsn else 2
-    if n_arrays != n_hidden * per_hidden + 2:
+    if n_hidden < 1 or n_arrays != n_hidden * per_hidden + 2:
         raise FormatError(f"array count {n_arrays} inconsistent with {n_hidden} hidden layers")
-    layers = []
-    i = 0
-    for _ in range(n_hidden):
-        w, b = arrays[i], arrays[i + 1]
+    layers, i = [], 0
+    for l in range(n_hidden + 1):  # the last one is the readout
+        w, b, omega = arrays[i], arrays[i + 1], None
+        if w.ndim != 2 or b.shape != w.shape[1:] or (layers and layers[-1].w.shape[1] != len(w)):
+            raise FormatError(f"layer {l} arrays {w.shape}, {b.shape} at offset {offsets[i]} do not chain")
         i += 2
-        omega = None
-        if cfg.is_ctsn:
+        if cfg.is_ctsn and l < n_hidden:
+            if arrays[i].shape != (3,):
+                raise FormatError(f"omega array at offset {offsets[i]} has shape {arrays[i].shape}, not (3,)")
             omega = CTSNParams()
             omega.set_vector(arrays[i])
             i += 1
         layers.append(net_mod.Layer(w=w, b=b, omega=omega))
-    readout = net_mod.Layer(w=arrays[i], b=arrays[i + 1])
-    return net_mod.Network(layers=layers, readout=readout, cfg=cfg, n_steps=n_steps)
+    return net_mod.Network(layers=layers[:-1], readout=layers[-1], cfg=cfg, n_steps=n_steps)

@@ -195,12 +195,7 @@ class TestRecursionAgainstExact:
             net, seq, labels = random_network(rng, kind="ternary")
             logits, cache = forward(net, seq)
             dL = loss_mod.avg_ce_grad(logits, labels)
-            pots = cache.potentials()
-            n_layers, n_steps = len(pots), len(pots[0])
-            inj = [
-                [loss_mod.tmpr_grad(pots[l][t], t + 1, n_steps, n_layers, 0.05) for t in range(n_steps)]
-                for l in range(n_layers)
-            ]
+            inj = loss_mod.tmpr_grad(cache.potentials(), 0.05)
             g_ex = backward_exact(cache, dL, net, "ternary", du_extra=inj)
             g_rec = backward_recursion(cache, dL, net, "ternary", du_extra=inj)
             err, _ = max_relative_error(g_ex, g_rec)

@@ -83,9 +83,9 @@ class TestConfigResolution:
 
 
 class TestConfigDomains:
-    @pytest.mark.parametrize("key", cli.AT_LEAST_ONE + ("model.hidden",))
+    @pytest.mark.parametrize("key", cli.AT_LEAST_ONE + ("model.hidden", "ablate.timesteps", "gradcheck.mode"))
     def test_value_below_one_exits_2_naming_key(self, key, tmp_path, capsys):
-        command = {"hist.bins": "hist", "ablate.seeds": "ablate"}.get(key, "train")
+        command = {"hist": "hist", "ablate": "ablate", "gradcheck": "gradcheck"}.get(key.split(".")[0], "train")
         argv = [command, "--out_dir", str(tmp_path / "run"), f"--{key}", "0"]
         if command == "hist":
             argv += ["--model", str(tmp_path / "missing.bin")]
@@ -185,6 +185,11 @@ class TestEvalAndHist:
              "--data.dims", "24"] + TRAIN_FAST
         )
         assert code == 2
+
+    def test_eval_dim_mismatch_exits_2(self, trained, capsys):
+        code = main(["eval", "--model", str(trained / "model.bin"), "--data.dims", "20"] + TRAIN_FAST)
+        assert code == 2
+        assert "model input dim 16 does not match dataset feature dim 20" in capsys.readouterr().err
 
     def test_model_config_mismatch_exits_2(self, trained, tmp_path):
         code = main(

@@ -7,9 +7,7 @@ from ternspike.loss import (
     avg_ce_grad,
     avg_ce_loss,
     avg_ce_loss_and_grad,
-    softmax,
     tmpr_grad,
-    tmpr_injection,
     tmpr_loss,
 )
 from ternspike.numerics import seeded_rng
@@ -71,8 +69,12 @@ class TestAvgCE:
                 assert grads[t].flat[i] == pytest.approx(fd, abs=1e-9)
 
     def test_softmax_rows_sum_to_one(self):
+        # every step's gradient is (softmax - onehot) / (B * T)
         rng = seeded_rng(3)
-        p = softmax(rng.normal(size=(6, 7)) * 50)
+        labels = rng.integers(0, 7, size=6)
+        _, grad = avg_ce_loss_and_grad(rng.normal(size=(2, 6, 7)) * 50, labels)
+        p = grad[0] * (6 * 2)
+        p[np.arange(6), labels] += 1.0
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(p >= 0)
 
@@ -85,7 +87,8 @@ def _reference_ce(outputs, labels):
     shifted = avg - avg.max(axis=-1, keepdims=True)
     ce = float(np.mean(np.log(np.exp(shifted).sum(axis=-1)) - shifted[rows, labels]))
     avg = np.stack([np.asarray(o, dtype=np.float64) for o in outputs]).mean(axis=0)
-    p = softmax(avg)
+    e = np.exp(avg - avg.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     p[rows, labels] -= 1.0
     return ce, [p / (len(labels) * len(outputs)) for _ in outputs]
 
@@ -159,12 +162,13 @@ class TestTMPRLoss:
 
 class TestTMPRGrad:
     def test_hand_value(self):
-        g = tmpr_grad(np.array([[1.0, 1.0]]), t=1, n_steps=1, n_layers=1, lam=0.05)
-        assert g[0, 0] == pytest.approx(0.05)
+        g = tmpr_grad([np.array([[[1.0, 1.0]]])], lam=0.05)
+        assert g[0][0, 0, 0] == pytest.approx(0.05)
 
     def test_zero_potential_zero_grad(self):
-        g = tmpr_grad(np.zeros((2, 4)), t=3, n_steps=5, n_layers=2, lam=0.05)
-        np.testing.assert_array_equal(g, 0.0)
+        g = tmpr_grad([np.zeros((5, 2, 4)), np.zeros((5, 2, 3))], lam=0.05)
+        for u in g:
+            np.testing.assert_array_equal(u, 0.0)
 
     def test_matches_finite_difference(self):
         rng = seeded_rng(5)
@@ -176,10 +180,10 @@ class TestTMPRGrad:
             batch = int(rng.integers(1, 4))
             lam = float(rng.uniform(0.01, 0.5))
             cfg = TMPRConfig(lam=lam)
-            pots = [[rng.normal(size=(batch, widths[l])) for _ in range(n_steps)] for l in range(n_layers)]
+            pots = [rng.normal(size=(n_steps, batch, widths[l])) for l in range(n_layers)]
             l = int(rng.integers(0, n_layers))
             t = int(rng.integers(0, n_steps))
-            analytic = tmpr_grad(pots[l][t], t + 1, n_steps, n_layers, lam)
+            analytic = tmpr_grad(pots, lam)[l][t]
             i = int(rng.integers(0, pots[l][t].size))
             orig = pots[l][t].flat[i]
             pots[l][t].flat[i] = orig + step
@@ -190,11 +194,13 @@ class TestTMPRGrad:
             fd = (f_plus - f_minus) / (2 * step)
             assert analytic.flat[i] == pytest.approx(fd, abs=1e-8)
 
-
-    def test_injection_equals_per_step_gradient(self):
+    def test_bit_equal_to_per_step_formula(self):
         rng = seeded_rng(9)
         pots = [rng.normal(size=(4, 3, d)) for d in (5, 2)]
-        inj = tmpr_injection(pots, 0.05)
+        lam = 0.05
+        g = tmpr_grad(pots, lam)
         for l, u in enumerate(pots):
+            assert g[l].shape == u.shape
             for t in range(4):
-                assert inj[l][t].tobytes() == tmpr_grad(u[t], t + 1, 4, 2, 0.05).tobytes()
+                want = 2 * lam / ((t + 1) * 4 * 2 * 3 * u.shape[2]) * u[t]
+                assert g[l][t].tobytes() == want.tobytes()

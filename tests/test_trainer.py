@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -302,3 +303,26 @@ class TestFitAndPersistence:
         path.write_bytes(blob[:-9])
         with pytest.raises(FormatError):
             load_model(path, NeuronConfig(), n_steps=3)
+
+    # a saved toy net: 20 header bytes, w0 (6, 10) from offset 20, b0 (10,),
+    # then from offset 600 the readout w (10, 3), or omega (3,) for ctsn_static
+    @pytest.mark.parametrize(
+        "kind,mutate,match",
+        [
+            ("ternary", lambda b: b + b"\x00", "1 trailing bytes at offset 884"),
+            # the readout w recorded as (5, 6): same payload size
+            ("ternary", lambda b: b[:604] + struct.pack("<II", 5, 6) + b[612:], "layer 1 .* at offset 600 do not chain"),
+            ("ctsn_static", lambda b: b[:604] + struct.pack("<I", 2) + b[608:624] + b[632:],
+             r"omega array at offset 600 has shape \(2,\)"),
+            ("ternary", lambda b: b[:20] + struct.pack("<4I", 3, 6, 10, 1) + b[32:], "offset 20 has 3 dimensions"),
+            # 8 * (2**32 - 1)**2 bytes: more than an int64 element count holds
+            ("ternary", lambda b: b[:24] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + b[32:], "truncated at offset"),
+        ],
+        ids=["trailing-bytes", "widths-do-not-chain", "omega-length", "ndim", "element-count"],
+    )
+    def test_model_corruption_rejected_naming_offset(self, tmp_path, kind, mutate, match):
+        path = tmp_path / "model.bin"
+        save_model(path, _toy_net(kind=kind))
+        path.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(FormatError, match=match):
+            load_model(path, NeuronConfig(kind=kind), n_steps=3)
