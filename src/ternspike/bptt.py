@@ -45,7 +45,8 @@ from .numerics import Array
 
 @dataclass
 class GradSet:
-    """Gradients aligned with a network's parameters.
+    """Arrays aligned with a network's parameters: gradients, momentum buffers,
+    or (``GradSet.of``) the parameters themselves.
 
     ``domega[l]`` is a length-3 vector ordered (d_omega_alpha, d_omega_beta,
     d_omega_gamma), or None for plain-ternary layers.
@@ -58,17 +59,25 @@ class GradSet:
     db_out: Array
 
     @classmethod
-    def zeros_like(cls, net: Network) -> "GradSet":
+    def of(cls, net: Network) -> "GradSet":
+        """The network's own parameter arrays (not copies) in this layout."""
         return cls(
-            dw=[np.zeros_like(layer.w) for layer in net.layers],
-            db=[np.zeros_like(layer.b) for layer in net.layers],
-            domega=[np.zeros(3) if layer.omega is not None else None for layer in net.layers],
-            dw_out=np.zeros_like(net.readout.w),
-            db_out=np.zeros_like(net.readout.b),
+            dw=[layer.w for layer in net.layers],
+            db=[layer.b for layer in net.layers],
+            domega=[None if layer.omega is None else layer.omega.vector for layer in net.layers],
+            dw_out=net.readout.w,
+            db_out=net.readout.b,
         )
 
+    @classmethod
+    def zeros_like(cls, net: Network) -> "GradSet":
+        p = cls.of(net)
+        zeros = lambda arrays: [None if a is None else np.zeros_like(a) for a in arrays]
+        return cls(zeros(p.dw), zeros(p.db), zeros(p.domega), np.zeros_like(p.dw_out), np.zeros_like(p.db_out))
+
     def named(self):
-        """Yield (name, array) pairs in a fixed order."""
+        """Yield (name, array) pairs in a fixed order: the one statement of the
+        parameter layout, which model files and finite differences follow too."""
         for l in range(len(self.dw)):
             yield f"layer{l}.w", self.dw[l]
             yield f"layer{l}.b", self.db[l]
@@ -469,7 +478,7 @@ def surrogate_smooth_forward(net: Network, input_seq, labels, tmpr=None) -> floa
     differences of this function validate the analytic backward pass.
     """
     logits, cache = net_mod.forward(net, input_seq, smooth=True)
-    total = loss_mod.avg_ce_loss(logits, labels)
+    total, _ = loss_mod.avg_ce_loss_and_grad(logits, labels)
     if tmpr is not None and tmpr.active:
         total = total + loss_mod.tmpr_loss(cache.potentials(), tmpr)
     if not np.isfinite(total):
@@ -486,24 +495,13 @@ def finite_difference(loss_fn, net: Network, step: float) -> GradSet:
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     grads = GradSet.zeros_like(net)
-    in_place = lambda values: None  # ravel() views already write through
-    # (flat parameter values, flat gradient slot, write-back into the network)
-    slots = []
-    for l, layer in enumerate(net.layers):
-        slots.append((layer.w.ravel(), grads.dw[l].ravel(), in_place))
-        slots.append((layer.b.ravel(), grads.db[l].ravel(), in_place))
-        if layer.omega is not None:
-            slots.append((layer.omega.as_vector(), grads.domega[l], layer.omega.set_vector))
-    slots.append((net.readout.w.ravel(), grads.dw_out.ravel(), in_place))
-    slots.append((net.readout.b.ravel(), grads.db_out.ravel(), in_place))
-
-    for values, out, write in slots:
+    for (_, param), (_, out) in zip(GradSet.of(net).named(), grads.named()):
+        values, out = param.ravel(), out.ravel()  # views, so writes reach the network
         for i in range(values.size):
             orig = values[i]
 
             def loss_at(x: float) -> float:
                 values[i] = x
-                write(values)
                 f = loss_fn()
                 if not np.isfinite(f):
                     raise NumericError("non-finite loss during finite differencing")
@@ -513,5 +511,4 @@ def finite_difference(loss_fn, net: Network, step: float) -> GradSet:
                 out[i] = central_diff(loss_at, orig, step)
             finally:
                 values[i] = orig
-                write(values)
     return grads

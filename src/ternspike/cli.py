@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -69,11 +70,43 @@ DEFAULTS: dict[str, object] = {
     "ablate.timesteps": "4",
 }
 
-# Counts and sizes that must be at least 1 (each model.hidden width too).
-AT_LEAST_ONE = ("train.epochs", "train.batch_size", "train.t", "data.n_train", "data.n_eval",
-                "data.dims", "data.classes", "hist.bins", "ablate.seeds", "gradcheck.networks",
-                "gradcheck.fd_networks")
-GRADCHECK_MODES = KINDS + ("ctsn",)
+
+def _ints(raw) -> list[int]:
+    """The integers of a comma list, or [] if an entry is not an integer."""
+    try:
+        return [int(v) for v in str(raw).split(",") if v.strip()]
+    except ValueError:
+        return []
+
+
+def _one_of(*values):
+    return (lambda v: v in values), "one of " + ", ".join(values)
+
+
+# key -> (test, domain as text).  DEFAULTS sets each key's type; resolve_config
+# checks every value against its domain before any work starts.  Keys not listed
+# (booleans, paths, out_dir) take any value of their type.
+DOMAINS: dict[str, tuple] = {
+    **dict.fromkeys(
+        ("train.epochs", "train.batch_size", "train.t", "data.n_train", "data.n_eval", "data.dims",
+         "data.classes", "hist.bins", "ablate.seeds", "gradcheck.networks", "gradcheck.fd_networks"),
+        ((lambda v: v >= 1), "at least 1"),
+    ),
+    **dict.fromkeys(("seed", "tmpr.lambda", "train.weight_decay", "model.init_scale"),
+                    ((lambda v: 0 <= v < math.inf), "finite and at least 0")),
+    **dict.fromkeys(("neuron.v_th", "neuron.a", "train.lr0", "gradcheck.fd_step"),
+                    ((lambda v: 0 < v < math.inf), "finite and above 0")),
+    "neuron.tau": ((lambda v: 0 < v <= 1), "in (0, 1]"),
+    "train.momentum": ((lambda v: 0 <= v < 1), "in [0, 1)"),
+    "data.rate": ((lambda v: 0 <= v <= 1), "in [0, 1]"),
+    **dict.fromkeys(("data.margin", "hist.lo", "hist.hi"), (math.isfinite, "finite")),
+    **dict.fromkeys(("model.hidden", "ablate.timesteps"),
+                    ((lambda v: min(_ints(v), default=0) >= 1), "a comma list of integers of at least 1")),
+    "neuron.kind": _one_of(*KINDS),
+    "neuron.reset": _one_of("hard"),  # no gradient engine covers the soft reset
+    "gradcheck.mode": _one_of(*KINDS, "ctsn"),
+    "data.source": _one_of("synth_static", "synth_events", "idx"),
+}
 
 
 def _coerce(key: str, raw: str):
@@ -149,27 +182,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg["tmpr.lambda"] = TMPRConfig.default_for("neuromorphic").lam
         if "train.weight_decay" not in overridden:
             cfg["train.weight_decay"] = 5e-4
-    for key in AT_LEAST_ONE:
-        if cfg[key] < 1:
-            raise ConfigError(f"key {key}: must be at least 1, got {cfg[key]}")
-    _positive_ints(cfg, "model.hidden")
-    _positive_ints(cfg, "ablate.timesteps")
-    if cfg["gradcheck.mode"] not in GRADCHECK_MODES:
-        raise ConfigError(f"key gradcheck.mode: must be one of {', '.join(GRADCHECK_MODES)}, "
-                          f"got {cfg['gradcheck.mode']!r}")
+    for key, (ok, domain) in DOMAINS.items():
+        if not ok(cfg[key]):
+            raise ConfigError(f"key {key}: must be {domain}, got {cfg[key]!r}")
+    if not cfg["hist.lo"] < cfg["hist.hi"]:
+        raise ConfigError(f"key hist.lo: must be below hist.hi = {cfg['hist.hi']!r}, got {cfg['hist.lo']!r}")
     return cfg
-
-
-def _positive_ints(cfg: dict, key: str) -> list[int]:
-    """The comma list of integers under ``key``, each at least 1."""
-    raw = str(cfg[key])
-    try:
-        vals = [int(v) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        vals = []
-    if not vals or min(vals) < 1:
-        raise ConfigError(f"key {key}: {raw!r} is not a comma list of integers of at least 1")
-    return vals
 
 
 def echo_config(cfg: dict, out_dir: Path) -> None:
@@ -179,23 +197,13 @@ def echo_config(cfg: dict, out_dir: Path) -> None:
 
 
 def _neuron_config(cfg: dict) -> NeuronConfig:
-    try:
-        return NeuronConfig(
-            tau=cfg["neuron.tau"],
-            v_th=cfg["neuron.v_th"],
-            a=cfg["neuron.a"],
-            reset=cfg["neuron.reset"],
-            kind=cfg["neuron.kind"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _tmpr_config(cfg: dict) -> TMPRConfig:
-    try:
-        return TMPRConfig(lam=cfg["tmpr.lambda"], enabled=cfg["tmpr.enabled"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return NeuronConfig(
+        tau=cfg["neuron.tau"],
+        v_th=cfg["neuron.v_th"],
+        a=cfg["neuron.a"],
+        reset=cfg["neuron.reset"],
+        kind=cfg["neuron.kind"],
+    )
 
 
 def _train_config(cfg: dict) -> trainer.TrainConfig:
@@ -207,7 +215,7 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
         epochs=cfg["train.epochs"],
         seed=cfg["seed"],
         n_steps=cfg["train.t"],
-        tmpr=_tmpr_config(cfg),
+        tmpr=TMPRConfig(lam=cfg["tmpr.lambda"], enabled=cfg["tmpr.enabled"]),
     )
 
 
@@ -236,7 +244,7 @@ def build_datasets(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset, dict]
         manifest.update(
             dims=cfg["data.dims"], classes=cfg["data.classes"], rate=cfg["data.rate"], t=cfg["train.t"]
         )
-    elif source == "idx":
+    else:  # idx
         images, labels = cfg["data.images"], cfg["data.labels"]
         if not images or not labels:
             raise ConfigError("data.source=idx requires data.images and data.labels paths")
@@ -248,8 +256,6 @@ def build_datasets(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset, dict]
             n_train = max(1, n_total - n_eval) if n_total > n_eval else max(1, n_total // 2)
             n_eval = n_total - n_train
         manifest.update(images=images, labels=labels)
-    else:
-        raise ConfigError(f"unknown data.source {source!r}")
     train_ds = corpus.subset(np.arange(0, n_train))
     eval_ds = corpus.subset(np.arange(n_train, min(n_train + n_eval, len(corpus.labels))))
     if cfg["data.normalize"] and corpus.kind == "static":
@@ -264,7 +270,7 @@ def build_datasets(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset, dict]
 def _build_net(cfg: dict, feature_dim: int, n_classes: int) -> net_mod.Network:
     rng = component_rng(cfg["seed"], 0)
     return net_mod.build_network(
-        [feature_dim] + _positive_ints(cfg, "model.hidden"),
+        [feature_dim] + _ints(cfg["model.hidden"]),
         n_classes,
         _neuron_config(cfg),
         cfg["train.t"],
@@ -275,10 +281,6 @@ def _build_net(cfg: dict, feature_dim: int, n_classes: int) -> net_mod.Network:
 
 def cmd_train(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
-    if cfg["neuron.reset"] == "soft":
-        raise ConfigError(
-            "training requires neuron.reset=hard; soft reset is available for forward dynamics only"
-        )
     train_ds, eval_ds, manifest = build_datasets(cfg)
     echo_config(cfg, out_dir)
     data_mod.write_manifest(out_dir / "dataset.manifest", manifest)
@@ -398,7 +400,7 @@ def run_ablation(cfg: dict) -> list[dict]:
     """Three-arm comparison with shared seeds and shared data order."""
     n_seeds = cfg["ablate.seeds"]
     rows = []
-    for t_steps in _positive_ints(cfg, "ablate.timesteps"):
+    for t_steps in _ints(cfg["ablate.timesteps"]):
         arm_accs = {name: [] for name, _, _ in _ABLATE_ARMS}
         for s in range(n_seeds):
             run_cfg = dict(cfg)

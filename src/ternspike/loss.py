@@ -74,6 +74,8 @@ def avg_ce_loss(outputs, labels) -> float:
     """Cross-entropy of the time-averaged logits, mean over the batch.
 
     ``outputs`` is a sequence of (B, C) logit arrays, one per timestep.
+    The package calls ``avg_ce_loss_and_grad``; this remains only because
+    the benchmark in ``tsbench/`` wraps it.
     """
     return avg_ce_loss_and_grad(outputs, labels)[0]
 
@@ -81,7 +83,9 @@ def avg_ce_loss(outputs, labels) -> float:
 def avg_ce_grad(outputs, labels) -> list[Array]:
     """Gradient of avg_ce_loss w.r.t. each timestep's logits.
 
-    Every timestep receives (softmax(avg) - onehot) / (B * T).
+    Every timestep receives (softmax(avg) - onehot) / (B * T).  The package
+    calls ``avg_ce_loss_and_grad``; this remains only because the benchmark
+    in ``tsbench/`` wraps and calls it.
     """
     return list(avg_ce_loss_and_grad(outputs, labels)[1])
 

@@ -17,6 +17,7 @@ finite-difference gradient checks differentiate.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -37,9 +38,6 @@ from .neuron import (  # the step functions stay importable here for per-step ca
     ternary_step_soft,
 )
 from .numerics import Array
-
-HIST_BINS_DEFAULT = 81
-HIST_RANGE_DEFAULT = (-2.0, 2.0)
 
 
 @dataclass
@@ -81,12 +79,7 @@ class Network:
         return self.readout.w.shape[1]
 
     def copy(self) -> "Network":
-        return Network(
-            layers=[Layer(l.w.copy(), l.b.copy(), l.omega.copy() if l.omega else None) for l in self.layers],
-            readout=Layer(self.readout.w.copy(), self.readout.b.copy()),
-            cfg=self.cfg,
-            n_steps=self.n_steps,
-        )
+        return copy.deepcopy(self)
 
 
 def build_network(
@@ -291,10 +284,7 @@ def predict(logits) -> Array:
 
 
 def capture_histograms(
-    cache: Trace,
-    layer: int,
-    bins: int = HIST_BINS_DEFAULT,
-    value_range: tuple[float, float] = HIST_RANGE_DEFAULT,
+    cache: Trace, layer: int, bins: int, value_range: tuple[float, float]
 ) -> tuple[Array, Array]:
     """Per-timestep histogram of one layer's captured potentials.
 

@@ -67,34 +67,25 @@ class NeuronConfig:
         return self.kind in ("ctsn_static", "ctsn_neuromorphic")
 
 
-@dataclass
 class CTSNParams:
     """Raw (unconstrained) mixing parameters of one complemented layer.
 
-    The effective factors are sigmoids of these, so they always lie strictly
-    in (0, 1).  The zero default puts all three at 0.5.
+    ``vector`` is one float64 (3,) array holding (omega_alpha, omega_beta,
+    omega_gamma); it is a trained parameter like any weight and is updated
+    in place.  The effective factors are sigmoids of these, so they always
+    lie strictly in (0, 1).  The zero default puts all three at 0.5.
     """
 
-    omega_alpha: float = 0.0
-    omega_beta: float = 0.0
-    omega_gamma: float = 0.0
-
-    def copy(self) -> "CTSNParams":
-        return CTSNParams(self.omega_alpha, self.omega_beta, self.omega_gamma)
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.omega_alpha, self.omega_beta, self.omega_gamma])
+    def __init__(self, omega_alpha: float = 0.0, omega_beta: float = 0.0, omega_gamma: float = 0.0):
+        self.vector = np.array([omega_alpha, omega_beta, omega_gamma], dtype=np.float64)
 
     def set_vector(self, v) -> None:
-        self.omega_alpha = float(v[0])
-        self.omega_beta = float(v[1])
-        self.omega_gamma = float(v[2])
+        self.vector[:] = v
 
 
 def effective_params(p: CTSNParams) -> tuple[float, float, float]:
     """Map raw omegas to the effective (alpha, beta, gamma) in (0, 1)."""
-    vals = sigmoid(np.array([p.omega_alpha, p.omega_beta, p.omega_gamma]))
-    return float(vals[0]), float(vals[1]), float(vals[2])
+    return tuple(sigmoid(p.vector).tolist())
 
 
 @dataclass

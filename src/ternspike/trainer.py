@@ -88,9 +88,7 @@ def sgd_step(
         update(layer.w, grads.dw[l], vel.dw[l])
         update(layer.b, grads.db[l], vel.db[l])
         if layer.omega is not None:
-            om = layer.omega.as_vector()
-            update(om, grads.domega[l], vel.domega[l], decay=0.0)
-            layer.omega.set_vector(om)
+            update(layer.omega.vector, grads.domega[l], vel.domega[l], decay=0.0)
     update(net.readout.w, grads.dw_out, vel.dw_out)
     update(net.readout.b, grads.db_out, vel.db_out)
 
@@ -207,14 +205,7 @@ def _pack_array(arr: Array) -> bytes:
 
 
 def save_model(path, net: net_mod.Network) -> None:
-    arrays: list[Array] = []
-    for layer in net.layers:
-        arrays.append(layer.w)
-        arrays.append(layer.b)
-        if layer.omega is not None:
-            arrays.append(layer.omega.as_vector())
-    arrays.append(net.readout.w)
-    arrays.append(net.readout.b)
+    arrays = [a for _, a in bptt.GradSet.of(net).named()]
     blob = MODEL_MAGIC
     blob += struct.pack("<I", MODEL_VERSION)
     blob += struct.pack("<BB", _KIND_CODES[net.cfg.kind], _RESET_CODES[net.cfg.reset])
@@ -281,8 +272,7 @@ def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:
         if cfg.is_ctsn and l < n_hidden:
             if arrays[i].shape != (3,):
                 raise FormatError(f"omega array at offset {offsets[i]} has shape {arrays[i].shape}, not (3,)")
-            omega = CTSNParams()
-            omega.set_vector(arrays[i])
+            omega = CTSNParams(*arrays[i])
             i += 1
         layers.append(net_mod.Layer(w=w, b=b, omega=omega))
     return net_mod.Network(layers=layers[:-1], readout=layers[-1], cfg=cfg, n_steps=n_steps)

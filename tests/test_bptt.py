@@ -284,11 +284,11 @@ class TestFiniteDifferenceOracle:
         before = net.copy()
 
         def loss():
-            return np.nan if net.layers[0].omega.omega_beta != -0.2 else 1.0
+            return np.nan if net.layers[0].omega.vector[1] != -0.2 else 1.0
 
         with pytest.raises(NumericError, match="non-finite loss"):
             finite_difference(loss, net, 1e-6)
-        assert net.layers[0].omega.as_vector().tolist() == before.layers[0].omega.as_vector().tolist()
+        assert net.layers[0].omega.vector.tolist() == before.layers[0].omega.vector.tolist()
         np.testing.assert_array_equal(net.layers[0].w, before.layers[0].w)
 
 
@@ -348,6 +348,13 @@ class TestGradSet:
         assert max_relative_error(a, b) == (0.5, "layer0.w[1]")
         assert max_relative_error(a, a) == (0.0, "none")
 
+    def test_of_returns_the_network_arrays_in_the_named_layout(self):
+        net, _, _ = random_network(component_rng(53), kind="ctsn_static")
+        params = GradSet.of(net)
+        assert [n for n, _ in params.named()] == [n for n, _ in GradSet.zeros_like(net).named()]
+        assert params.dw[0] is net.layers[0].w and params.db_out is net.readout.b
+        assert params.domega[0] is net.layers[0].omega.vector
+
     def test_check_finite_flags_offender(self):
         rng = component_rng(48)
         net, _, _ = random_network(rng, kind="ternary")
@@ -393,3 +400,25 @@ class TestRerunDeterminism:
             assert (ce, tmpr_val) == runs[0][:2]
             for (name, a), (_, b) in zip(grads.named(), runs[0][3].named()):
                 assert a.tobytes() == b.tobytes(), name
+
+
+class TestBatchSplit:
+    """Metamorphic: one batch of 32 against its parts of 20 and 12, TMPR on."""
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("kind", ["ternary", "ctsn_static", "ctsn_neuromorphic"])
+    def test_split_batch_matches_whole(self, kind, shared):
+        rng = component_rng(54, int(shared))
+        net = net_mod.build_network((16, 12, 12), 4, NeuronConfig(kind=kind), 4, rng, init_scale=2.0)
+        for layer in net.layers:
+            if layer.omega is not None:
+                layer.omega.set_vector(rng.normal(0.0, 0.7, size=3))
+        x = rng.normal(size=(32, 16)) if shared else rng.normal(size=(4, 32, 16))
+        seq = lambda rows: [x[rows]] * 4 if shared else list(x[:, rows])  # shared: direct encoding
+        labels = rng.integers(0, 4, size=32)
+        tmpr = TMPRConfig(lam=0.05)
+        _, _, logits, whole = loss_and_grads(net, seq(slice(None)), labels, tmpr)
+        parts = [loss_and_grads(net, seq(rows), labels[rows], tmpr) for rows in (slice(0, 20), slice(20, 32))]
+        assert np.concatenate([parts[0][2], parts[1][2]], axis=1).tobytes() == logits.tobytes()
+        for (name, g), (_, g20), (_, g12) in zip(whole.named(), parts[0][3].named(), parts[1][3].named()):
+            np.testing.assert_allclose(g, (20 * g20 + 12 * g12) / 32, rtol=0, atol=1e-12, err_msg=name)

@@ -82,16 +82,43 @@ class TestConfigResolution:
             assert hasattr(args, key.replace(".", "__"))
 
 
+# Counts, and comma lists of counts: each must be at least 1.
+COUNT_KEYS = ("train.epochs", "train.batch_size", "train.t", "data.n_train", "data.n_eval", "data.dims",
+              "data.classes", "hist.bins", "ablate.seeds", "gradcheck.networks", "gradcheck.fd_networks",
+              "model.hidden", "ablate.timesteps")
+# One value outside each key's domain; keyed like cli.DOMAINS, so a new domain needs a case here.
+OUT_OF_DOMAIN = {
+    **dict.fromkeys(COUNT_KEYS, "-1"),
+    "seed": "-1", "tmpr.lambda": "-0.01", "train.weight_decay": "-1", "model.init_scale": "-1",
+    "neuron.v_th": "0", "neuron.a": "-0.5", "train.lr0": "-0.1", "gradcheck.fd_step": "-1",
+    "neuron.tau": "1.5", "train.momentum": "1", "data.rate": "2", "data.margin": "inf",
+    "hist.lo": "3", "hist.hi": "inf", "neuron.kind": "lif", "neuron.reset": "soft",
+    "gradcheck.mode": "ctsn_dynamic", "data.source": "mnist",
+}
+
+
+def _exits_2_naming_key(key, value, tmp_path, capsys):
+    command = {"hist": "hist", "ablate": "ablate", "gradcheck": "gradcheck"}.get(key.split(".")[0], "train")
+    argv = [command, "--out_dir", str(tmp_path / "run"), f"--{key}", value]
+    if command == "hist":
+        argv += ["--model", str(tmp_path / "missing.bin")]
+    assert main(argv) == 2
+    assert f"key {key}:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 class TestConfigDomains:
-    @pytest.mark.parametrize("key", cli.AT_LEAST_ONE + ("model.hidden", "ablate.timesteps", "gradcheck.mode"))
+    @pytest.mark.parametrize("key", COUNT_KEYS + ("gradcheck.mode",))
     def test_value_below_one_exits_2_naming_key(self, key, tmp_path, capsys):
-        command = {"hist": "hist", "ablate": "ablate", "gradcheck": "gradcheck"}.get(key.split(".")[0], "train")
-        argv = [command, "--out_dir", str(tmp_path / "run"), f"--{key}", "0"]
-        if command == "hist":
-            argv += ["--model", str(tmp_path / "missing.bin")]
-        assert main(argv) == 2
-        assert f"key {key}:" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        _exits_2_naming_key(key, "0", tmp_path, capsys)
+
+    @pytest.mark.parametrize("key", sorted(cli.DOMAINS))
+    def test_out_of_domain_exits_2_naming_key(self, key, tmp_path, capsys):
+        _exits_2_naming_key(key, OUT_OF_DOMAIN[key], tmp_path, capsys)
+
+    @pytest.mark.parametrize("key", sorted(k for k in cli.DOMAINS if isinstance(DEFAULTS[k], float)))
+    def test_nan_exits_2_naming_key(self, key, tmp_path, capsys):
+        _exits_2_naming_key(key, "nan", tmp_path, capsys)
 
     def test_every_hidden_width_checked(self, capsys):
         for bad in ("12,0", "12,-3", "12,x"):

@@ -216,13 +216,13 @@ class TestHistograms:
     def test_empty_cache_rejected(self):
         # an empty trace cannot be built, so it never reaches the histogram
         with pytest.raises(StateError):
-            capture_histograms(Trace(layers=[], x=np.zeros((1, 4)), cfg=NeuronConfig()), 0)
+            capture_histograms(Trace(layers=[], x=np.zeros((1, 4)), cfg=NeuronConfig()), 0, 3, (-1.0, 1.0))
 
     def test_bad_layer_rejected(self):
         net = _net(n_steps=1)
         _, cache = forward(net, [np.zeros((1, 4))])
         with pytest.raises(StateError):
-            capture_histograms(cache, 5)
+            capture_histograms(cache, 5, 3, (-1.0, 1.0))
 
     def test_csv_format_and_metadata(self, tmp_path):
         net = _net(n_steps=2)

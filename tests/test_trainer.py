@@ -83,7 +83,7 @@ class TestSgdStep:
         vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
         sgd_step(net, grads, vel, lr=0.5, momentum=0.0, weight_decay=0.1)
-        np.testing.assert_array_equal(net.layers[0].omega.as_vector(), [1.0, -2.0, 0.5])
+        np.testing.assert_array_equal(net.layers[0].omega.vector, [1.0, -2.0, 0.5])
 
     def test_nonfinite_gradient_names_layer(self):
         net = _toy_net()
@@ -107,7 +107,7 @@ class TestSgdStep:
             np.testing.assert_array_equal(now.w, then.w)
             np.testing.assert_array_equal(now.b, then.b)
         for now, then in zip(net.layers, before.layers):
-            np.testing.assert_array_equal(now.omega.as_vector(), then.omega.as_vector())
+            np.testing.assert_array_equal(now.omega.vector, then.omega.vector)
         for _, buf in vel.named():
             assert not np.any(buf)
 
@@ -127,7 +127,7 @@ class TestSgdStep:
             params = {}
             for l, layer in enumerate(ref.layers):
                 params[f"layer{l}.w"], params[f"layer{l}.b"] = layer.w, layer.b
-                params[f"layer{l}.omega"] = layer.omega.as_vector()
+                params[f"layer{l}.omega"] = layer.omega.vector
             params["readout.w"], params["readout.b"] = ref.readout.w, ref.readout.b
             for name, g in grads.named():
                 p = params[name]
@@ -138,8 +138,6 @@ class TestSgdStep:
                     v = m * v + (g + wd * p)
                 p -= lr * v
                 ref_vel[name] = v
-            for l, layer in enumerate(ref.layers):
-                layer.omega.set_vector(params[f"layer{l}.omega"])
         save_model(tmp_path / "step.bin", net)
         save_model(tmp_path / "ref.bin", ref)
         assert (tmp_path / "step.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
@@ -277,7 +275,7 @@ class TestFitAndPersistence:
             np.testing.assert_array_equal(a.w, b.w)
             np.testing.assert_array_equal(a.b, b.b)
             if kind == "ctsn_static":
-                np.testing.assert_array_equal(a.omega.as_vector(), b.omega.as_vector())
+                np.testing.assert_array_equal(a.omega.vector, b.omega.vector)
         np.testing.assert_array_equal(net.readout.w, loaded.readout.w)
         data = _toy_data()
         assert evaluate(net, data) == evaluate(loaded, data)
