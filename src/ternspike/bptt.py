@@ -26,6 +26,13 @@ each linear map's gradients are one matrix product over its T*B rows.
 The factor functions (``epsilon``, ``kappa``, ``xi``, ``choice``,
 ``grad_h_G``) are also exported standalone so each can be pinned by direct
 value tests.
+
+``finite_difference`` is the third oracle: central differences of the
+smooth stand-in loss.  It does not share the engine's forward; it has its
+own compact stand-in forward and loss (``_standin_*``), written in the
+engine's operation order so its values equal differencing
+``network.forward(smooth=True)`` bit for bit, and it evaluates every +-step
+perturbation of one parameter array in a single member-stacked pass.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from . import loss as loss_mod, network as net_mod
 from .errors import NumericError
 from .network import Network, Trace
 from .neuron import CTSNParams, decay, effective_params
-from .numerics import Array
+from .numerics import Array, sigmoid
 
 
 @dataclass
@@ -469,46 +476,145 @@ def central_diff(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
+def _standin_pre(x: Array, w: Array, b: Array, prod: Array | None = None) -> Array:
+    """x @ w + b for one linear map, one matrix product per member over its T'*B rows.
+
+    ``x`` is (..., T', B, D) with T' = 1 when every timestep shares the input;
+    a leading member axis on ``x``, ``w`` or ``b`` broadcasts.  ``prod`` is
+    x @ w when already known.
+    """
+    if prod is None:
+        prod = x.reshape(x.shape[:-3] + (-1, x.shape[-1])) @ w
+    out = prod + b
+    return out.reshape(out.shape[:-2] + x.shape[-3:-1] + out.shape[-1:])
+
+
+def _standin_layer(pre: Array, factors: Array | None, cfg, n_steps: int) -> tuple[Array, Array]:
+    """(u~, o) of one stand-in layer, (..., T, B, D): decay, blend, clip.
+
+    ``factors`` is the effective (alpha, beta, gamma) on its last axis, None
+    for the plain ternary unit; leading member axes broadcast.
+    """
+    lead = pre.shape[:-3] if factors is None else np.broadcast_shapes(pre.shape[:-3], factors.shape[:-1])
+    ut = np.empty(lead + (n_steps,) + pre.shape[-2:])
+    o = np.empty_like(ut)
+    edge = cfg.v_th + cfg.a
+    if factors is not None:
+        alpha, beta, gamma = (factors[..., i, None, None] for i in range(3))
+    h = 0.0
+    for t in range(n_steps):
+        x = pre[..., min(t, pre.shape[-3] - 1), :, :]
+        if t == 0:
+            ut[..., 0, :, :] = x
+        else:
+            u = cfg.tau * ut[..., t - 1, :, :] * (1.0 - np.abs(o[..., t - 1, :, :]))
+            if factors is None:
+                ut[..., t, :, :] = u + x
+            else:
+                if cfg.kind == "ctsn_static":
+                    h = np.where(h >= 0.0, alpha * h, beta * h) + gamma * u
+                else:
+                    h = alpha * h + np.where(u >= 0.0, beta * u, gamma * u)
+                ut[..., t, :, :] = h + x
+        np.clip(ut[..., t, :, :], -edge, edge, out=o[..., t, :, :])
+    return ut, o
+
+
+def _standin_loss(logits: Array, pots: list[Array], labels: Array, tmpr) -> Array:
+    """CE of the time-averaged (..., T, B, C) logits plus TMPR over ``pots``, per member."""
+    avg = logits.mean(axis=-3)
+    shifted = avg - avg.max(axis=-1, keepdims=True)
+    norm = np.exp(shifted).sum(axis=-1)
+    total = np.mean(np.log(norm) - shifted[..., np.arange(len(labels)), labels], axis=-1)
+    if tmpr is not None and tmpr.active:
+        n_steps = logits.shape[-3]
+        layer_sum = 0.0
+        for u in pots:
+            layer_sum = layer_sum + np.square(u).reshape(u.shape[:-2] + (-1,)).sum(axis=-1) / (u.shape[-2] * u.shape[-1])
+        reg = 0.0
+        for t in range(n_steps):
+            reg = reg + (tmpr.lam / (t + 1)) * layer_sum[..., t]
+        total = total + reg / (n_steps * len(pots))
+    return total
+
+
+def _standin_pass(net: Network, input_seq):
+    """Unperturbed stand-in pass: the maps (readout last), their effective factors,
+    inputs and x @ w products, the spiking layers' potentials, and the logits."""
+    shared = all(step is input_seq[0] for step in input_seq)
+    x = np.asarray(input_seq[0] if shared else np.stack(input_seq), dtype=np.float64)
+    maps = net.layers + [net.readout]
+    factors = [None if m.omega is None else sigmoid(m.omega.vector) for m in maps]
+    ins, prods, pots = [x.reshape((-1,) + x.shape[-2:])], [], []
+    for l, m in enumerate(maps):
+        prods.append(ins[l].reshape(-1, ins[l].shape[-1]) @ m.w)
+        pre = _standin_pre(ins[l], m.w, m.b, prods[l])
+        if l < len(net.layers):
+            ut, o = _standin_layer(pre, factors[l], net.cfg, net.n_steps)
+            pots.append(ut)
+            ins.append(o)
+    return maps, factors, ins, prods, pots, pre
+
+
 def surrogate_smooth_forward(net: Network, input_seq, labels, tmpr=None) -> float:
-    """Scalar loss of the continuous stand-in network.
+    """Scalar loss of the continuous stand-in network, from the oracle's own forward.
 
     The firing nonlinearity is replaced by its continuous piecewise-linear
     counterpart (slope one inside the surrogate window, clamped outside), so
-    the loss is differentiable almost everywhere and central finite
-    differences of this function validate the analytic backward pass.
+    the loss is differentiable almost everywhere.  This is the unperturbed
+    point of ``finite_difference``; it equals ce + tmpr of
+    ``loss_and_grads(..., smooth=True)`` bit for bit.
     """
-    logits, cache = net_mod.forward(net, input_seq, smooth=True)
-    total, _ = loss_mod.avg_ce_loss_and_grad(logits, labels)
-    if tmpr is not None and tmpr.active:
-        total = total + loss_mod.tmpr_loss(cache.potentials(), tmpr)
+    *_, pots, logits = _standin_pass(net, input_seq)
+    total = float(_standin_loss(logits, pots, np.asarray(labels, dtype=np.int64), tmpr))
     if not np.isfinite(total):
         raise NumericError("non-finite stand-in loss")
     return total
 
 
-def finite_difference(loss_fn, net: Network, step: float) -> GradSet:
-    """Central-difference gradients of ``loss_fn()`` w.r.t. every parameter.
+def finite_difference(net: Network, input_seq, labels, tmpr, step: float) -> GradSet:
+    """Central-difference gradients of the stand-in loss w.r.t. every parameter.
 
-    ``loss_fn`` is a zero-argument closure over ``net``; each parameter entry
-    is perturbed in place by +-step and restored exactly afterward.
+    For each parameter array (in ``GradSet.named()`` order) all 2n perturbed
+    networks of its n entries run as one forward with a leading member axis:
+    member 2i has +step at flat entry i, member 2i+1 has -step.  Every other
+    array is shared by broadcasting, and the maps below the perturbed one are
+    taken from one unperturbed pass.  The forward and the loss are this
+    module's own (``_standin_*``), in the engine's operation order, so the
+    values equal perturbing one entry at a time through ``network.forward``
+    bit for bit while sharing none of its code.  The network is never
+    written.  Member memory grows with the square of the array size, which
+    suits the gradcheck stand-ins (at most 8 units a layer), not wide layers.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
+    labels = np.asarray(labels, dtype=np.int64)
+    n_layers = len(net.layers)
     grads = GradSet.zeros_like(net)
-    for (_, param), (_, out) in zip(GradSet.of(net).named(), grads.named()):
-        values, out = param.ravel(), out.ravel()  # views, so writes reach the network
-        for i in range(values.size):
-            orig = values[i]
-
-            def loss_at(x: float) -> float:
-                values[i] = x
-                f = loss_fn()
-                if not np.isfinite(f):
-                    raise NumericError("non-finite loss during finite differencing")
-                return f
-
-            try:
-                out[i] = central_diff(loss_at, orig, step)
-            finally:
-                values[i] = orig
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+        maps, factors, ins, prods, pots, _ = _standin_pass(net, input_seq)
+        for (name, param), (_, out) in zip(GradSet.of(net).named(), grads.named()):
+            where, what = name.split(".")
+            l = n_layers if where == "readout" else int(where[len("layer"):])
+            flat, entry = param.ravel(), np.arange(param.size)
+            members = np.repeat(flat[None], 2 * param.size, axis=0)
+            members[2 * entry, entry] = flat + step
+            members[2 * entry + 1, entry] = flat - step
+            w, b, f = maps[l].w, maps[l].b, factors[l]
+            if what == "w":
+                w = members.reshape((-1,) + param.shape)
+            elif what == "b":
+                b = members[:, None]
+            else:
+                f = sigmoid(members)
+            pre = _standin_pre(ins[l], w, b, None if what == "w" else prods[l])
+            layer_pots = pots[:l]
+            for k in range(l, n_layers):
+                ut, o = _standin_layer(pre, f if k == l else factors[k], net.cfg, net.n_steps)
+                layer_pots.append(ut)
+                pre = _standin_pre(o, maps[k + 1].w, maps[k + 1].b)
+            loss = _standin_loss(pre, layer_pots, labels, tmpr)
+            if not np.isfinite(loss).all():
+                raise NumericError("non-finite loss during finite differencing")
+            out[...] = ((loss[0::2] - loss[1::2]) / (2.0 * step)).reshape(param.shape)
     return grads

@@ -360,9 +360,7 @@ def _demo_parameter_report(seed: int) -> None:
     """Per-parameter table on one small stand-in network."""
     net, input_seq, labels = gradcheck._smooth_case(seed, 999, "ternary")
     _, _, _, analytic = bptt.loss_and_grads(net, input_seq, labels, smooth=True)
-    fd = bptt.finite_difference(
-        lambda: bptt.surrogate_smooth_forward(net, input_seq, labels), net, gradcheck.FD_STEP_DEFAULT
-    )
+    fd = bptt.finite_difference(net, input_seq, labels, None, gradcheck.FD_STEP_DEFAULT)
     print("per-parameter report (one sample network, analytic vs central differences):")
     print(f"  {'parameter':<18}{'analytic':>15}{'oracle':>15}{'rel err':>12}  status")
     for name, idx, fa, ff, rel in bptt.relative_errors(analytic, fd, min_abs=gradcheck.FD_GRAD_FLOOR):

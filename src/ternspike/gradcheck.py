@@ -156,9 +156,7 @@ def suite_fd(
     for i in range(n_networks):
         net, input_seq, labels = _smooth_case(seed, i, kind)
         _, _, _, g_exact = bptt.loss_and_grads(net, input_seq, labels, tmpr, smooth=True)
-        g_fd = bptt.finite_difference(
-            lambda: bptt.surrogate_smooth_forward(net, input_seq, labels, tmpr), net, step
-        )
+        g_fd = bptt.finite_difference(net, input_seq, labels, tmpr, step)
         err, where = bptt.max_relative_error(g_exact, g_fd, min_abs=FD_GRAD_FLOOR)
         gaps.append((err, f"net {i}: {where}"))
     worst_err, worst_where = _worst(gaps)

@@ -11,8 +11,10 @@ at once (the network is feedforward, so a layer's whole spike train is known
 before the next layer starts).  It records one ``LayerTrace`` per spiking
 layer, arrays shaped (timesteps, batch, features), which is everything the
 gradient engines need.  With ``smooth=True`` the firing nonlinearity is
-swapped for its continuous piecewise-linear stand-in, which is what the
-finite-difference gradient checks differentiate.
+swapped for its continuous piecewise-linear stand-in: the pass the
+analytic gradient is checked on, and the one the gradcheck kink search
+inspects.  The finite-difference oracle runs its own copy of this forward
+(``bptt.finite_difference``).
 """
 
 from __future__ import annotations

@@ -8,19 +8,23 @@ with the same configuration produce byte-identical outputs.
 The final model is persisted in a flat binary format:
 
     magic   8 bytes   b"TSPKNET1"
-    version u32 LE    1
+    version u32 LE    2
     kind    u8        0 = ternary, 1 = ctsn_static, 2 = ctsn_neuromorphic
     reset   u8        0 = hard, 1 = soft
     n_hidden u16 LE   number of hidden (spiking) layers
     n_arrays u32 LE   total array count
     then per array: ndim u32 LE, dims u32 LE each, payload float64 LE
     array order: hidden layer 0 w, b, [omega (3,)], hidden layer 1 ..., readout w, b
+    crc32   u32 LE    zlib CRC-32 of every byte before it
+
+Version 1 files are the same without the trailing CRC; they still load.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +37,7 @@ from .neuron import CTSNParams, NeuronConfig, effective_params
 from .numerics import Array, component_rng
 
 MODEL_MAGIC = b"TSPKNET1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 _KIND_CODES = {"ternary": 0, "ctsn_static": 1, "ctsn_neuromorphic": 2}
 _RESET_CODES = {"hard": 0, "soft": 1}
 
@@ -213,6 +217,7 @@ def save_model(path, net: net_mod.Network) -> None:
     blob += struct.pack("<I", len(arrays))
     for arr in arrays:
         blob += _pack_array(arr)
+    blob += struct.pack("<I", zlib.crc32(blob))
     with open(path, "wb") as f:
         f.write(blob)
 
@@ -221,7 +226,8 @@ def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:
     """Rebuild a network from the flat binary format.
 
     ``cfg`` supplies the neuron semantics; its kind and reset must match the
-    bytes recorded at save time.
+    bytes recorded at save time.  Reads versions 1 and 2; a version 2 file
+    whose CRC does not match its bytes raises ``FormatError``.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -238,8 +244,15 @@ def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:
     if take(len(MODEL_MAGIC)) != MODEL_MAGIC:
         raise FormatError(f"bad model magic at offset 0 in {path}")
     (version,) = struct.unpack("<I", take(4))
-    if version != MODEL_VERSION:
+    if version not in (1, 2):
         raise FormatError(f"unsupported model version {version}")
+    if version == 2:  # v2 ends in a CRC-32 of every byte before it
+        crc_off = len(blob) - 4
+        if crc_off < off:
+            raise LengthError(f"model file truncated at offset {len(blob)}")
+        if struct.unpack("<I", blob[crc_off:])[0] != zlib.crc32(blob[:crc_off]):
+            raise FormatError(f"checksum mismatch at offset {crc_off} in {path}")
+        blob = blob[:crc_off]
     kind_code, reset_code = struct.unpack("<BB", take(2))
     kinds = {v: k for k, v in _KIND_CODES.items()}
     resets = {v: k for k, v in _RESET_CODES.items()}

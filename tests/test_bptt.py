@@ -233,6 +233,50 @@ class TestComplementalFactorCounter:
             assert stats["comp_grad_factors"] > 0
 
 
+KINDS = ("ternary", "ctsn_static", "ctsn_neuromorphic")
+
+
+def _reference_finite_difference(net, input_seq, labels, tmpr, step):
+    """The literal oracle: perturb one entry at a time in place, differentiate the
+    stand-in loss through ``network.forward(smooth=True)``, restore the entry."""
+
+    def loss():
+        logits, cache = forward(net, input_seq, smooth=True)
+        total, _ = loss_mod.avg_ce_loss_and_grad(logits, labels)
+        if tmpr is not None and tmpr.active:
+            total = total + loss_mod.tmpr_loss(cache.potentials(), tmpr)
+        return total
+
+    grads = GradSet.zeros_like(net)
+    for (_, param), (_, out) in zip(GradSet.of(net).named(), grads.named()):
+        values, out = param.ravel(), out.ravel()  # views, so writes reach the network
+        for i in range(values.size):
+            orig = values[i]
+
+            def loss_at(x: float) -> float:
+                values[i] = x
+                return loss()
+
+            try:
+                out[i] = central_diff(loss_at, orig, step)
+            finally:
+                values[i] = orig
+    return grads
+
+
+def _param_bytes(net):
+    return [arr.tobytes() for _, arr in GradSet.of(net).named()]
+
+
+def _assert_bit_equal(got: GradSet, want: GradSet):
+    for (name, g), (_, w) in zip(got.named(), want.named()):
+        assert g.tobytes() == w.tobytes(), name
+
+
+# seed 3 case 0 has one hidden layer and seed 7 case 0 has T=1 for every kind
+FD_CASES = [(seed, kind, lam) for seed in (2, 3, 7) for kind in KINDS for lam in (None, 0.05)]
+
+
 class TestFiniteDifferenceOracle:
     def test_scalar_square(self):
         assert central_diff(lambda p: p * p, 3.0, 1e-6) == pytest.approx(6.0, abs=1e-6)
@@ -258,7 +302,7 @@ class TestFiniteDifferenceOracle:
 
         net, seq, labels = _smooth_case(7, 0, kind)
         _, _, _, g_exact = loss_and_grads(net, seq, labels, smooth=True)
-        g_fd = finite_difference(lambda: surrogate_smooth_forward(net, seq, labels), net, 1e-6)
+        g_fd = finite_difference(net, seq, labels, None, 1e-6)
         err, where = max_relative_error(g_exact, g_fd, min_abs=1e-8)
         assert err <= 1e-5, where
 
@@ -268,28 +312,94 @@ class TestFiniteDifferenceOracle:
         tmpr = TMPRConfig(lam=0.05)
         net, seq, labels = _smooth_case(8, 1, "ctsn_static")
         _, _, _, g_exact = loss_and_grads(net, seq, labels, tmpr, smooth=True)
-        g_fd = finite_difference(lambda: surrogate_smooth_forward(net, seq, labels, tmpr), net, 1e-6)
+        g_fd = finite_difference(net, seq, labels, tmpr, 1e-6)
         err, where = max_relative_error(g_exact, g_fd, min_abs=1e-8)
         assert err <= 1e-5, where
 
+    @pytest.mark.parametrize("seed,kind,lam", FD_CASES)
+    def test_bit_equal_to_one_entry_at_a_time(self, seed, kind, lam):
+        from ternspike.gradcheck import _smooth_case
+
+        tmpr = None if lam is None else TMPRConfig(lam=lam)
+        net, seq, labels = _smooth_case(seed, 0, kind)
+        if seed == 7:
+            assert net.n_steps == 1
+        if seed == 3:
+            assert len(net.layers) == 1
+        want = _reference_finite_difference(net, seq, labels, tmpr, 1e-6)
+        _assert_bit_equal(finite_difference(net, seq, labels, tmpr, 1e-6), want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bit_equal_with_input_shared_over_time(self, kind):
+        from ternspike.gradcheck import _smooth_case
+
+        net, seq, labels = _smooth_case(2, 1, kind)
+        seq = [seq[0]] * len(seq)  # one array object at every step: layer 0's input current is shared
+        tmpr = TMPRConfig(lam=0.05)
+        want = _reference_finite_difference(net, seq, labels, tmpr, 1e-6)
+        _assert_bit_equal(finite_difference(net, seq, labels, tmpr, 1e-6), want)
+
+    def test_independent_of_the_engine_forward(self, monkeypatch):
+        from ternspike import neuron as neuron_mod
+        from ternspike.gradcheck import _smooth_case
+
+        tmpr = TMPRConfig(lam=0.05)
+        cases = [_smooth_case(2, 0, kind) for kind in KINDS]
+        want = [_reference_finite_difference(net, seq, labels, tmpr, 1e-6) for net, seq, labels in cases]
+        losses = [surrogate_smooth_forward(net, seq, labels, tmpr) for net, seq, labels in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the engine")
+
+        for mod, names in (
+            (net_mod, ("forward", "_run_layer", "_affine", "decay", "g_static", "g_neuromorphic")),
+            (neuron_mod, ("decay", "g_static", "g_neuromorphic")),
+            (loss_mod, ("avg_ce_loss_and_grad", "tmpr_loss")),
+            (bptt, ("decay",)),
+        ):
+            for name in names:
+                monkeypatch.setattr(mod, name, refuse)
+        for (net, seq, labels), g_ref, loss in zip(cases, want, losses):
+            _assert_bit_equal(finite_difference(net, seq, labels, tmpr, 1e-6), g_ref)
+            assert surrogate_smooth_forward(net, seq, labels, tmpr) == loss
+
     def test_fd_restores_parameters(self):
-        net = _tiny_identity_net()
-        before = net.layers[0].w.copy()
-        finite_difference(lambda: float(net.layers[0].w.sum()), net, 1e-6)
-        np.testing.assert_array_equal(net.layers[0].w, before)
+        # the oracle never writes the network: it runs with every parameter array read-only
+        from ternspike.gradcheck import _smooth_case
+
+        net, seq, labels = _smooth_case(2, 0, "ctsn_static")
+        before = _param_bytes(net)
+        for _, arr in GradSet.of(net).named():
+            arr.flags.writeable = False
+        finite_difference(net, seq, labels, TMPRConfig(lam=0.05), 1e-6)
+        assert _param_bytes(net) == before
 
     def test_fd_nonfinite_loss_raises_and_restores(self):
-        net = _tiny_identity_net(kind="ctsn_static")
+        # a readout of 1e308 on two saturated units makes every logit infinite
+        net = _tiny_identity_net(kind="ctsn_static", fan=2)
         net.layers[0].omega.set_vector([0.3, -0.2, 0.1])
-        before = net.copy()
+        net.readout.w[:] = 1e308
+        before = _param_bytes(net)
+        with pytest.raises(NumericError, match="non-finite loss during finite differencing"):
+            finite_difference(net, [np.array([[2.0, 2.0]])], [0], None, 1e-6)
+        assert _param_bytes(net) == before
 
-        def loss():
-            return np.nan if net.layers[0].omega.vector[1] != -0.2 else 1.0
+    def test_nonpositive_step_rejected(self):
+        net = _tiny_identity_net()
+        for step in (0.0, -1e-6):
+            with pytest.raises(ValueError, match="step must be positive"):
+                finite_difference(net, [np.array([[0.3]])], [0], None, step)
 
-        with pytest.raises(NumericError, match="non-finite loss"):
-            finite_difference(loss, net, 1e-6)
-        assert net.layers[0].omega.vector.tolist() == before.layers[0].omega.vector.tolist()
-        np.testing.assert_array_equal(net.layers[0].w, before.layers[0].w)
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("lam", [None, 0.05])
+    def test_standin_loss_equals_engine_loss(self, kind, lam):
+        from ternspike.gradcheck import _smooth_case
+
+        tmpr = None if lam is None else TMPRConfig(lam=lam)
+        for seed in (2, 3, 7):
+            net, seq, labels = _smooth_case(seed, 0, kind)
+            ce, tmpr_val, _, _ = loss_and_grads(net, seq, labels, tmpr, smooth=True)
+            assert surrogate_smooth_forward(net, seq, labels, tmpr) == ce + tmpr_val
 
 
 class TestCtsnRecursionGap:

@@ -1,11 +1,12 @@
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from ternspike import bptt, data as data_mod, network as net_mod, trainer
-from ternspike.errors import FormatError, NumericError
+from ternspike.errors import FormatError, LengthError, NumericError
 from ternspike.loss import TMPRConfig
 from ternspike.neuron import NeuronConfig, effective_params
 from ternspike.numerics import component_rng
@@ -303,7 +304,8 @@ class TestFitAndPersistence:
             load_model(path, NeuronConfig(), n_steps=3)
 
     # a saved toy net: 20 header bytes, w0 (6, 10) from offset 20, b0 (10,),
-    # then from offset 600 the readout w (10, 3), or omega (3,) for ctsn_static
+    # then from offset 600 the readout w (10, 3), or omega (3,) for ctsn_static;
+    # each corruption is resealed with a fresh checksum, so the structural check fires
     @pytest.mark.parametrize(
         "kind,mutate,match",
         [
@@ -321,6 +323,55 @@ class TestFitAndPersistence:
     def test_model_corruption_rejected_naming_offset(self, tmp_path, kind, mutate, match):
         path = tmp_path / "model.bin"
         save_model(path, _toy_net(kind=kind))
-        path.write_bytes(mutate(path.read_bytes()))
+        body = mutate(path.read_bytes()[:-4])
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FormatError, match=match):
             load_model(path, NeuronConfig(kind=kind), n_steps=3)
+
+    def test_checksum_mismatch_names_its_offset(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(path, _toy_net())
+        blob = bytearray(path.read_bytes())
+        blob[100] ^= 0x01  # one payload bit: a silently different weight without the checksum
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=f"checksum mismatch at offset {len(blob) - 4}"):
+            load_model(path, NeuronConfig(), n_steps=3)
+
+    def test_every_bit_flip_and_truncation_rejected(self, tmp_path):
+        """Desk ctsn widths (16-12-12-4): no single-bit flip and no truncation loads."""
+        cfg = NeuronConfig(kind="ctsn_static")
+        path, bad = tmp_path / "model.bin", tmp_path / "bad.bin"
+        save_model(path, net_mod.build_network((16, 12, 12), 4, cfg, 4, component_rng(5)))
+        blob = path.read_bytes()
+
+        def variants():
+            for n in range(len(blob)):
+                yield blob[:n]
+            for bit in range(8 * len(blob)):
+                flipped = bytearray(blob)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                yield bytes(flipped)
+
+        tried, loaded = 0, []
+        for variant in variants():
+            bad.write_bytes(variant)
+            tried += 1
+            try:
+                load_model(bad, cfg, n_steps=4)
+                loaded.append(len(variant))
+            except (FormatError, LengthError):
+                pass
+        assert tried == 9 * len(blob) and loaded == []
+
+    @pytest.mark.parametrize("kind", ["ternary", "ctsn_static"])
+    def test_version_1_file_still_loads(self, tmp_path, kind):
+        net = _toy_net(kind=kind, seed=3)
+        path = tmp_path / "model.bin"
+        save_model(path, net)
+        blob = path.read_bytes()
+        assert blob[8:12] == struct.pack("<I", 2)
+        assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[:-4])
+        path.write_bytes(blob[:8] + struct.pack("<I", 1) + blob[12:-4])  # v1: no checksum
+        loaded = load_model(path, NeuronConfig(kind=kind), n_steps=3)
+        for (name, a), (_, b) in zip(bptt.GradSet.of(net).named(), bptt.GradSet.of(loaded).named()):
+            assert a.tobytes() == b.tobytes(), name
