@@ -31,8 +31,8 @@ value tests.
 smooth stand-in loss.  It does not share the engine's forward; it has its
 own compact stand-in forward and loss (``_standin_*``), written in the
 engine's operation order so its values equal differencing
-``network.forward(smooth=True)`` bit for bit, and it evaluates every +-step
-perturbation of one parameter array in a single member-stacked pass.
+``network.forward(smooth=True)`` bit for bit, and it evaluates the +-step
+perturbations of every parameter entry in one member-stacked pass.
 """
 
 from __future__ import annotations
@@ -371,10 +371,8 @@ def _exact_sweep_ctsn(cache: Trace, l: int, du_tilde: Array, H: Array, omega: CT
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
     carry = tau * (1.0 - np.abs(o)) - tau * ut * np.sign(o) * H[:-1]  # du(t+1)/du~(t)
     u = decay(ut, o, tau)  # u(t + 1)
-    if static:  # blend derivatives of the step from t into t + 1
-        gu, gh = np.full_like(u, gamma), np.where(tr.h[:-1] >= 0.0, alpha, beta)
-    else:
-        gu, gh = np.where(u >= 0.0, beta, gamma), np.full_like(u, alpha)
+    # blend derivatives of the step from t into t + 1
+    gu, gh = grad_u_G(u, cfg.kind, beta, gamma), grad_h_G(tr.h[:-1], cfg.kind, alpha, beta)
     dh = np.empty_like(du_tilde)  # memory adjoint
     dh[-1] = du_tilde[-1]
     for t in reversed(range(len(du_tilde) - 1)):
@@ -441,12 +439,8 @@ def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNPa
     n_steps = len(direct)
     alpha, beta, _ = tr.factors
     u = cache.decayed(l)
-    xis = [
-        xi((tr.h[t], u[t + 1]), tr.o[t], tr.u_tilde[t], H[t], omega, cfg.kind, cfg.tau)
-        for t in range(n_steps - 1)
-    ]
-    # blend-h-derivative pair for step s: d h(s+1) / d h(s), branch on h(s)
-    gh = [grad_h_G(tr.h[s], cfg.kind, alpha, beta) for s in range(n_steps - 1)]
+    xis = xi((tr.h[:-1], u[1:]), tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
+    gh = grad_h_G(tr.h[:-1], cfg.kind, alpha, beta)  # d h(s+1) / d h(s), branch on h(s)
     dx = direct.copy()
     for t in range(n_steps):
         if t + 1 < n_steps:
@@ -476,16 +470,13 @@ def central_diff(f, x: float, step: float) -> float:
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
-def _standin_pre(x: Array, w: Array, b: Array, prod: Array | None = None) -> Array:
+def _standin_pre(x: Array, w: Array, b: Array) -> Array:
     """x @ w + b for one linear map, one matrix product per member over its T'*B rows.
 
     ``x`` is (..., T', B, D) with T' = 1 when every timestep shares the input;
-    a leading member axis on ``x``, ``w`` or ``b`` broadcasts.  ``prod`` is
-    x @ w when already known.
+    a leading member axis on ``x``, ``w`` or ``b`` broadcasts.
     """
-    if prod is None:
-        prod = x.reshape(x.shape[:-3] + (-1, x.shape[-1])) @ w
-    out = prod + b
+    out = x.reshape(x.shape[:-3] + (-1, x.shape[-1])) @ w + b[..., None, :]
     return out.reshape(out.shape[:-2] + x.shape[-3:-1] + out.shape[-1:])
 
 
@@ -538,22 +529,18 @@ def _standin_loss(logits: Array, pots: list[Array], labels: Array, tmpr) -> Arra
     return total
 
 
-def _standin_pass(net: Network, input_seq):
-    """Unperturbed stand-in pass: the maps (readout last), their effective factors,
-    inputs and x @ w products, the spiking layers' potentials, and the logits."""
+def _standin(net: Network, params: GradSet, input_seq, labels, tmpr) -> Array:
+    """Stand-in loss per member: ``params`` holds the network's arrays in the
+    ``GradSet`` layout, each with or without a leading member axis."""
     shared = all(step is input_seq[0] for step in input_seq)
     x = np.asarray(input_seq[0] if shared else np.stack(input_seq), dtype=np.float64)
-    maps = net.layers + [net.readout]
-    factors = [None if m.omega is None else sigmoid(m.omega.vector) for m in maps]
-    ins, prods, pots = [x.reshape((-1,) + x.shape[-2:])], [], []
-    for l, m in enumerate(maps):
-        prods.append(ins[l].reshape(-1, ins[l].shape[-1]) @ m.w)
-        pre = _standin_pre(ins[l], m.w, m.b, prods[l])
-        if l < len(net.layers):
-            ut, o = _standin_layer(pre, factors[l], net.cfg, net.n_steps)
-            pots.append(ut)
-            ins.append(o)
-    return maps, factors, ins, prods, pots, pre
+    x, pots = x.reshape((-1,) + x.shape[-2:]), []
+    for w, b, omega in zip(params.dw, params.db, params.domega):
+        factors = None if omega is None else sigmoid(omega)
+        ut, x = _standin_layer(_standin_pre(x, w, b), factors, net.cfg, net.n_steps)
+        pots.append(ut)
+    logits = _standin_pre(x, params.dw_out, params.db_out)
+    return _standin_loss(logits, pots, np.asarray(labels, dtype=np.int64), tmpr)
 
 
 def surrogate_smooth_forward(net: Network, input_seq, labels, tmpr=None) -> float:
@@ -565,8 +552,7 @@ def surrogate_smooth_forward(net: Network, input_seq, labels, tmpr=None) -> floa
     point of ``finite_difference``; it equals ce + tmpr of
     ``loss_and_grads(..., smooth=True)`` bit for bit.
     """
-    *_, pots, logits = _standin_pass(net, input_seq)
-    total = float(_standin_loss(logits, pots, np.asarray(labels, dtype=np.int64), tmpr))
+    total = float(_standin(net, GradSet.of(net), input_seq, labels, tmpr))
     if not np.isfinite(total):
         raise NumericError("non-finite stand-in loss")
     return total
@@ -575,46 +561,37 @@ def surrogate_smooth_forward(net: Network, input_seq, labels, tmpr=None) -> floa
 def finite_difference(net: Network, input_seq, labels, tmpr, step: float) -> GradSet:
     """Central-difference gradients of the stand-in loss w.r.t. every parameter.
 
-    For each parameter array (in ``GradSet.named()`` order) all 2n perturbed
-    networks of its n entries run as one forward with a leading member axis:
-    member 2i has +step at flat entry i, member 2i+1 has -step.  Every other
-    array is shared by broadcasting, and the maps below the perturbed one are
-    taken from one unperturbed pass.  The forward and the loss are this
-    module's own (``_standin_*``), in the engine's operation order, so the
-    values equal perturbing one entry at a time through ``network.forward``
-    bit for bit while sharing none of its code.  The network is never
-    written.  Member memory grows with the square of the array size, which
-    suits the gradcheck stand-ins (at most 8 units a layer), not wide layers.
+    All 2P perturbed networks of the P parameter entries (in ``GradSet.named()``
+    order) run as one stand-in forward with a leading member axis: member 2i
+    has +step at entry i, member 2i+1 has -step, and every array carries all
+    2P members.  The forward and the loss are this module's own
+    (``_standin_*``), in the engine's operation order, so the values equal
+    perturbing one entry at a time through ``network.forward`` bit for bit
+    while sharing none of its code.  The network is never written.  Member
+    memory grows with P squared, which suits the gradcheck stand-ins (at most
+    8 units a layer), not wide layers.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    labels = np.asarray(labels, dtype=np.int64)
-    n_layers = len(net.layers)
-    grads = GradSet.zeros_like(net)
+    base = GradSet.of(net)
+    flat = np.concatenate([a.ravel() for _, a in base.named()])
+    entry = np.arange(flat.size)
+    members = np.repeat(flat[None], 2 * flat.size, axis=0)
+    members[2 * entry, entry] = flat + step
+    members[2 * entry + 1, entry] = flat - step
+    splits = np.cumsum([a.size for _, a in base.named()])[:-1]
+    columns = iter(np.split(members, splits, axis=1))
+    stack = lambda a: None if a is None else next(columns).reshape(members.shape[:1] + a.shape)
+    # each layer's w, b and omega, then the readout's: the named() order
+    layers = [(stack(w), stack(b), stack(omega)) for w, b, omega in zip(base.dw, base.db, base.domega)]
+    dw, db, domega = (list(arrays) for arrays in zip(*layers))
+    stacked = GradSet(dw, db, domega, stack(base.dw_out), stack(base.db_out))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-        maps, factors, ins, prods, pots, _ = _standin_pass(net, input_seq)
-        for (name, param), (_, out) in zip(GradSet.of(net).named(), grads.named()):
-            where, what = name.split(".")
-            l = n_layers if where == "readout" else int(where[len("layer"):])
-            flat, entry = param.ravel(), np.arange(param.size)
-            members = np.repeat(flat[None], 2 * param.size, axis=0)
-            members[2 * entry, entry] = flat + step
-            members[2 * entry + 1, entry] = flat - step
-            w, b, f = maps[l].w, maps[l].b, factors[l]
-            if what == "w":
-                w = members.reshape((-1,) + param.shape)
-            elif what == "b":
-                b = members[:, None]
-            else:
-                f = sigmoid(members)
-            pre = _standin_pre(ins[l], w, b, None if what == "w" else prods[l])
-            layer_pots = pots[:l]
-            for k in range(l, n_layers):
-                ut, o = _standin_layer(pre, f if k == l else factors[k], net.cfg, net.n_steps)
-                layer_pots.append(ut)
-                pre = _standin_pre(o, maps[k + 1].w, maps[k + 1].b)
-            loss = _standin_loss(pre, layer_pots, labels, tmpr)
-            if not np.isfinite(loss).all():
-                raise NumericError("non-finite loss during finite differencing")
-            out[...] = ((loss[0::2] - loss[1::2]) / (2.0 * step)).reshape(param.shape)
+        loss = _standin(net, stacked, input_seq, labels, tmpr)
+    if not np.isfinite(loss).all():
+        raise NumericError("non-finite loss during finite differencing")
+    grads = GradSet.zeros_like(net)
+    diffs = (loss[0::2] - loss[1::2]) / (2.0 * step)
+    for (_, out), d in zip(grads.named(), np.split(diffs, splits)):
+        out[...] = d.reshape(out.shape)
     return grads

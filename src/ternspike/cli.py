@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bptt, data as data_mod, gradcheck, network as net_mod, trainer
-from .errors import ConfigError, FormatError, NumericError
+from .errors import ConfigError, ConsistencyError, FormatError, NumericError
 from .loss import TMPRConfig
 from .neuron import KINDS, NeuronConfig
 from .numerics import component_rng
@@ -219,6 +219,21 @@ def _train_config(cfg: dict) -> trainer.TrainConfig:
     )
 
 
+def _load_idx(cfg: dict) -> data_mod.Dataset:
+    """The IDX pair named by data.images and data.labels; a file that cannot be
+    read or parsed, or a pair whose counts differ, is a config error naming its key."""
+    arrays = []
+    for key, parse in (("data.images", data_mod.parse_idx_images), ("data.labels", data_mod.parse_idx_labels)):
+        try:
+            arrays.append(parse(Path(cfg[key]).read_bytes()))
+        except (FormatError, OSError) as exc:
+            raise ConfigError(f"key {key}: cannot load {cfg[key]}: {exc}") from exc
+    try:
+        return data_mod.idx_dataset(*arrays, cfg["data.images"], cfg["data.labels"])
+    except ConsistencyError as exc:
+        raise ConfigError(f"keys data.images and data.labels: {exc}") from exc
+
+
 def build_datasets(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset, dict]:
     """Train/eval datasets per the config, plus the generator manifest."""
     source = cfg["data.source"]
@@ -248,16 +263,15 @@ def build_datasets(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset, dict]
         images, labels = cfg["data.images"], cfg["data.labels"]
         if not images or not labels:
             raise ConfigError("data.source=idx requires data.images and data.labels paths")
-        if not Path(images).exists() or not Path(labels).exists():
-            raise ConfigError(f"dataset files not found: {images}, {labels}")
-        corpus = data_mod.load_idx(images, labels)
-        n_total = len(corpus.labels)
-        if n_train + n_eval > n_total:
-            n_train = max(1, n_total - n_eval) if n_total > n_eval else max(1, n_total // 2)
-            n_eval = n_total - n_train
+        corpus = _load_idx(cfg)
+        if n_train + n_eval > len(corpus.labels):
+            raise ConfigError(
+                f"keys data.n_train and data.n_eval: {n_train} + {n_eval} samples asked for, "
+                f"but the IDX pair holds {len(corpus.labels)}"
+            )
         manifest.update(images=images, labels=labels)
     train_ds = corpus.subset(np.arange(0, n_train))
-    eval_ds = corpus.subset(np.arange(n_train, min(n_train + n_eval, len(corpus.labels))))
+    eval_ds = corpus.subset(np.arange(n_train, n_train + n_eval))
     if cfg["data.normalize"] and corpus.kind == "static":
         mean, std = data_mod.dataset_stats(train_ds)
         if std > 0:

@@ -13,6 +13,7 @@ stream, recorded in a key=value manifest alongside generated corpora.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -85,36 +86,35 @@ def direct_encode(x: Array, n_steps: int) -> list[Array]:
 # ---------------------------------------------------------------------------
 
 
-def _read_u32(blob: bytes, off: int, what: str) -> int:
-    if off + 4 > len(blob):
-        raise LengthError(f"{what}: truncated header at offset {off}")
-    return struct.unpack(">I", blob[off : off + 4])[0]
+def _parse_idx(blob: bytes, magic: int, sizes: tuple[str, ...], what: str) -> np.ndarray:
+    """uint8 payload of an IDX blob whose header is ``magic`` and then one u32 per
+    named size, shaped by those sizes.  Every fault names its byte offset: a short
+    header or payload, a wrong magic, a zero size, or bytes after the payload."""
+    start = 4 * (1 + len(sizes))
+    if len(blob) < start:
+        raise LengthError(f"{what}: header ends at offset {len(blob)}, short of offset {start}")
+    found, *dims = struct.unpack_from(f">{1 + len(sizes)}I", blob)
+    if found != magic:
+        raise FormatError(f"{what}: bad magic 0x{found:08x} at offset 0 (want 0x{magic:08x})")
+    for i, (name, size) in enumerate(zip(sizes, dims)):
+        if size == 0:
+            raise FormatError(f"{what}: {name} is 0 at offset {4 + 4 * i}")
+    end = start + math.prod(dims)
+    if len(blob) < end:
+        raise LengthError(f"{what}: payload ends at offset {len(blob)}, header promises offset {end}")
+    if len(blob) > end:
+        raise FormatError(f"{what}: {len(blob) - end} trailing bytes at offset {end}")
+    return np.frombuffer(blob, dtype=np.uint8, offset=start).reshape(dims).copy()
 
 
 def parse_idx_images(blob: bytes) -> np.ndarray:
     """Big-endian IDX ubyte image tensor -> uint8 array (N, rows, cols)."""
-    magic = _read_u32(blob, 0, "idx images")
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"bad image magic 0x{magic:08x} at offset 0 (want 0x{IDX_IMAGES_MAGIC:08x})")
-    n = _read_u32(blob, 4, "idx images")
-    rows = _read_u32(blob, 8, "idx images")
-    cols = _read_u32(blob, 12, "idx images")
-    need = 16 + n * rows * cols
-    if len(blob) < need:
-        raise LengthError(f"image payload holds {len(blob) - 16} bytes, header promises {n * rows * cols}")
-    return np.frombuffer(blob[16:need], dtype=np.uint8).reshape(n, rows, cols).copy()
+    return _parse_idx(blob, IDX_IMAGES_MAGIC, ("count", "rows", "cols"), "idx images")
 
 
 def parse_idx_labels(blob: bytes) -> np.ndarray:
     """Big-endian IDX ubyte label vector -> uint8 array (N,)."""
-    magic = _read_u32(blob, 0, "idx labels")
-    if magic != IDX_LABELS_MAGIC:
-        raise FormatError(f"bad label magic 0x{magic:08x} at offset 0 (want 0x{IDX_LABELS_MAGIC:08x})")
-    n = _read_u32(blob, 4, "idx labels")
-    need = 8 + n
-    if len(blob) < need:
-        raise LengthError(f"label payload holds {len(blob) - 8} bytes, header promises {n}")
-    return np.frombuffer(blob[8:need], dtype=np.uint8).copy()
+    return _parse_idx(blob, IDX_LABELS_MAGIC, ("count",), "idx labels")
 
 
 def write_idx_images(images: np.ndarray) -> bytes:
@@ -134,15 +134,18 @@ def load_idx(images_path, labels_path) -> Dataset:
         images = parse_idx_images(f.read())
     with open(labels_path, "rb") as f:
         labels = parse_idx_labels(f.read())
+    return idx_dataset(images, labels, images_path, labels_path)
+
+
+def idx_dataset(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> Dataset:
+    """Parsed IDX images (N, rows, cols) and labels (N,), read from the two named
+    files, as a static dataset in [0, 1]."""
     if len(images) != len(labels):
-        raise ConsistencyError(f"{len(images)} images but {len(labels)} labels")
+        raise ConsistencyError(
+            f"{images_path} holds {len(images)} images but {labels_path} holds {len(labels)} labels"
+        )
     flat = images.reshape(len(images), -1).astype(np.float64) / 255.0
-    return Dataset(
-        inputs=flat,
-        labels=labels.astype(np.int64),
-        kind="static",
-        num_classes=int(labels.max()) + 1 if len(labels) else 0,
-    )
+    return Dataset(inputs=flat, labels=labels.astype(np.int64), kind="static", num_classes=int(labels.max()) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -296,3 +296,73 @@ class TestAblateCommand:
         lines = (out / "ablation.csv").read_text().splitlines()
         assert lines[0] == "method,timesteps,mean_eval_acc,sd_eval_acc"
         assert len(lines) == 1 + 3 * 2  # three arms x two timestep settings
+
+
+def _idx_pair(tmp_path, n=12, rows=4, cols=3):
+    """An IDX image/label pair on disk: n samples of rows x cols pixels, 3 classes."""
+    import numpy as np
+
+    from ternspike import data as data_mod
+
+    rng = np.random.default_rng(5)
+    images = data_mod.write_idx_images(rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8))
+    labels = data_mod.write_idx_labels(np.arange(n, dtype=np.uint8) % 3)
+    (tmp_path / "img").write_bytes(images)
+    (tmp_path / "lbl").write_bytes(labels)
+    return tmp_path / "img", tmp_path / "lbl"
+
+
+def _idx_argv(img, lbl, *extra):
+    return ["--data.source", "idx", "--data.images", str(img), "--data.labels", str(lbl), *extra]
+
+
+class TestIdxSource:
+    def test_every_truncation_and_bit_flip_is_named_or_loads(self, tmp_path):
+        # rows=4 has one set bit, so a single flip can zero it; IDX has no checksum,
+        # so payload flips may load
+        img, lbl = _idx_pair(tmp_path)
+        cfg = resolve_config(_args("train", *_idx_argv(img, lbl, "--data.n_train", "6", "--data.n_eval", "6")))
+        for key, path in (("data.images", img), ("data.labels", lbl)):
+            blob = path.read_bytes()
+            variants = [blob[:cut] for cut in range(len(blob))]
+            for bit in range(8 * len(blob)):
+                flipped = bytearray(blob)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                variants.append(bytes(flipped))
+            for variant in variants:
+                path.write_bytes(variant)
+                try:
+                    train_ds, eval_ds, _ = cli.build_datasets(cfg)
+                except cli.ConfigError as exc:
+                    assert key in str(exc), str(exc)
+                else:
+                    assert train_ds.feature_dim >= 1
+                    assert len(train_ds.labels) >= 1 and len(eval_ds.labels) >= 1
+            path.write_bytes(blob)
+
+    def test_truncated_file_exits_2_without_outputs(self, tmp_path, capsys):
+        img, lbl = _idx_pair(tmp_path)
+        img.write_bytes(img.read_bytes()[:-1])
+        out = tmp_path / "run"
+        assert main(["train", "--out_dir", str(out)] + _idx_argv(img, lbl)) == 2
+        err = capsys.readouterr().err
+        assert "key data.images:" in err and "payload ends at offset 159" in err
+        assert not out.exists()
+
+    def test_split_larger_than_pair_exits_2(self, tmp_path, capsys):
+        img, lbl = _idx_pair(tmp_path)
+        out = tmp_path / "run"
+        argv = ["train", "--out_dir", str(out)] + _idx_argv(img, lbl, "--data.n_train", "8", "--data.n_eval", "5")
+        assert main(argv) == 2
+        assert "keys data.n_train and data.n_eval: 8 + 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_valid_pair_trains_and_records_its_counts(self, tmp_path):
+        img, lbl = _idx_pair(tmp_path)
+        out = tmp_path / "run"
+        argv = ["train", "--out_dir", str(out), "--train.epochs", "2", "--model.hidden", "6",
+                "--train.batch_size", "4"] + _idx_argv(img, lbl, "--data.n_train", "8", "--data.n_eval", "4")
+        assert main(argv) == 0
+        manifest = (out / "dataset.manifest").read_text().splitlines()
+        assert "n_train=8" in manifest and "n_eval=4" in manifest
+        assert len((out / "metrics.csv").read_text().splitlines()) == 1 + 2

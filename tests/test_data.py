@@ -50,12 +50,35 @@ class TestIdx:
         with pytest.raises(LengthError):
             parse_idx_images(img_blob[:-1])
 
+    def test_truncation_names_offsets(self):
+        img_blob, lbl_blob, _, _ = _fixture_idx(n=10, rows=2, cols=3)
+        with pytest.raises(LengthError, match="payload ends at offset 75, header promises offset 76"):
+            parse_idx_images(img_blob[:-1])
+        with pytest.raises(LengthError, match="header ends at offset 6, short of offset 8"):
+            parse_idx_labels(lbl_blob[:6])
+
+    @pytest.mark.parametrize("offset,name", [(4, "count"), (8, "rows"), (12, "cols")])
+    def test_zero_size_names_offset(self, offset, name):
+        blob = bytearray(_fixture_idx(n=10)[0])
+        blob[offset : offset + 4] = bytes(4)
+        with pytest.raises(FormatError, match=f"{name} is 0 at offset {offset}"):
+            parse_idx_images(bytes(blob))
+        with pytest.raises(FormatError, match="count is 0 at offset 4"):
+            parse_idx_labels(write_idx_labels(np.zeros(0, dtype=np.uint8)))
+
+    def test_trailing_bytes_name_offset(self):
+        img_blob, lbl_blob, _, _ = _fixture_idx(n=10, rows=2, cols=3)
+        with pytest.raises(FormatError, match="2 trailing bytes at offset 76"):
+            parse_idx_images(img_blob + b"\0\0")
+        with pytest.raises(FormatError, match="1 trailing bytes at offset 18"):
+            parse_idx_labels(lbl_blob + b"\0")
+
     def test_count_mismatch(self, tmp_path):
         img_blob, _, _, _ = _fixture_idx(n=100)
         _, lbl_blob, _, _ = _fixture_idx(n=99, seed=1)
         (tmp_path / "img").write_bytes(img_blob)
         (tmp_path / "lbl").write_bytes(lbl_blob)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="img holds 100 images but .*lbl holds 99 labels"):
             load_idx(tmp_path / "img", tmp_path / "lbl")
 
     def test_load_scales_to_unit_interval(self, tmp_path):
