@@ -78,9 +78,12 @@ class GradSet:
 
     @classmethod
     def zeros_like(cls, net: Network) -> "GradSet":
-        p = cls.of(net)
-        zeros = lambda arrays: [None if a is None else np.zeros_like(a) for a in arrays]
-        return cls(zeros(p.dw), zeros(p.db), zeros(p.domega), np.zeros_like(p.dw_out), np.zeros_like(p.db_out))
+        return cls.of(net).map(np.zeros_like)
+
+    def map(self, fn) -> "GradSet":
+        """A GradSet of ``fn(array)`` for every array, keeping the Nones."""
+        each = lambda arrays: [None if a is None else fn(a) for a in arrays]
+        return GradSet(each(self.dw), each(self.db), each(self.domega), fn(self.dw_out), fn(self.db_out))
 
     def named(self):
         """Yield (name, array) pairs in a fixed order: the one statement of the
@@ -574,24 +577,20 @@ def finite_difference(net: Network, input_seq, labels, tmpr, step: float) -> Gra
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     base = GradSet.of(net)
-    flat = np.concatenate([a.ravel() for _, a in base.named()])
-    entry = np.arange(flat.size)
-    members = np.repeat(flat[None], 2 * flat.size, axis=0)
-    members[2 * entry, entry] = flat + step
-    members[2 * entry + 1, entry] = flat - step
-    splits = np.cumsum([a.size for _, a in base.named()])[:-1]
-    columns = iter(np.split(members, splits, axis=1))
-    stack = lambda a: None if a is None else next(columns).reshape(members.shape[:1] + a.shape)
-    # each layer's w, b and omega, then the readout's: the named() order
-    layers = [(stack(w), stack(b), stack(omega)) for w, b, omega in zip(base.dw, base.db, base.domega)]
-    dw, db, domega = (list(arrays) for arrays in zip(*layers))
-    stacked = GradSet(dw, db, domega, stack(base.dw_out), stack(base.db_out))
+    starts = np.cumsum([0] + [a.size for _, a in base.named()])
+    n_members = 2 * int(starts[-1])
+    stacked = base.map(lambda a: np.repeat(a[None], n_members, axis=0))
+    for (_, a), start in zip(stacked.named(), starts):
+        view = a.reshape(n_members, -1)
+        entry = np.arange(view.shape[1])
+        view[2 * (start + entry), entry] += step
+        view[2 * (start + entry) + 1, entry] -= step
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
         loss = _standin(net, stacked, input_seq, labels, tmpr)
     if not np.isfinite(loss).all():
         raise NumericError("non-finite loss during finite differencing")
     grads = GradSet.zeros_like(net)
     diffs = (loss[0::2] - loss[1::2]) / (2.0 * step)
-    for (_, out), d in zip(grads.named(), np.split(diffs, splits)):
+    for (_, out), d in zip(grads.named(), np.split(diffs, starts[1:-1])):
         out[...] = d.reshape(out.shape)
     return grads

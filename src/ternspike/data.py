@@ -128,15 +128,6 @@ def write_idx_labels(labels: np.ndarray) -> bytes:
     return struct.pack(">II", IDX_LABELS_MAGIC, len(labels)) + labels.tobytes()
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Parse an IDX image/label file pair into a static dataset in [0, 1]."""
-    with open(images_path, "rb") as f:
-        images = parse_idx_images(f.read())
-    with open(labels_path, "rb") as f:
-        labels = parse_idx_labels(f.read())
-    return idx_dataset(images, labels, images_path, labels_path)
-
-
 def idx_dataset(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> Dataset:
     """Parsed IDX images (N, rows, cols) and labels (N,), read from the two named
     files, as a static dataset in [0, 1]."""
