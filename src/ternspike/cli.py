@@ -312,7 +312,8 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _load_model(cfg: dict, model_path: str, eval_ds: data_mod.Dataset) -> net_mod.Network:
-    """The saved model under the configured neuron, checked against the eval set's input dim."""
+    """The saved model under the configured neuron, checked against the eval set's
+    input dim and class count."""
     try:
         net = trainer.load_model(model_path, _neuron_config(cfg), cfg["train.t"])
     except (FormatError, OSError) as exc:
@@ -320,6 +321,10 @@ def _load_model(cfg: dict, model_path: str, eval_ds: data_mod.Dataset) -> net_mo
     if net.input_dim != eval_ds.feature_dim:
         raise ConfigError(
             f"model input dim {net.input_dim} does not match dataset feature dim {eval_ds.feature_dim}"
+        )
+    if net.n_classes != eval_ds.num_classes:
+        raise ConfigError(
+            f"model class count {net.n_classes} does not match dataset class count {eval_ds.num_classes}"
         )
     return net
 

@@ -131,9 +131,9 @@ def train_epoch(
         xs_seq, labels = encode_batch(data, idx, cfg.n_steps)
         try:
             ce, tmpr_val, logits, grads = bptt.loss_and_grads(net, xs_seq, labels, cfg.tmpr)
+            sgd_step(net, grads, vel, lr, cfg.momentum, cfg.weight_decay)
         except NumericError as exc:
             raise NumericError(f"batch starting at sample {start}: {exc}") from exc
-        sgd_step(net, grads, vel, lr, cfg.momentum, cfg.weight_decay)
         ce_sum += ce * len(idx)
         tmpr_sum += tmpr_val * len(idx)
         correct += int(np.sum(net_mod.predict(logits) == labels))

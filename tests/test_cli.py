@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from ternspike import cli
@@ -218,6 +220,15 @@ class TestEvalAndHist:
         assert code == 2
         assert "model input dim 16 does not match dataset feature dim 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "hist"])
+    def test_class_count_mismatch_exits_2(self, command, trained, tmp_path, capsys):
+        img, lbl = _idx_pair(tmp_path, rows=4, cols=4)  # the model's 16 features, 3 classes against its 4
+        out = tmp_path / "out"
+        argv = [command, "--model", str(trained / "model.bin"), "--out_dir", str(out)] + TRAIN_FAST
+        assert main(argv + _idx_argv(img, lbl, "--data.n_train", "6", "--data.n_eval", "6")) == 2
+        assert "model class count 4 does not match dataset class count 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_config_mismatch_exits_2(self, trained, tmp_path):
         code = main(
             ["eval", "--model", str(trained / "model.bin"), "--neuron", "ctsn_static"] + TRAIN_FAST
@@ -266,16 +277,14 @@ class TestExitCodeDiscipline:
         assert code == 1
         assert "worst offender" in capsys.readouterr().err
 
-    def test_numeric_failure_exits_3(self, monkeypatch, tmp_path):
-        from ternspike import trainer
-        from ternspike.errors import NumericError
-
-        def exploding(*args, **kwargs):
-            raise NumericError("batch starting at sample 0: non-finite gradient in layer0.w")
-
-        monkeypatch.setattr(trainer, "train_epoch", exploding)
-        code = main(["train", "--out_dir", str(tmp_path / "run")] + TRAIN_FAST)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_numeric_failure_exits_3(self, tmp_path, capsys):
+        # lr0 = 1e300 overflows the parameters after the first update, so a
+        # later batch's gradient is not finite; sgd_step finds it
+        code = main(["train", "--out_dir", str(tmp_path / "run")] + TRAIN_FAST + ["--train.lr0", "1e300"])
         assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(r"batch starting at sample \d+: non-finite gradient in ", err), err
 
     def test_soft_reset_training_rejected(self, tmp_path):
         code = main(
