@@ -21,7 +21,8 @@ command reports that gap instead of hiding it.
 Both engines read the stacked trace of ``network.forward`` and work one
 layer at a time over all timesteps: the factors are formed over the whole
 (T, B, D) stack, only the adjoint recurrence itself steps through time, and
-each linear map's gradients are one matrix product over its T*B rows.
+each linear map's gradients are one matrix product over its T*B rows, written
+into its view of one ``GradSet`` vector in the network's parameter layout.
 
 The factor functions (``epsilon``, ``kappa``, ``xi``, ``choice``,
 ``grad_h_G``) are also exported standalone so each can be pinned by direct
@@ -32,13 +33,12 @@ smooth stand-in loss.  It does not share the engine's forward; it has its
 own compact stand-in forward and loss (``_standin_*``), written in the
 engine's operation order so its values equal differencing
 ``network.forward(smooth=True)`` bit for bit, and it evaluates the +-step
-perturbations of every parameter entry in one member-stacked pass.
+perturbations of every parameter entry in one pass over a (2P, P) member array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -50,63 +50,45 @@ from .neuron import CTSNParams, decay, effective_params
 from .numerics import Array, sigmoid
 
 
-@dataclass
 class GradSet:
-    """Arrays aligned with a network's parameters: gradients, momentum buffers,
-    or (``GradSet.of``) the parameters themselves.
+    """One float64 vector in a network's ``layout``: gradients, momentum buffers, or
+    (``GradSet.of``) the parameters themselves.  ``vector`` is (P,), or (members, P)
+    for finite-difference members; ``gs[name]`` is one array's view, member axis first."""
 
-    ``domega[l]`` is a length-3 vector ordered (d_omega_alpha, d_omega_beta,
-    d_omega_gamma), or None for plain-ternary layers.
-    """
-
-    dw: list[Array]
-    db: list[Array]
-    domega: list[Array | None]
-    dw_out: Array
-    db_out: Array
+    def __init__(self, net: Network, vector: Array) -> None:
+        self.layout, self.vector = net.layout, vector
 
     @classmethod
     def of(cls, net: Network) -> "GradSet":
-        """The network's own parameter arrays (not copies) in this layout."""
-        return cls(
-            dw=[layer.w for layer in net.layers],
-            db=[layer.b for layer in net.layers],
-            domega=[None if layer.omega is None else layer.omega.vector for layer in net.layers],
-            dw_out=net.readout.w,
-            db_out=net.readout.b,
-        )
+        """The network's own parameter vector (not a copy)."""
+        return cls(net, net.params)
 
     @classmethod
     def zeros_like(cls, net: Network) -> "GradSet":
-        return cls.of(net).map(np.zeros_like)
+        return cls(net, np.zeros_like(net.params))
 
-    def map(self, fn) -> "GradSet":
-        """A GradSet of ``fn(array)`` for every array, keeping the Nones."""
-        each = lambda arrays: [None if a is None else fn(a) for a in arrays]
-        return GradSet(each(self.dw), each(self.db), each(self.domega), fn(self.dw_out), fn(self.db_out))
+    def __getitem__(self, name: str) -> Array:
+        span, shape = self.layout[name]
+        return self.vector[..., span].reshape(self.vector.shape[:-1] + shape)
 
     def named(self):
-        """Yield (name, array) pairs in a fixed order: the one statement of the
-        parameter layout, which model files and finite differences follow too."""
-        for l in range(len(self.dw)):
-            yield f"layer{l}.w", self.dw[l]
-            yield f"layer{l}.b", self.db[l]
-            if self.domega[l] is not None:
-                yield f"layer{l}.omega", self.domega[l]
-        yield "readout.w", self.dw_out
-        yield "readout.b", self.db_out
+        for name in self.layout:
+            yield name, self[name]
 
-    def check_finite(self) -> None:
-        """Raise NumericError naming the first parameter with a NaN or an infinity.  A finite
-        sum means every entry is finite, so only an array whose sum is not gets scanned."""
+    def check_finite(self, what: str = "gradient") -> None:
+        """Raise NumericError naming the first array with a NaN or an infinity.  A finite
+        sum means every entry is finite, so the arrays are scanned only when it is not."""
         with np.errstate(over="ignore", invalid="ignore"):
-            for name, arr in self.named():
-                if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
-                    raise NumericError(f"non-finite gradient in {name}")
+            if math.isfinite(self.vector.sum()):
+                return
+        for name, arr in self.named():
+            if not np.isfinite(arr).all():
+                raise NumericError(f"non-finite {what} in {name}")
 
 
 def relative_errors(a: GradSet, b: GradSet, min_abs: float = 0.0):
-    """Per-entry relative errors between two gradient sets, one parameter at a time.
+    """Per-entry relative errors between two gradient sets, taken over the whole
+    vectors and yielded one parameter array at a time.
 
     Yields (name, index, va, vb, rel): the flat indices of the compared
     entries, both sets' values there and |va - vb| / max(|va|, |vb|).
@@ -114,16 +96,15 @@ def relative_errors(a: GradSet, b: GradSet, min_abs: float = 0.0):
     of exact zeros counts as zero error, and a non-finite entry as infinite
     error.
     """
-    for (name, ga), (_, gb) in zip(a.named(), b.named()):
-        fa, fb = ga.ravel(), gb.ravel()
-        denom = np.maximum(np.abs(fa), np.abs(fb))
-        keep = ~(denom <= min_abs)  # not denom > min_abs: NaN entries stay in
-        idx = np.flatnonzero(keep)
-        va, vb, d = fa[keep], fb[keep], denom[keep]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.where(d > 0.0, np.abs(va - vb) / d, 0.0)
-        rel[~(np.isfinite(va) & np.isfinite(vb))] = np.inf
-        yield name, idx, va, vb, rel
+    fa, fb = a.vector, b.vector
+    denom = np.maximum(np.abs(fa), np.abs(fb))
+    keep = ~(denom <= min_abs)  # not denom > min_abs: NaN entries stay in
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(denom > 0.0, np.abs(fa - fb) / denom, 0.0)
+    rel[~(np.isfinite(fa) & np.isfinite(fb))] = np.inf
+    for name, (span, _) in a.layout.items():
+        idx = np.flatnonzero(keep[span])
+        yield name, idx, fa[span][idx], fb[span][idx], rel[span][idx]
 
 
 def max_relative_error(
@@ -238,41 +219,38 @@ def _mode_for(net: Network, mode: str) -> None:
         )
 
 
-def _layer_param_grads(x: Array, dx: Array, w: Array, below: bool = True):
-    """(dW, db, input adjoint) of one linear map from its output adjoints.
-
-    ``dx`` is (T, B, D_out).  ``x`` is the map's input: (T, B, D_in), or
-    (B, D_in) when every timestep shares it, where dW = x^T sum_t dx(t).
-    The input adjoint is None unless ``below`` (the network input needs none).
-    """
+def _layer_param_grads(x: Array, dx: Array, w: Array, grads: GradSet, name: str, below: bool = True):
+    """Write dW and db of linear map ``name`` into ``grads``; return its input adjoint.
+    ``dx`` is (T, B, D_out).  ``x`` is the map's input: (T, B, D_in), or (B, D_in)
+    when every timestep shares it, where dW = x^T sum_t dx(t).  The input adjoint is
+    None unless ``below`` (the network input needs none)."""
     flat = dx.reshape(-1, dx.shape[-1])
-    if x.ndim == 2:
-        dw = x.T @ dx.sum(axis=0)
-    else:
-        dw = x.reshape(-1, x.shape[-1]).T @ flat
-    adjoint = (flat @ w.T).reshape(dx.shape[:-1] + w.shape[:1]) if below else None
-    return dw, flat.sum(axis=0), adjoint
+    lhs, rhs = (x.T, dx.sum(axis=0)) if x.ndim == 2 else (x.reshape(-1, x.shape[-1]).T, flat)
+    np.matmul(lhs, rhs, out=grads[f"{name}.w"])
+    flat.sum(axis=0, out=grads[f"{name}.b"])
+    return (flat @ w.T).reshape(dx.shape[:-1] + w.shape[:1]) if below else None
 
 
 def _backward(cache: Trace, dL_dO, net: Network, mode: str, du_extra, sweep) -> GradSet:
-    """Readout, then each layer top-down.  ``sweep(cache, l, direct, H, omega)``
-    turns the adjoints entering layer l's potentials directly (A * H plus any
-    injection) into dL/dx, and returns the omega gradient (None if ternary)."""
+    """Readout, then each layer top-down, into one gradient vector.  ``sweep(cache, l,
+    direct, H, omega)`` turns the adjoints entering layer l's potentials directly (A * H
+    plus any injection) into dL/dx, and returns the omega gradient (None if ternary)."""
     _mode_for(net, mode)
     if len(dL_dO) != cache.n_steps:
         raise ValueError(f"got {len(dL_dO)} upstream gradients for {cache.n_steps} timesteps")
     g = np.asarray(dL_dO, dtype=np.float64)  # a (T, B, C) array passes through uncopied
-    dw_out, db_out, A = _layer_param_grads(cache.layers[-1].o, g, net.readout.w)
-    n_layers = cache.n_layers
-    dw, db, domega = [None] * n_layers, [None] * n_layers, [None] * n_layers
-    for l in reversed(range(n_layers)):
+    grads = GradSet(net, np.empty_like(net.params))  # every entry is written below
+    A = _layer_param_grads(cache.layers[-1].o, g, net.readout.w, grads, "readout")
+    for l in reversed(range(cache.n_layers)):
         H = cache.surrogate(l)
         direct = A * H
         if du_extra is not None:
             direct += np.asarray(du_extra[l], dtype=np.float64)
-        dx, domega[l] = sweep(cache, l, direct, H, net.layers[l].omega)
-        dw[l], db[l], A = _layer_param_grads(cache.layer_input(l), dx, net.layers[l].w, below=l > 0)
-    return GradSet(dw=dw, db=db, domega=domega, dw_out=dw_out, db_out=db_out)
+        dx, domega = sweep(cache, l, direct, H, net.layers[l].omega)
+        if domega is not None:
+            grads[f"layer{l}.omega"][...] = domega
+        A = _layer_param_grads(cache.layer_input(l), dx, net.layers[l].w, grads, f"layer{l}", below=l > 0)
+    return grads
 
 
 def _chain_omega(factors, partials) -> Array:
@@ -533,16 +511,16 @@ def _standin_loss(logits: Array, pots: list[Array], labels: Array, tmpr) -> Arra
 
 
 def _standin(net: Network, params: GradSet, input_seq, labels, tmpr) -> Array:
-    """Stand-in loss per member: ``params`` holds the network's arrays in the
-    ``GradSet`` layout, each with or without a leading member axis."""
+    """Stand-in loss per member of ``params``, whose vector is (P,) or (members, P)."""
     shared = all(step is input_seq[0] for step in input_seq)
     x = np.asarray(input_seq[0] if shared else np.stack(input_seq), dtype=np.float64)
     x, pots = x.reshape((-1,) + x.shape[-2:]), []
-    for w, b, omega in zip(params.dw, params.db, params.domega):
-        factors = None if omega is None else sigmoid(omega)
-        ut, x = _standin_layer(_standin_pre(x, w, b), factors, net.cfg, net.n_steps)
+    for l, layer in enumerate(net.layers):
+        factors = None if layer.omega is None else sigmoid(params[f"layer{l}.omega"])
+        pre = _standin_pre(x, params[f"layer{l}.w"], params[f"layer{l}.b"])
+        ut, x = _standin_layer(pre, factors, net.cfg, net.n_steps)
         pots.append(ut)
-    logits = _standin_pre(x, params.dw_out, params.db_out)
+    logits = _standin_pre(x, params["readout.w"], params["readout.b"])
     return _standin_loss(logits, pots, np.asarray(labels, dtype=np.int64), tmpr)
 
 
@@ -564,33 +542,24 @@ def surrogate_smooth_forward(net: Network, input_seq, labels, tmpr=None) -> floa
 def finite_difference(net: Network, input_seq, labels, tmpr, step: float) -> GradSet:
     """Central-difference gradients of the stand-in loss w.r.t. every parameter.
 
-    All 2P perturbed networks of the P parameter entries (in ``GradSet.named()``
-    order) run as one stand-in forward with a leading member axis: member 2i
-    has +step at entry i, member 2i+1 has -step, and every array carries all
-    2P members.  The forward and the loss are this module's own
-    (``_standin_*``), in the engine's operation order, so the values equal
-    perturbing one entry at a time through ``network.forward`` bit for bit
-    while sharing none of its code.  The network is never written.  Member
-    memory grows with P squared, which suits the gradcheck stand-ins (at most
-    8 units a layer), not wide layers.
+    All 2P perturbed networks of the P parameter entries run as one stand-in
+    forward over a (2P, P) member array: member 2i is the parameter vector
+    with +step at entry i, member 2i+1 with -step.  The forward and the loss
+    are this module's own (``_standin_*``), in the engine's operation order,
+    so the values equal perturbing one entry at a time through
+    ``network.forward`` bit for bit while sharing none of its code.  The
+    network is never written.  Member memory grows with P squared, which
+    suits the gradcheck stand-ins (at most 8 units a layer), not wide layers.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    base = GradSet.of(net)
-    starts = np.cumsum([0] + [a.size for _, a in base.named()])
-    n_members = 2 * int(starts[-1])
-    stacked = base.map(lambda a: np.repeat(a[None], n_members, axis=0))
-    for (_, a), start in zip(stacked.named(), starts):
-        view = a.reshape(n_members, -1)
-        entry = np.arange(view.shape[1])
-        view[2 * (start + entry), entry] += step
-        view[2 * (start + entry) + 1, entry] -= step
+    n_params = net.params.size
+    members = np.repeat(net.params[None], 2 * n_params, axis=0)
+    entry = np.arange(n_params)
+    members[2 * entry, entry] += step
+    members[2 * entry + 1, entry] -= step
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
-        loss = _standin(net, stacked, input_seq, labels, tmpr)
+        loss = _standin(net, GradSet(net, members), input_seq, labels, tmpr)
     if not np.isfinite(loss).all():
         raise NumericError("non-finite loss during finite differencing")
-    grads = GradSet.zeros_like(net)
-    diffs = (loss[0::2] - loss[1::2]) / (2.0 * step)
-    for (_, out), d in zip(grads.named(), np.split(diffs, starts[1:-1])):
-        out[...] = d.reshape(out.shape)
-    return grads
+    return GradSet(net, (loss[0::2] - loss[1::2]) / (2.0 * step))

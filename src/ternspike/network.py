@@ -15,12 +15,15 @@ swapped for its continuous piecewise-linear stand-in: the pass the
 analytic gradient is checked on, and the one the gradcheck kink search
 inspects.  The finite-difference oracle runs its own copy of this forward
 (``bptt.finite_difference``).
+
+A ``Network`` copies its arrays into one float64 vector, ``params``, that every
+layer's ``w``, ``b`` and ``CTSNParams.vector`` then views; ``Network.layout`` states
+the order once, and gradients, momentum, FD members and model files follow it.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,6 +60,8 @@ class Layer:
 
 @dataclass
 class Network:
+    """Spiking layers and a readout; ``layout`` maps each array's name to (slice of ``params``, shape)."""
+
     layers: list[Layer]
     readout: Layer
     cfg: NeuronConfig
@@ -71,6 +76,23 @@ class Network:
                 )
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        slots = []  # (name, owner, attribute) in layout order
+        for l, layer in enumerate(self.layers):
+            slots += [(f"layer{l}.w", layer, "w"), (f"layer{l}.b", layer, "b")]
+            if layer.omega is not None:
+                slots.append((f"layer{l}.omega", layer.omega, "vector"))
+        slots += [("readout.w", self.readout, "w"), ("readout.b", self.readout, "b")]
+        arrays = [getattr(owner, attr) for _, owner, attr in slots]
+        self.params = np.empty(sum(a.size for a in arrays))
+        self.layout, start = {}, 0
+        for (name, owner, attr), a in zip(slots, arrays):
+            span = slice(start, start + a.size)
+            self.layout[name] = (span, a.shape)
+            view = self.params[span].reshape(a.shape)
+            view[...] = a
+            setattr(owner, attr, view)
+            start += a.size
+        self.omega_slices = [span for name, (span, _) in self.layout.items() if name.endswith(".omega")]
 
     @property
     def input_dim(self) -> int:
@@ -81,7 +103,9 @@ class Network:
         return self.readout.w.shape[1]
 
     def copy(self) -> "Network":
-        return copy.deepcopy(self)
+        """An independent network: new layers over a new parameter vector."""
+        layers = [Layer(l.w, l.b, None if l.omega is None else CTSNParams(*l.omega.vector)) for l in self.layers]
+        return Network(layers, Layer(self.readout.w, self.readout.b), replace(self.cfg), self.n_steps)
 
 
 def build_network(
@@ -100,14 +124,14 @@ def build_network(
     dims = list(dims)
     if len(dims) < 2:
         raise ValueError("need at least an input and one hidden dimension")
-    layers = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        w = rng.normal(0.0, init_scale / np.sqrt(fan_in), size=(fan_in, fan_out))
-        omega = CTSNParams() if cfg.is_ctsn else None
-        layers.append(Layer(w=w, b=np.zeros(fan_out), omega=omega))
-    w_out = rng.normal(0.0, init_scale / np.sqrt(dims[-1]), size=(dims[-1], n_classes))
-    readout = Layer(w=w_out, b=np.zeros(n_classes))
-    return Network(layers=layers, readout=readout, cfg=cfg, n_steps=n_steps)
+    # weights start as memoryless zeros, so the new vector is allocated before any drawn matrix
+    blank = lambda *shape: np.broadcast_to(0.0, shape)
+    layers = [Layer(blank(*shape), np.zeros(shape[1]), CTSNParams() if cfg.is_ctsn else None)
+              for shape in zip(dims[:-1], dims[1:])]
+    net = Network(layers, Layer(blank(dims[-1], n_classes), np.zeros(n_classes)), cfg, n_steps)
+    for layer in net.layers + [net.readout]:
+        layer.w[...] = rng.normal(0.0, init_scale / np.sqrt(len(layer.w)), size=layer.w.shape)
+    return net
 
 
 def smooth_spike(u_tilde: Array, v_th: float, a: float, out: Array | None = None) -> Array:

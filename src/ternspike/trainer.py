@@ -1,7 +1,7 @@
 """Training loop: SGD with momentum, cosine-annealed learning rate, metrics.
 
-One trainer owns the model parameters for the duration of a run.  All
-randomness (shuffling) derives from the run seed, gradient accumulation
+One trainer updates the network's parameter vector in place for a whole run.
+All randomness (shuffling) derives from the run seed, gradient accumulation
 order is fixed, and metrics are written with repr-exact floats, so two runs
 with the same configuration produce byte-identical outputs.
 
@@ -14,7 +14,7 @@ The final model is persisted in a flat binary format:
     n_hidden u16 LE   number of hidden (spiking) layers
     n_arrays u32 LE   total array count
     then per array: ndim u32 LE, dims u32 LE each, payload float64 LE
-    array order: hidden layer 0 w, b, [omega (3,)], hidden layer 1 ..., readout w, b
+    array order: Network.layout (layer 0 w, b, [omega (3,)], layer 1 ..., readout w, b)
     crc32   u32 LE    zlib CRC-32 of every byte before it
 
 Version 1 files are the same without the trailing CRC; they still load.
@@ -68,6 +68,9 @@ def cosine_lr(epoch: int, total_epochs: int, lr0: float) -> float:
     return lr0 * 0.5 * (1.0 + float(np.cos(np.pi * epoch / total_epochs)))
 
 
+_SGD_BLOCK = 1 << 15  # entries per update block: the operands of a block stay in cache across its passes
+
+
 def sgd_step(
     net: net_mod.Network,
     grads: bptt.GradSet,
@@ -76,25 +79,27 @@ def sgd_step(
     momentum: float,
     weight_decay: float,
 ) -> None:
-    """In-place momentum update: v <- m*v + (g + wd*p); p <- p - lr*v.
-
-    ``vel`` holds the momentum buffers, one per parameter (start from
-    ``GradSet.zeros_like``).  Omega triples get no weight decay.
-    """
-    grads.check_finite()  # before any update, so a bad gradient leaves the model untouched
-
-    def update(p, g, v, decay=weight_decay):
-        v *= momentum
-        v += g + decay * p
-        p -= lr * v
-
-    for l, layer in enumerate(net.layers):
-        update(layer.w, grads.dw[l], vel.dw[l])
-        update(layer.b, grads.db[l], vel.db[l])
-        if layer.omega is not None:
-            update(layer.omega.vector, grads.domega[l], vel.domega[l], decay=0.0)
-    update(net.readout.w, grads.dw_out, vel.dw_out)
-    update(net.readout.b, grads.db_out, vel.db_out)
+    """In-place momentum update of the parameter vector, block by block through one
+    small scratch buffer: v <- m*v + (g + d); p <- p - lr*v, where d = wd*p, and 0*p
+    on the omega entries.  ``vel`` is the momentum (start from ``GradSet.zeros_like``).
+    A non-finite gradient raises before the update, leaving the model untouched, and
+    a non-finite parameter after it, so none reaches ``save_model``."""
+    grads.check_finite()
+    p, g, v = net.params, grads.vector, vel.vector
+    scratch = np.empty(min(p.size, _SGD_BLOCK))
+    for lo in range(0, p.size, _SGD_BLOCK):
+        hi = min(lo + _SGD_BLOCK, p.size)
+        d = np.multiply(p[lo:hi], weight_decay, out=scratch[: hi - lo])
+        for span in net.omega_slices:
+            a, b = max(span.start, lo), min(span.stop, hi)
+            if a < b:
+                np.multiply(p[a:b], 0.0, out=d[a - lo : b - lo])
+        d += g[lo:hi]
+        v[lo:hi] *= momentum
+        v[lo:hi] += d
+        np.multiply(v[lo:hi], lr, out=d)
+        p[lo:hi] -= d
+    bptt.GradSet.of(net).check_finite("parameter")
 
 
 def check_omega_constraint(net: net_mod.Network) -> None:
@@ -132,6 +137,7 @@ def train_epoch(
         try:
             ce, tmpr_val, logits, grads = bptt.loss_and_grads(net, xs_seq, labels, cfg.tmpr)
             sgd_step(net, grads, vel, lr, cfg.momentum, cfg.weight_decay)
+            del grads  # so the next batch's gradient vector can take its memory
         except NumericError as exc:
             raise NumericError(f"batch starting at sample {start}: {exc}") from exc
         ce_sum += ce * len(idx)
@@ -223,14 +229,15 @@ def save_model(path, net: net_mod.Network) -> None:
 
 
 def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:
-    """Rebuild a network from the flat binary format.
-
-    ``cfg`` supplies the neuron semantics; its kind and reset must match the
-    bytes recorded at save time.  Reads versions 1 and 2; a version 2 file
-    whose CRC does not match its bytes raises ``FormatError``.
-    """
+    """Rebuild a network from a model file (see ``parse_model``)."""
     with open(path, "rb") as f:
-        blob = f.read()
+        return parse_model(f.read(), cfg, n_steps, path)
+
+
+def parse_model(blob: bytes, cfg: NeuronConfig, n_steps: int, name) -> net_mod.Network:
+    """Rebuild a network from the flat binary format; ``name`` labels the messages.  ``cfg``
+    gives the neuron semantics, whose kind and reset must match the saved ones.  Reads versions
+    1 and 2; a version 2 blob whose CRC does not match its bytes raises ``FormatError``."""
     off = 0
 
     def take(n: int) -> bytes:
@@ -242,7 +249,7 @@ def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:
         return out
 
     if take(len(MODEL_MAGIC)) != MODEL_MAGIC:
-        raise FormatError(f"bad model magic at offset 0 in {path}")
+        raise FormatError(f"bad model magic at offset 0 in {name}")
     (version,) = struct.unpack("<I", take(4))
     if version not in (1, 2):
         raise FormatError(f"unsupported model version {version}")
@@ -251,7 +258,7 @@ def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:
         if crc_off < off:
             raise LengthError(f"model file truncated at offset {len(blob)}")
         if struct.unpack("<I", blob[crc_off:])[0] != zlib.crc32(blob[:crc_off]):
-            raise FormatError(f"checksum mismatch at offset {crc_off} in {path}")
+            raise FormatError(f"checksum mismatch at offset {crc_off} in {name}")
         blob = blob[:crc_off]
     kind_code, reset_code = struct.unpack("<BB", take(2))
     kinds = {v: k for k, v in _KIND_CODES.items()}
@@ -270,7 +277,7 @@ def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:
         if ndim > 2:
             raise FormatError(f"array at offset {offsets[-1]} has {ndim} dimensions, at most 2")
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        arrays.append(np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy())
+        arrays.append(np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape))
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes at offset {off}")
     per_hidden = 3 if cfg.is_ctsn else 2

@@ -131,7 +131,7 @@ class TestBackwardExact:
         net = _tiny_identity_net()
         _, cache = forward(net, [np.array([[0.3]])])
         grads = backward_exact(cache, [np.array([[1.0]])], net, "ternary")
-        assert grads.dw[0][0, 0] == pytest.approx(0.3)
+        assert grads["layer0.w"][0, 0] == pytest.approx(0.3)
 
     def test_dead_masks_zero_hidden_grads(self):
         # inputs far outside the surrogate window kill every hidden path
@@ -139,8 +139,8 @@ class TestBackwardExact:
         _, cache = forward(net, [np.array([[5.0]]), np.array([[5.0]])])
         assert all(e.surrogate[0, 0] == 0.0 for e in cache.entries[0])
         grads = backward_exact(cache, [np.array([[1.0]])] * 2, net, "ternary")
-        assert grads.dw[0][0, 0] == 0.0
-        assert grads.db[0][0] == 0.0
+        assert grads["layer0.w"][0, 0] == 0.0
+        assert grads["layer0.b"][0] == 0.0
 
     def test_incomplete_cache_rejected(self):
         # a trace is built whole by forward; the only incomplete one is empty
@@ -439,9 +439,9 @@ class TestGradSet:
         rng = component_rng(49)
         net, _, _ = random_network(rng, kind="ternary")
         a, b = GradSet.zeros_like(net), GradSet.zeros_like(net)
-        a.dw[0].flat[:3] = [1.0, 2.0, 1e-9]
-        b.dw[0].flat[:3] = [1.5, 2.0, 0.0]
-        a.db_out[0] = np.nan
+        a["layer0.w"].flat[:3] = [1.0, 2.0, 1e-9]
+        b["layer0.w"].flat[:3] = [1.5, 2.0, 0.0]
+        a["readout.b"][0] = np.nan
         errs = {name: (idx.tolist(), rel.tolist()) for name, idx, _, _, rel in relative_errors(a, b, 1e-8)}
         assert errs["layer0.w"] == ([0, 1], [0.5 / 1.5, 0.0])
         assert errs["readout.b"] == ([0], [np.inf])
@@ -451,10 +451,10 @@ class TestGradSet:
         rng = component_rng(50)
         net, _, _ = random_network(rng, kind="ternary")
         a, b = GradSet.zeros_like(net), GradSet.zeros_like(net)
-        a.dw[0].flat[[1, 2]] = 1.0
-        a.dw_out.flat[0] = 1.0
-        b.dw[0].flat[[1, 2]] = 0.5
-        b.dw_out.flat[0] = 0.5
+        a["layer0.w"].flat[[1, 2]] = 1.0
+        a["readout.w"].flat[0] = 1.0
+        b["layer0.w"].flat[[1, 2]] = 0.5
+        b["readout.w"].flat[0] = 0.5
         assert max_relative_error(a, b) == (0.5, "layer0.w[1]")
         assert max_relative_error(a, a) == (0.0, "none")
 
@@ -462,14 +462,16 @@ class TestGradSet:
         net, _, _ = random_network(component_rng(53), kind="ctsn_static")
         params = GradSet.of(net)
         assert [n for n, _ in params.named()] == [n for n, _ in GradSet.zeros_like(net).named()]
-        assert params.dw[0] is net.layers[0].w and params.db_out is net.readout.b
-        assert params.domega[0] is net.layers[0].omega.vector
+        assert params.vector is net.params
+        np.testing.assert_array_equal(params["layer0.omega"], net.layers[0].omega.vector)
+        params["layer0.omega"][1] = 0.75  # a view, not a copy
+        assert net.layers[0].omega.vector[1] == 0.75
 
     def test_check_finite_flags_offender(self):
         rng = component_rng(48)
         net, _, _ = random_network(rng, kind="ternary")
         g = GradSet.zeros_like(net)
-        g.db[0][0] = np.nan
+        g["layer0.b"][0] = np.nan
         with pytest.raises(Exception, match="layer0.b"):
             g.check_finite()
 
@@ -489,9 +491,9 @@ class TestGradSet:
         rng = component_rng(52)
         net, _, _ = random_network(rng, kind="ternary")
         g = GradSet.zeros_like(net)
-        g.dw[0].flat[:2] = 1e308
+        g["layer0.w"].flat[:2] = 1e308
         with np.errstate(over="ignore"):
-            assert np.isinf(g.dw[0].sum())
+            assert np.isinf(g["layer0.w"].sum())
         g.check_finite()
 
 

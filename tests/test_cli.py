@@ -1,4 +1,3 @@
-import re
 
 import pytest
 
@@ -279,12 +278,14 @@ class TestExitCodeDiscipline:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
-        # lr0 = 1e300 overflows the parameters after the first update, so a
-        # later batch's gradient is not finite; sgd_step finds it
-        code = main(["train", "--out_dir", str(tmp_path / "run")] + TRAIN_FAST + ["--train.lr0", "1e300"])
+        # lr0 = 1e300 overflows the parameters in the second update, the batch
+        # at sample 32; sgd_step names that batch and no model is written
+        out = tmp_path / "run"
+        code = main(["train", "--out_dir", str(out)] + TRAIN_FAST + ["--train.lr0", "1e300"])
         assert code == 3
         err = capsys.readouterr().err
-        assert re.search(r"batch starting at sample \d+: non-finite gradient in ", err), err
+        assert "batch starting at sample 32: non-finite parameter in " in err, err
+        assert not (out / "model.bin").exists()
 
     def test_soft_reset_training_rejected(self, tmp_path):
         code = main(

@@ -16,6 +16,7 @@ from ternspike.trainer import (
     evaluate,
     fit,
     load_model,
+    parse_model,
     save_model,
     sgd_step,
     train_epoch,
@@ -49,7 +50,7 @@ class TestSgdStep:
         net = _toy_net()
         vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
-        grads.dw[0][:] = 1.0
+        grads["layer0.w"][:] = 1.0
         before = net.layers[0].w.copy()
         sgd_step(net, grads, vel, lr=0.1, momentum=0.0, weight_decay=0.0)
         np.testing.assert_allclose(net.layers[0].w, before - 0.1, atol=1e-15)
@@ -67,13 +68,13 @@ class TestSgdStep:
         net = _toy_net()
         vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
-        grads.dw[0][:] = 2.0
+        grads["layer0.w"][:] = 2.0
         w0 = net.layers[0].w.copy()
         sgd_step(net, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.0)
         first_move = w0 - net.layers[0].w
         w1 = net.layers[0].w.copy()
         grads2 = bptt.GradSet.zeros_like(net)
-        grads2.dw[0][:] = 2.0
+        grads2["layer0.w"][:] = 2.0
         sgd_step(net, grads2, vel, lr=0.1, momentum=0.9, weight_decay=0.0)
         second_move = w1 - net.layers[0].w
         np.testing.assert_allclose(second_move, 1.9 * first_move, atol=1e-14)
@@ -90,7 +91,7 @@ class TestSgdStep:
         net = _toy_net()
         vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
-        grads.db[0][0] = np.inf
+        grads["layer0.b"][0] = np.inf
         with pytest.raises(NumericError, match="layer0.b"):
             sgd_step(net, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.0)
 
@@ -99,8 +100,8 @@ class TestSgdStep:
         net = _toy_net(kind="ctsn_static")
         vel = bptt.GradSet.zeros_like(net)
         grads = bptt.GradSet.zeros_like(net)
-        grads.dw[0][:] = 1.0
-        grads.db_out[0] = np.inf
+        grads["layer0.w"][:] = 1.0
+        grads["readout.b"][0] = np.inf
         before = net.copy()
         with pytest.raises(NumericError, match="readout.b"):
             sgd_step(net, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.1)
@@ -112,7 +113,24 @@ class TestSgdStep:
         for _, buf in vel.named():
             assert not np.any(buf)
 
+    def test_overflowing_update_names_the_parameter(self):
+        net = _toy_net()
+        grads = bptt.GradSet.zeros_like(net)
+        grads["readout.w"][0, 0] = 1e300
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite parameter in readout.w$"):
+            sgd_step(net, grads, bptt.GradSet.zeros_like(net), lr=1e300, momentum=0.9, weight_decay=0.0)
+
     def test_five_steps_match_literal_reference(self, tmp_path):
+        self._five_steps_against_reference(tmp_path)
+
+    @pytest.mark.parametrize("block", [7, 4])
+    def test_small_blocks_match_literal_reference(self, tmp_path, monkeypatch, block):
+        # blocks of 4 split the first omega triple (entries 70-72) across two blocks
+        monkeypatch.setattr(trainer, "_SGD_BLOCK", block)
+        self._five_steps_against_reference(tmp_path)
+
+    @staticmethod
+    def _five_steps_against_reference(tmp_path):
         # v = m*v + (g + wd*p); p -= lr*v, one parameter at a time; omega gets no decay
         lr, m, wd = 0.05, 0.9, 1e-3
         net = _toy_net(kind="ctsn_static", dims=(6, 10, 5))
@@ -144,6 +162,62 @@ class TestSgdStep:
         assert (tmp_path / "step.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
         for name, v in vel.named():
             assert v.tobytes() == ref_vel[name].tobytes(), name
+
+
+def _own_arrays(net):
+    """The arrays the network's layers hold, keyed in layout order."""
+    out = {}
+    for l, layer in enumerate(net.layers):
+        out[f"layer{l}.w"], out[f"layer{l}.b"] = layer.w, layer.b
+        if layer.omega is not None:
+            out[f"layer{l}.omega"] = layer.omega.vector
+    out["readout.w"], out["readout.b"] = net.readout.w, net.readout.b
+    return out
+
+
+class TestFlatStorage:
+    @pytest.fixture(params=["build_network", "load_model", "copy"])
+    def made(self, request, tmp_path):
+        """(kind, net) for each kind and each way a network is made."""
+        def make(kind):
+            net = _toy_net(kind=kind, dims=(5, 4, 3), seed=61)
+            if request.param == "copy":
+                return net.copy()
+            if request.param == "load_model":
+                save_model(tmp_path / "model.bin", net)
+                return load_model(tmp_path / "model.bin", net.cfg, net.n_steps)
+            return net
+        return make
+
+    @pytest.mark.parametrize("kind", ["ternary", "ctsn_static"])
+    def test_every_array_is_a_view_of_params(self, made, kind):
+        net = made(kind)
+        arrays = _own_arrays(net)
+        assert list(arrays) == list(net.layout)
+        assert net.params.size == sum(a.size for a in arrays.values())
+        for i, (name, arr) in enumerate(arrays.items()):
+            span, shape = net.layout[name]
+            assert arr.shape == shape and np.shares_memory(arr, net.params), name
+            arr.flat[-1] = 100.0 + i  # a write to the array shows in the vector ...
+            assert net.params[span.stop - 1] == 100.0 + i, name
+            net.params[span.start] = -100.0 - i  # ... and a write to the vector in the array
+            assert arr.flat[0] == -100.0 - i, name
+
+    @pytest.mark.parametrize("kind", ["ternary", "ctsn_static"])
+    def test_copy_owns_its_vector_and_steps_alone(self, made, kind):
+        net = made(kind)
+        before = net.params.copy()
+        clone = net.copy()
+        assert not np.shares_memory(clone.params, net.params)
+        for name, arr in _own_arrays(clone).items():
+            assert np.shares_memory(arr, clone.params), name
+            assert not np.shares_memory(arr, net.params), name
+        grads = bptt.GradSet.zeros_like(clone)
+        grads.vector[:] = 1.0
+        sgd_step(clone, grads, bptt.GradSet.zeros_like(clone), lr=0.1, momentum=0.9, weight_decay=1e-3)
+        assert net.params.tobytes() == before.tobytes()
+        assert not np.array_equal(clone.params, before)
+        np.testing.assert_array_equal(clone.layers[0].w, clone.params[clone.layout["layer0.w"][0]].reshape(5, 4))
 
 
 class TestTrainEpoch:
@@ -340,7 +414,7 @@ class TestFitAndPersistence:
     def test_every_bit_flip_and_truncation_rejected(self, tmp_path):
         """Desk ctsn widths (16-12-12-4): no single-bit flip and no truncation loads."""
         cfg = NeuronConfig(kind="ctsn_static")
-        path, bad = tmp_path / "model.bin", tmp_path / "bad.bin"
+        path = tmp_path / "model.bin"
         save_model(path, net_mod.build_network((16, 12, 12), 4, cfg, 4, component_rng(5)))
         blob = path.read_bytes()
 
@@ -354,10 +428,9 @@ class TestFitAndPersistence:
 
         tried, loaded = 0, []
         for variant in variants():
-            bad.write_bytes(variant)
             tried += 1
             try:
-                load_model(bad, cfg, n_steps=4)
+                parse_model(variant, cfg, 4, "variant")
                 loaded.append(len(variant))
             except (FormatError, LengthError):
                 pass
