@@ -46,7 +46,7 @@ import numpy as np
 from . import loss as loss_mod, network as net_mod
 from .errors import NumericError
 from .network import Network, Trace
-from .neuron import CTSNParams, decay, effective_params
+from .neuron import CTSNParams, effective_params, reset_keep
 from .numerics import Array, sigmoid
 
 
@@ -161,8 +161,9 @@ def kappa(u, tau: float, v_th: float):
 
 
 def choice(x, pivot, a, b):
-    """a where x >= pivot, else b (the pivot itself takes a)."""
-    return np.where(np.asarray(x, dtype=np.float64) >= pivot, a, b)
+    """a where x >= pivot, else b (the pivot itself takes a; NaN takes b): the
+    table (b, a) read at the mask's 0/1 indices, a gather and not a branch."""
+    return np.array((b, a)).take(np.asarray(x, dtype=np.float64) >= pivot)
 
 
 def grad_h_G(h, kind: str, alpha: float, beta: float):
@@ -299,7 +300,8 @@ def loss_and_grads(net: Network, input_seq, labels, tmpr=None, smooth=False):
     du_extra = None
     if tmpr is not None and tmpr.active:
         pots = cache.potentials()
-        tmpr_val = loss_mod.tmpr_loss(pots, tmpr)
+        with np.errstate(over="ignore"):  # an overflow is an infinite loss, which training raises on
+            tmpr_val = loss_mod.tmpr_loss(pots, tmpr)
         du_extra = loss_mod.tmpr_grad(pots, tmpr.lam)
     mode = "ctsn" if net.cfg.is_ctsn else "ternary"
     grads = backward_exact(cache, dL_dO, net, mode, du_extra=du_extra)
@@ -344,16 +346,19 @@ def _exact_sweep_ctsn(cache: Trace, l: int, du_tilde: Array, H: Array, omega: CT
 
     The potential adjoint flows through u(t+1) = tau * u~(t) * (1 - |o(t)|)
     into the blend; the memory adjoint flows along h(t+1) -> h(t) with the
-    blend's h-derivative.  Both reach the blend's parameters.
+    blend's h-derivative.  Both reach the blend's parameters.  tau * u~ and the
+    reset factor serve the carry and u(t+1); the sign-free blend derivative is a scalar.
     """
     tr, cfg = cache.layers[l], cache.cfg
     tau, static = cfg.tau, cfg.kind == "ctsn_static"
     alpha, beta, gamma = tr.factors
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
-    carry = tau * (1.0 - np.abs(o)) - tau * ut * np.sign(o) * H[:-1]  # du(t+1)/du~(t)
-    u = decay(ut, o, tau)  # u(t + 1)
-    # blend derivatives of the step from t into t + 1
-    gu, gh = grad_u_G(u, cfg.kind, beta, gamma), grad_h_G(tr.h[:-1], cfg.kind, alpha, beta)
+    keep, tu = reset_keep(o, cache.smooth), tau * ut
+    carry = tau * keep - tu * np.sign(o) * H[:-1]  # du(t+1)/du~(t)
+    u = tu * keep  # u(t + 1)
+    # blend derivatives of the step from t into t + 1; the sign-free one is one scalar per step
+    gu = [gamma] * len(u) if static else choice(u, 0.0, beta, gamma)
+    gh = choice(tr.h[:-1], 0.0, alpha, beta) if static else [alpha] * len(u)
     dh = np.empty_like(du_tilde)  # memory adjoint
     dh[-1] = du_tilde[-1]
     for t in reversed(range(len(du_tilde) - 1)):

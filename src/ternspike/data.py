@@ -62,15 +62,15 @@ def encode_batch(data: Dataset, idx, n_steps: int):
     """Materialize one batch as a per-timestep input sequence.
 
     Static samples are direct-encoded (repeated); neuromorphic samples must
-    carry exactly ``n_steps`` frames.
+    carry exactly ``n_steps`` frames, and come as one contiguous (T, B, D)
+    array gathered in a single copy, which ``network.forward`` takes as is.
     """
     labels = data.labels[idx]
     if data.kind == "static":
         return direct_encode(data.inputs[idx], n_steps), labels
     if data.inputs.shape[1] != n_steps:
         raise DimensionError(f"dataset has {data.inputs.shape[1]} frames per sample, network expects {n_steps}")
-    frames = data.inputs[idx]
-    return [frames[:, t, :] for t in range(n_steps)], labels
+    return data.inputs[np.asarray(idx)[None], np.arange(n_steps)[:, None]], labels
 
 
 def direct_encode(x: Array, n_steps: int) -> list[Array]:

@@ -143,7 +143,7 @@ def smooth_spike(u_tilde: Array, v_th: float, a: float, out: Array | None = None
     values +-1, so the stand-in matches real spikes at the window edges.
     """
     edge = v_th + a
-    return np.clip(np.asarray(u_tilde, dtype=np.float64), -edge, edge, out=out)
+    return np.clip(u_tilde, -edge, edge, out=out)
 
 
 @dataclass
@@ -170,12 +170,14 @@ class Trace:
     """Record of one forward pass: one ``LayerTrace`` per spiking layer.
 
     ``x`` is the network input, (B, D_in) when every timestep shares one
-    array (direct encoding) and (T, B, D_in) otherwise.
+    array (direct encoding) and (T, B, D_in) otherwise.  ``smooth`` marks a
+    pass of the stand-in, whose ``o`` is continuous, not ternary.
     """
 
     layers: list[LayerTrace]
     x: Array
     cfg: NeuronConfig
+    smooth: bool = False
 
     def __post_init__(self) -> None:
         if not self.layers or len(self.layers[0].u_tilde) == 0:
@@ -204,7 +206,7 @@ class Trace:
         if tr.h is None:
             return tr.u_tilde
         u = np.zeros_like(tr.u_tilde)
-        u[1:] = decay(tr.u_tilde[:-1], tr.o[:-1], self.cfg.tau)
+        u[1:] = decay(tr.u_tilde[:-1], tr.o[:-1], self.cfg.tau, self.smooth)
         return u
 
     def potentials(self) -> list[Array]:
@@ -234,8 +236,8 @@ def _affine(x: Array, layer: Layer) -> Array:
     return out.reshape(x.shape[:-1] + out.shape[-1:])
 
 
-def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps: int, fire) -> LayerTrace:
-    """All timesteps of one spiking layer.
+def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps: int, smooth: bool) -> LayerTrace:
+    """All timesteps of one spiking layer, fired by the stand-in when ``smooth``.
 
     ``pre`` is the input current, (T, B, D), or (B, D) when every timestep
     shares it.  A stacked ``pre`` is turned into u~ in place; each step's
@@ -247,6 +249,8 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
     o = np.empty(shape)
     h = np.empty(shape) if cfg.is_ctsn else None
     factors = None
+    fire = ((lambda u, out: smooth_spike(u, cfg.v_th, cfg.a, out=out)) if smooth
+            else (lambda u, out: ternary_fire(u, cfg.v_th, out=out)))
     if cfg.is_ctsn:
         # looked up on the module, so a wrapper installed there sees the call
         factors = alpha, beta, gamma = neuron_mod.effective_params(omega)
@@ -259,12 +263,12 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
             if not stacked:
                 u_tilde[0] = x
         elif h is not None:
-            blend(h[t - 1], decay(u_tilde[t - 1], o[t - 1], cfg.tau), alpha, beta, gamma, out=h[t])
+            blend(h[t - 1], decay(u_tilde[t - 1], o[t - 1], cfg.tau, smooth), alpha, beta, gamma, out=h[t])
             np.add(h[t], x, out=u_tilde[t])
         elif cfg.reset == "soft":
             np.add(cfg.tau * (u_tilde[t - 1] - o[t - 1] * cfg.v_th), x, out=u_tilde[t])
         else:
-            np.add(decay(u_tilde[t - 1], o[t - 1], cfg.tau), x, out=u_tilde[t])
+            np.add(decay(u_tilde[t - 1], o[t - 1], cfg.tau, smooth), x, out=u_tilde[t])
         fire(u_tilde[t], o[t])
     return LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=factors)
 
@@ -273,9 +277,10 @@ def forward(net: Network, input_seq, smooth: bool = False) -> tuple[Array, Trace
     """Run the sequence, returning the (T, B, C) per-timestep logits and the trace.
 
     ``input_seq`` is a sequence of length ``net.n_steps`` of (batch, input)
-    arrays.  When every element is the same array object (direct encoding)
-    the first layer's input current is computed once for all timesteps.
-    State starts at zero and is private to this call.
+    arrays, or one (T, batch, input) array, which is used without a copy.
+    When every element is the same array object (direct encoding) the first
+    layer's input current is computed once for all timesteps.  State starts
+    at zero and is private to this call.
     """
     if len(input_seq) != net.n_steps:
         raise DimensionError(f"input sequence has {len(input_seq)} steps, network expects {net.n_steps}")
@@ -289,17 +294,12 @@ def forward(net: Network, input_seq, smooth: bool = False) -> tuple[Array, Trace
         for t, step in enumerate(input_seq):
             if np.shape(step) != first.shape:
                 raise DimensionError(f"step {t} input shape {np.shape(step)} differs from {first.shape}")
-        x = np.stack([np.asarray(step, dtype=np.float64) for step in input_seq])
-
-    if smooth:
-        fire = lambda u, out: smooth_spike(u, cfg.v_th, cfg.a, out=out)
-    else:
-        fire = lambda u, out: ternary_fire(u, cfg.v_th, out=out)
+        x = np.asarray(input_seq, dtype=np.float64)  # a (T, B, D) float64 array passes through uncopied
     layers, cur = [], x
     for layer in net.layers:
-        layers.append(_run_layer(_affine(cur, layer), layer.omega, cfg, net.n_steps, fire))
+        layers.append(_run_layer(_affine(cur, layer), layer.omega, cfg, net.n_steps, smooth))
         cur = layers[-1].o
-    return _affine(cur, net.readout), Trace(layers, x, cfg)
+    return _affine(cur, net.readout), Trace(layers, x, cfg, smooth)
 
 
 def predict(logits) -> Array:

@@ -129,9 +129,14 @@ def surrogate(u_tilde: Array, v_th: float, a: float) -> Array:
     return (np.abs(u_tilde) - v_th < a).astype(np.float64)
 
 
-def decay(u_prev: Array, o_prev: Array, tau: float) -> Array:
-    """Leak with the spike reset folded in: tau * u(t-1) * (1 - |o(t-1)|)."""
-    return tau * u_prev * (1.0 - np.abs(o_prev))
+def reset_keep(o: Array, smooth: bool = False) -> Array:
+    """1 - |o|, what a spike leaves of the potential: as o == 0 (same bits, one call) unless ``smooth``."""
+    return 1.0 - np.abs(o) if smooth else np.equal(o, 0.0)
+
+
+def decay(u_prev: Array, o_prev: Array, tau: float, smooth: bool = False) -> Array:
+    """Leak with the spike reset folded in: tau * u(t-1) * reset_keep(o(t-1))."""
+    return tau * u_prev * reset_keep(o_prev, smooth)
 
 
 def _check_state_input(state: NeuronState, x: Array) -> Array:
@@ -153,7 +158,7 @@ def ternary_step(
     if cfg.kind != "ternary" or cfg.reset != "hard":
         raise ValueError("ternary_step requires kind='ternary', reset='hard'")
     x = _check_state_input(state, x)
-    u = decay(state.u, state.o_prev, cfg.tau) + x
+    u = decay(state.u, state.o_prev, cfg.tau, smooth=fire is not None) + x
     o = ternary_fire(u, cfg.v_th) if fire is None else fire(u)
     return o, NeuronState(u=u, h=np.zeros_like(u), u_tilde=u, o_prev=o)
 
@@ -181,13 +186,15 @@ def g_static(
 
     alpha * relu(h_prev) + beta * (-relu(-h_prev)) + gamma * u, i.e. positive
     memory decays with alpha, negative with beta; h_prev = 0 is branchless
-    (both sides vanish).  ``out``, when given, receives the result.
+    (both sides vanish).  The rate is the table (beta, alpha) read at the 0/1
+    mask h_prev >= 0: ``np.where``'s bits without its branch on a random sign.
+    ``out``, when given, receives the result.
     """
     h_prev = np.asarray(h_prev, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if h_prev.shape != u.shape:
         raise DimensionError(f"g_static shapes disagree: {h_prev.shape} vs {u.shape}")
-    return np.add(np.where(h_prev >= 0.0, alpha * h_prev, beta * h_prev), gamma * u, out=out)
+    return np.add(np.array((beta, alpha)).take(h_prev >= 0.0) * h_prev, gamma * u, out=out)
 
 
 def g_neuromorphic(
@@ -196,13 +203,14 @@ def g_neuromorphic(
     """Memory blend for event inputs: injection rate keyed on the sign of u.
 
     alpha * h_prev + beta * relu(u) + gamma * (-relu(-u)); u = 0 contributes
-    nothing from either side.  ``out``, when given, receives the result.
+    nothing from either side.  The rate of u is read as in ``g_static``.
+    ``out``, when given, receives the result.
     """
     h_prev = np.asarray(h_prev, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if h_prev.shape != u.shape:
         raise DimensionError(f"g_neuromorphic shapes disagree: {h_prev.shape} vs {u.shape}")
-    return np.add(alpha * h_prev, np.where(u >= 0.0, beta * u, gamma * u), out=out)
+    return np.add(alpha * h_prev, np.array((gamma, beta)).take(u >= 0.0) * u, out=out)
 
 
 def ctsn_step(
@@ -221,7 +229,7 @@ def ctsn_step(
         raise ValueError("ctsn_step requires a ctsn_* neuron kind")
     x = _check_state_input(state, x)
     alpha, beta, gamma = effective_params(p)
-    u = decay(state.u_tilde, state.o_prev, cfg.tau)
+    u = decay(state.u_tilde, state.o_prev, cfg.tau, smooth=fire is not None)
     if cfg.kind == "ctsn_static":
         h = g_static(state.h, u, alpha, beta, gamma)
     else:

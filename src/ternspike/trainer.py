@@ -87,18 +87,19 @@ def sgd_step(
     grads.check_finite()
     p, g, v = net.params, grads.vector, vel.vector
     scratch = np.empty(min(p.size, _SGD_BLOCK))
-    for lo in range(0, p.size, _SGD_BLOCK):
-        hi = min(lo + _SGD_BLOCK, p.size)
-        d = np.multiply(p[lo:hi], weight_decay, out=scratch[: hi - lo])
-        for span in net.omega_slices:
-            a, b = max(span.start, lo), min(span.stop, hi)
-            if a < b:
-                np.multiply(p[a:b], 0.0, out=d[a - lo : b - lo])
-        d += g[lo:hi]
-        v[lo:hi] *= momentum
-        v[lo:hi] += d
-        np.multiply(v[lo:hi], lr, out=d)
-        p[lo:hi] -= d
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite parameter raises below
+        for lo in range(0, p.size, _SGD_BLOCK):
+            hi = min(lo + _SGD_BLOCK, p.size)
+            d = np.multiply(p[lo:hi], weight_decay, out=scratch[: hi - lo])
+            for span in net.omega_slices:
+                a, b = max(span.start, lo), min(span.stop, hi)
+                if a < b:
+                    np.multiply(p[a:b], 0.0, out=d[a - lo : b - lo])
+            d += g[lo:hi]
+            v[lo:hi] *= momentum
+            v[lo:hi] += d
+            np.multiply(v[lo:hi], lr, out=d)
+            p[lo:hi] -= d
     bptt.GradSet.of(net).check_finite("parameter")
 
 
@@ -138,6 +139,8 @@ def train_epoch(
             ce, tmpr_val, logits, grads = bptt.loss_and_grads(net, xs_seq, labels, cfg.tmpr)
             sgd_step(net, grads, vel, lr, cfg.momentum, cfg.weight_decay)
             del grads  # so the next batch's gradient vector can take its memory
+            if not (math.isfinite(ce) and math.isfinite(tmpr_val)):
+                raise NumericError(f"non-finite loss: ce {ce!r}, tmpr {tmpr_val!r}")
         except NumericError as exc:
             raise NumericError(f"batch starting at sample {start}: {exc}") from exc
         ce_sum += ce * len(idx)

@@ -353,9 +353,9 @@ class TestFiniteDifferenceOracle:
 
         for mod, names in (
             (net_mod, ("forward", "_run_layer", "_affine", "decay", "g_static", "g_neuromorphic")),
-            (neuron_mod, ("decay", "g_static", "g_neuromorphic")),
+            (neuron_mod, ("decay", "reset_keep", "g_static", "g_neuromorphic")),
             (loss_mod, ("avg_ce_loss_and_grad", "tmpr_loss")),
-            (bptt, ("decay",)),
+            (bptt, ("reset_keep", "choice")),
         ):
             for name in names:
                 monkeypatch.setattr(mod, name, refuse)

@@ -276,15 +276,17 @@ class TestExitCodeDiscipline:
         assert code == 1
         assert "worst offender" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         # lr0 = 1e300 overflows the parameters in the second update, the batch
-        # at sample 32; sgd_step names that batch and no model is written
+        # at sample 32; sgd_step names that batch and no model is written.  The
+        # overflows it checks print no numpy warning: stderr is the one message.
         out = tmp_path / "run"
         code = main(["train", "--out_dir", str(out)] + TRAIN_FAST + ["--train.lr0", "1e300"])
         assert code == 3
         err = capsys.readouterr().err
-        assert "batch starting at sample 32: non-finite parameter in " in err, err
+        assert err.startswith("numeric error: batch starting at sample 32: non-finite parameter in "), err
+        assert err.count("\n") == 1, err
         assert not (out / "model.bin").exists()
 
     def test_soft_reset_training_rejected(self, tmp_path):

@@ -184,6 +184,12 @@ class TestEncodeBatch:
         assert len(seq) == 3
         np.testing.assert_array_equal(seq[1], ds.inputs[[1, 3], 1, :])
 
+    def test_neuromorphic_batch_is_one_contiguous_stack(self):
+        ds = synth_event_frames(6, 4, 3, 0.5, seeded_rng(11))
+        seq, _ = encode_batch(ds, np.array([4, 1, 3]), 3)
+        assert isinstance(seq, np.ndarray) and seq.shape == (3, 3, 4) and seq.flags.c_contiguous
+        assert seq.tobytes() == np.stack([ds.inputs[[4, 1, 3], t, :] for t in range(3)]).tobytes()
+
 
 def test_manifest_round_trips_keys(tmp_path):
     path = tmp_path / "corpus.manifest"

@@ -81,6 +81,21 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward(net, [np.zeros((1, 5))] * 3)
 
+    def test_stacked_array_is_taken_without_a_copy(self):
+        net = _ctsn_net("ctsn_neuromorphic")
+        stack = seeded_rng(2).normal(size=(4, 3, 5))
+        logits, cache = forward(net, stack)
+        assert cache.x is stack
+        listed, _ = forward(net, list(stack))
+        assert logits.tobytes() == listed.tobytes()
+
+    def test_stacked_array_mismatches_keep_their_messages(self):
+        net = _net(n_steps=3)
+        with pytest.raises(DimensionError, match=r"^input sequence has 2 steps, network expects 3$"):
+            forward(net, np.zeros((2, 1, 4)))
+        with pytest.raises(DimensionError, match=r"^input shape \(1, 5\) does not match input dim 4$"):
+            forward(net, np.zeros((3, 1, 5)))
+
     def test_determinism(self):
         net = _net(dims=(4, 8, 8), n_steps=4, seed=9)
         seq = [component_rng(9, 1).normal(size=(5, 4)) for _ in range(4)]

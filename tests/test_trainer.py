@@ -113,12 +113,23 @@ class TestSgdStep:
         for _, buf in vel.named():
             assert not np.any(buf)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_update_names_the_parameter(self):
         net = _toy_net()
         grads = bptt.GradSet.zeros_like(net)
         grads["readout.w"][0, 0] = 1e300
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite parameter in readout.w$"):
+        with pytest.raises(NumericError, match="non-finite parameter in readout.w$"):
             sgd_step(net, grads, bptt.GradSet.zeros_like(net), lr=1e300, momentum=0.9, weight_decay=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_loss_names_its_batch(self):
+        # potentials of 1e160 square past the float64 range: the TMPR loss is
+        # infinite while the gradients and the updated parameters stay finite
+        net, data = _toy_net(), _toy_data()
+        net.layers[0].b[:] = 1e160
+        cfg = TrainConfig(batch_size=32, epochs=1, n_steps=3, tmpr=TMPRConfig(lam=0.05))
+        with pytest.raises(NumericError, match=r"^batch starting at sample 0: non-finite loss: ce .+, tmpr inf$"):
+            train_epoch(net, data, cfg, 0, bptt.GradSet.zeros_like(net))
 
     def test_five_steps_match_literal_reference(self, tmp_path):
         self._five_steps_against_reference(tmp_path)
