@@ -9,8 +9,6 @@ from .neuron import (
     closed_form_potential,
     ctsn_step,
     effective_params,
-    g_neuromorphic,
-    g_static,
     surrogate,
     ternary_fire,
     ternary_step,
@@ -36,8 +34,6 @@ __all__ = [
     "evaluate",
     "fit",
     "forward",
-    "g_neuromorphic",
-    "g_static",
     "predict",
     "sgd_step",
     "surrogate",

@@ -24,9 +24,11 @@ layer at a time over all timesteps: the factors are formed over the whole
 each linear map's gradients are one matrix product over its T*B rows, written
 into its view of one ``GradSet`` vector in the network's parameter layout.
 
-The factor functions (``epsilon``, ``kappa``, ``xi``, ``choice``,
-``grad_h_G``) are also exported standalone so each can be pinned by direct
-value tests.
+The factor functions (``epsilon``, ``kappa``, ``xi``) are also exported
+standalone so each can be pinned by direct value tests.  The complemented
+blend's derivatives are its rates, read from ``neuron.BLEND_RULES`` through
+``neuron.blend_rule`` and ``neuron.rate``; only the finite-difference
+stand-in writes the two rules out again, as its own check of the table.
 
 ``finite_difference`` is the third oracle: central differences of the
 smooth stand-in loss.  It does not share the engine's forward; it has its
@@ -46,7 +48,7 @@ import numpy as np
 from . import loss as loss_mod, network as net_mod
 from .errors import NumericError
 from .network import Network, Trace
-from .neuron import CTSNParams, effective_params, reset_keep
+from .neuron import BLEND_RULES, CTSNParams, blend_rule, effective_params, rate, reset_keep
 from .numerics import Array, sigmoid
 
 
@@ -160,30 +162,6 @@ def kappa(u, tau: float, v_th: float):
     return np.select(conds, vals, default=0.0)
 
 
-def choice(x, pivot, a, b):
-    """a where x >= pivot, else b (the pivot itself takes a; NaN takes b): the
-    table (b, a) read at the mask's 0/1 indices, a gather and not a branch."""
-    return np.array((b, a)).take(np.asarray(x, dtype=np.float64) >= pivot)
-
-
-def grad_h_G(h, kind: str, alpha: float, beta: float):
-    """Derivative of the memory blend w.r.t. its previous-memory argument."""
-    if kind == "ctsn_static":
-        return choice(h, 0.0, alpha, beta)
-    if kind == "ctsn_neuromorphic":
-        return np.full_like(np.asarray(h, dtype=np.float64), alpha)
-    raise ValueError(f"grad_h_G is undefined for kind {kind!r}")
-
-
-def grad_u_G(u, kind: str, beta: float, gamma: float):
-    """Derivative of the memory blend w.r.t. its potential argument."""
-    if kind == "ctsn_static":
-        return np.full_like(np.asarray(u, dtype=np.float64), gamma)
-    if kind == "ctsn_neuromorphic":
-        return choice(u, 0.0, beta, gamma)
-    raise ValueError(f"grad_u_G is undefined for kind {kind!r}")
-
-
 def xi(h_next_inputs, o, u_tilde, H, params: CTSNParams, kind: str, tau: float):
     """Closed-form potential-to-potential factor of the complemented unit.
 
@@ -194,11 +172,10 @@ def xi(h_next_inputs, o, u_tilde, H, params: CTSNParams, kind: str, tau: float):
     reset path: d_blend/d_u * (-tau * u~(t)) * sign(o) * H.
     """
     _, u_next = h_next_inputs
-    alpha, beta, gamma = effective_params(params)
     o = np.asarray(o, dtype=np.float64)
     u_tilde = np.asarray(u_tilde, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
-    g_u = grad_u_G(u_next, kind, beta, gamma)
+    g_u = rate(blend_rule(kind, effective_params(params))[1], np.asarray(u_next, dtype=np.float64))
     return g_u + g_u * (-tau * u_tilde) * np.sign(o) * H
 
 
@@ -259,25 +236,30 @@ def _chain_omega(factors, partials) -> Array:
     return np.array([d * p * (1.0 - p) for d, p in zip(partials, factors)])
 
 
-def _blend_partials(dh: Array, h: Array, u: Array, static: bool):
-    """(d_alpha, d_beta, d_gamma) of one layer before the sigmoid chain.
+def _step_rates(kind: str, factors, h_prev: Array, u: Array):
+    """Blend derivatives (d h(t+1)/d h(t), d h(t+1)/d u(t+1)) at every step of the (T-1, B, D)
+    operand stacks: a sign-keyed rate as an array, a sign-free one as one float per step."""
+    return tuple([rate(r, x) if isinstance(r, np.ndarray) else [r] * len(x)
+                  for r, x in zip(blend_rule(kind, factors), (h_prev, u))])
+
+
+def _blend_partials(dh: Array, h: Array, u: Array, kind: str):
+    """(d_alpha, d_beta, d_gamma) of one layer before the sigmoid chain: each factor's
+    partial is dh times the part of the operand it rates under ``BLEND_RULES[kind]``.
 
     ``dh`` is the memory adjoint and ``h`` the memory, both (T, B, D); ``u``
     is the decayed potential from the second step on, (T - 1, B, D).  The
     first step contributes nothing: both blend inputs are zero there.
     """
-    dh, h_prev = dh[1:], h[:-1]
-    if static:
-        return (
-            float((dh * np.maximum(h_prev, 0.0)).sum()),
-            float((dh * np.minimum(h_prev, 0.0)).sum()),
-            float((dh * u).sum()),
-        )
-    return (
-        float((dh * h_prev).sum()),
-        float((dh * np.maximum(u, 0.0)).sum()),
-        float((dh * np.minimum(u, 0.0)).sum()),
-    )
+    dh, partials = dh[1:], [0.0] * 3
+    for r, x in zip(BLEND_RULES[kind], (h[:-1], u)):
+        if isinstance(r, int):
+            partials[r] = float((dh * x).sum())
+        else:
+            below, above = r
+            partials[above] = float((dh * np.maximum(x, 0.0)).sum())
+            partials[below] = float((dh * np.minimum(x, 0.0)).sum())
+    return tuple(partials)
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +332,17 @@ def _exact_sweep_ctsn(cache: Trace, l: int, du_tilde: Array, H: Array, omega: CT
     reset factor serve the carry and u(t+1); the sign-free blend derivative is a scalar.
     """
     tr, cfg = cache.layers[l], cache.cfg
-    tau, static = cfg.tau, cfg.kind == "ctsn_static"
-    alpha, beta, gamma = tr.factors
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
-    keep, tu = reset_keep(o, cache.smooth), tau * ut
-    carry = tau * keep - tu * np.sign(o) * H[:-1]  # du(t+1)/du~(t)
+    keep, tu = reset_keep(o, cache.smooth), cfg.tau * ut
+    carry = cfg.tau * keep - tu * np.sign(o) * H[:-1]  # du(t+1)/du~(t)
     u = tu * keep  # u(t + 1)
-    # blend derivatives of the step from t into t + 1; the sign-free one is one scalar per step
-    gu = [gamma] * len(u) if static else choice(u, 0.0, beta, gamma)
-    gh = choice(tr.h[:-1], 0.0, alpha, beta) if static else [alpha] * len(u)
+    gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u)
     dh = np.empty_like(du_tilde)  # memory adjoint
     dh[-1] = du_tilde[-1]
     for t in reversed(range(len(du_tilde) - 1)):
         du_tilde[t] += dh[t + 1] * gu[t] * carry[t]
         dh[t] = du_tilde[t] + dh[t + 1] * gh[t]
-    return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, static))
+    return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, cfg.kind))
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +401,9 @@ def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNPa
     """
     tr, cfg = cache.layers[l], cache.cfg
     n_steps = len(direct)
-    alpha, beta, _ = tr.factors
     u = cache.decayed(l)
     xis = xi((tr.h[:-1], u[1:]), tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
-    gh = grad_h_G(tr.h[:-1], cfg.kind, alpha, beta)  # d h(s+1) / d h(s), branch on h(s)
+    gh, _ = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u[1:])  # d h(s+1) / d h(s)
     dx = direct.copy()
     for t in range(n_steps):
         if t + 1 < n_steps:
@@ -441,7 +418,7 @@ def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNPa
     dh = dx.copy()
     for t in reversed(range(n_steps - 1)):
         dh[t] = dx[t] + dh[t + 1] * gh[t]
-    return dx, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u[1:], cfg.kind == "ctsn_static"))
+    return dx, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u[1:], cfg.kind))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bptt, loss as loss_mod, network as net_mod
 from .loss import TMPRConfig
-from .neuron import NeuronConfig
+from .neuron import BLEND_RULES, NeuronConfig
 from .numerics import component_rng
 
 FD_STEP_DEFAULT = 1e-6
@@ -83,8 +83,8 @@ def _kink_distance(cache: net_mod.Trace, cfg: NeuronConfig) -> float:
     dist = np.inf
     for l, tr in enumerate(cache.layers):
         dist = min(dist, float(np.abs(np.abs(tr.u_tilde) - edge).min()))
-        if cfg.is_ctsn:  # the blend branches on h (static) or on u (neuromorphic)
-            vals = tr.h if cfg.kind == "ctsn_static" else cache.decayed(l)
+        if cfg.is_ctsn:  # the blend kinks where the operand keying a rate, h or u, crosses 0
+            vals = tr.h if isinstance(BLEND_RULES[cfg.kind][0], tuple) else cache.decayed(l)
             vals = np.abs(vals[vals != 0.0])
             if vals.size:
                 dist = min(dist, float(vals.min()))

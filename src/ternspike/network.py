@@ -33,10 +33,10 @@ from .errors import DimensionError, StateError
 from .neuron import (  # the step functions stay importable here for per-step callers and wrappers
     CTSNParams,
     NeuronConfig,
+    blend,
+    blend_rule,
     ctsn_step,
     decay,
-    g_neuromorphic,
-    g_static,
     surrogate,
     ternary_fire,
     ternary_step,
@@ -253,8 +253,8 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
             else (lambda u, out: ternary_fire(u, cfg.v_th, out=out)))
     if cfg.is_ctsn:
         # looked up on the module, so a wrapper installed there sees the call
-        factors = alpha, beta, gamma = neuron_mod.effective_params(omega)
-        blend = g_static if cfg.kind == "ctsn_static" else g_neuromorphic
+        factors = neuron_mod.effective_params(omega)
+        rule = blend_rule(cfg.kind, factors)
     for t in range(n_steps):
         x = pre[t] if stacked else pre
         if t == 0:  # zero initial state: u~(1) = x(1)
@@ -263,7 +263,7 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
             if not stacked:
                 u_tilde[0] = x
         elif h is not None:
-            blend(h[t - 1], decay(u_tilde[t - 1], o[t - 1], cfg.tau, smooth), alpha, beta, gamma, out=h[t])
+            blend(rule, h[t - 1], decay(u_tilde[t - 1], o[t - 1], cfg.tau, smooth), out=h[t])
             np.add(h[t], x, out=u_tilde[t])
         elif cfg.reset == "soft":
             np.add(cfg.tau * (u_tilde[t - 1] - o[t - 1] * cfg.v_th), x, out=u_tilde[t])

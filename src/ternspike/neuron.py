@@ -13,7 +13,10 @@ Two neuron families live here:
   (held in (0,1) via a sigmoid reparameterization, one scalar triple per
   layer).  Two blend rules exist: one keyed on the sign of ``h`` (static
   image inputs) and one keyed on the sign of the decayed potential
-  (neuromorphic event inputs).
+  (neuromorphic event inputs).  ``BLEND_RULES`` states both once, as which
+  factor rates h(t-1) and which rates u(t); the forward, both gradient
+  engines and the gradcheck kink search read it through ``blend_rule``,
+  ``rate`` and ``blend``.
 
 Step functions are pure: they take a state, return a new state, and never
 mutate their inputs, so independent batch elements can be processed in
@@ -179,38 +182,39 @@ def ternary_step_soft(
     return o, NeuronState(u=u, h=np.zeros_like(u), u_tilde=u, o_prev=o)
 
 
-def g_static(
-    h_prev: Array, u: Array, alpha: float, beta: float, gamma: float, out: Array | None = None
-) -> Array:
-    """Memory blend for static inputs: decay rate keyed on the sign of h.
+ALPHA, BETA, GAMMA = range(3)  # positions in the effective (alpha, beta, gamma) triple
 
-    alpha * relu(h_prev) + beta * (-relu(-h_prev)) + gamma * u, i.e. positive
-    memory decays with alpha, negative with beta; h_prev = 0 is branchless
-    (both sides vanish).  The rate is the table (beta, alpha) read at the 0/1
-    mask h_prev >= 0: ``np.where``'s bits without its branch on a random sign.
-    ``out``, when given, receives the result.
-    """
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+# The memory blend h(t) = r_h * h(t-1) + r_u * u(t) of each complemented kind: (rate of h(t-1),
+# rate of u(t)).  A rate is one factor, or a pair (below 0, at or above 0) keyed on the sign of
+# the operand it rates.
+BLEND_RULES = {
+    # static images:   h(t) = alpha * max(h(t-1), 0) + beta * min(h(t-1), 0) + gamma * u(t)
+    "ctsn_static": ((BETA, ALPHA), GAMMA),
+    # event streams:   h(t) = alpha * h(t-1) + beta * max(u(t), 0) + gamma * min(u(t), 0)
+    "ctsn_neuromorphic": (ALPHA, (GAMMA, BETA)),
+}
+
+
+def blend_rule(kind: str, factors) -> tuple:
+    """(r_h, r_u) of ``kind``'s blend at the effective ``factors``: each a float, or for a
+    sign-keyed rate the (2,) table (below 0, at or above 0).  Built once per layer."""
+    return tuple([factors[r] if isinstance(r, int) else np.array((factors[r[0]], factors[r[1]]))
+                  for r in BLEND_RULES[kind]])
+
+
+def rate(r, x):
+    """The rate ``r`` at operand ``x``: a float as it is, a table read at the 0/1 mask
+    x >= 0 (``np.where``'s bits without its branch on a random sign; NaN reads below)."""
+    return r.take(x >= 0.0) if isinstance(r, np.ndarray) else r
+
+
+def blend(rule, h_prev: Array, u: Array, out: Array | None = None) -> Array:
+    """Memory blend r_h * h_prev + r_u * u under ``rule`` (see ``blend_rule``), the h
+    term first.  h_prev = u = 0 is a fixed point.  ``out``, when given, receives the result."""
     if h_prev.shape != u.shape:
-        raise DimensionError(f"g_static shapes disagree: {h_prev.shape} vs {u.shape}")
-    return np.add(np.array((beta, alpha)).take(h_prev >= 0.0) * h_prev, gamma * u, out=out)
-
-
-def g_neuromorphic(
-    h_prev: Array, u: Array, alpha: float, beta: float, gamma: float, out: Array | None = None
-) -> Array:
-    """Memory blend for event inputs: injection rate keyed on the sign of u.
-
-    alpha * h_prev + beta * relu(u) + gamma * (-relu(-u)); u = 0 contributes
-    nothing from either side.  The rate of u is read as in ``g_static``.
-    ``out``, when given, receives the result.
-    """
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    if h_prev.shape != u.shape:
-        raise DimensionError(f"g_neuromorphic shapes disagree: {h_prev.shape} vs {u.shape}")
-    return np.add(alpha * h_prev, np.array((gamma, beta)).take(u >= 0.0) * u, out=out)
+        raise DimensionError(f"blend shapes disagree: {h_prev.shape} vs {u.shape}")
+    r_h, r_u = rule
+    return np.add(rate(r_h, h_prev) * h_prev, rate(r_u, u) * u, out=out)
 
 
 def ctsn_step(
@@ -219,7 +223,7 @@ def ctsn_step(
     """One complemented-ternary step.
 
     u(t)  = tau * u~(t-1) * (1 - |o(t-1)|)      (reset folded into the decay)
-    h(t)  = blend(h(t-1), u(t))                 (rule per cfg.kind)
+    h(t)  = blend(h(t-1), u(t))                 (BLEND_RULES[cfg.kind])
     u~(t) = h(t) + x(t), then fire from u~(t).
 
     The returned state stores the pre-reset u~(t); the fold happens when the
@@ -228,12 +232,8 @@ def ctsn_step(
     if not cfg.is_ctsn:
         raise ValueError("ctsn_step requires a ctsn_* neuron kind")
     x = _check_state_input(state, x)
-    alpha, beta, gamma = effective_params(p)
     u = decay(state.u_tilde, state.o_prev, cfg.tau, smooth=fire is not None)
-    if cfg.kind == "ctsn_static":
-        h = g_static(state.h, u, alpha, beta, gamma)
-    else:
-        h = g_neuromorphic(state.h, u, alpha, beta, gamma)
+    h = blend(blend_rule(cfg.kind, effective_params(p)), state.h, u)
     u_tilde = h + x
     o = ternary_fire(u_tilde, cfg.v_th) if fire is None else fire(u_tilde)
     return o, NeuronState(u=u, h=h, u_tilde=u_tilde, o_prev=o)

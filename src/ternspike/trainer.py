@@ -187,7 +187,8 @@ def fit(
     cfg: TrainConfig,
     metrics_path=None,
 ) -> list[dict]:
-    """Full training run; optionally streams one metrics CSV row per epoch."""
+    """Full training run.  The metrics CSV, one row per epoch, is written once after the last
+    epoch, so a run stopped by a numeric error (exit 3) leaves no file."""
     vel = bptt.GradSet.zeros_like(net)
     history = []
     rows = ["epoch,lr,ce_loss,tmpr_loss,train_acc,eval_acc"]

@@ -7,10 +7,8 @@ from ternspike.bptt import (
     backward_exact,
     backward_recursion,
     central_diff,
-    choice,
     epsilon,
     finite_difference,
-    grad_h_G,
     kappa,
     loss_and_grads,
     max_relative_error,
@@ -22,7 +20,7 @@ from ternspike.errors import NumericError, StateError
 from ternspike.gradcheck import random_network
 from ternspike.loss import TMPRConfig
 from ternspike.network import Layer, Network, forward, smooth_spike
-from ternspike.neuron import CTSNParams, NeuronConfig
+from ternspike.neuron import CTSNParams, NeuronConfig, blend_rule, rate
 from ternspike.numerics import component_rng, seeded_rng
 
 
@@ -66,24 +64,29 @@ class TestKappa:
 
 
 class TestChoice:
+    TABLE = np.array((7.0, 5.0))  # (below 0, at or above 0)
+
     def test_above(self):
-        assert choice(0.3, 0.0, 5.0, 7.0) == 5.0
+        assert rate(self.TABLE, 0.3) == 5.0
 
     def test_below(self):
-        assert choice(-0.3, 0.0, 5.0, 7.0) == 7.0
+        assert rate(self.TABLE, -0.3) == 7.0
 
     def test_pivot_inclusive(self):
-        assert choice(0.0, 0.0, 5.0, 7.0) == 5.0
+        assert rate(self.TABLE, 0.0) == 5.0
 
 
 class TestGradHG:
+    # the blend's h-derivative is the rate of h(t-1): (alpha, beta, gamma) = (0.3, 0.8, 0.6)
     def test_static_uses_sign_of_memory(self):
-        assert grad_h_G(0.2, "ctsn_static", 0.3, 0.8) == pytest.approx(0.3)
-        assert grad_h_G(-0.2, "ctsn_static", 0.3, 0.8) == pytest.approx(0.8)
+        r_h, _ = blend_rule("ctsn_static", (0.3, 0.8, 0.6))
+        assert rate(r_h, 0.2) == pytest.approx(0.3)
+        assert rate(r_h, -0.2) == pytest.approx(0.8)
 
     def test_neuromorphic_is_constant_alpha(self):
+        r_h, _ = blend_rule("ctsn_neuromorphic", (0.3, 0.8, 0.6))
         for h in (-2.0, 0.0, 3.0):
-            assert grad_h_G(h, "ctsn_neuromorphic", 0.3, 0.8) == pytest.approx(0.3)
+            assert rate(r_h, h) == pytest.approx(0.3)
 
 
 class TestXi:
@@ -352,10 +355,10 @@ class TestFiniteDifferenceOracle:
             raise AssertionError("the oracle called the engine")
 
         for mod, names in (
-            (net_mod, ("forward", "_run_layer", "_affine", "decay", "g_static", "g_neuromorphic")),
-            (neuron_mod, ("decay", "reset_keep", "g_static", "g_neuromorphic")),
+            (net_mod, ("forward", "_run_layer", "_affine", "decay", "blend", "blend_rule")),
+            (neuron_mod, ("decay", "reset_keep", "blend", "blend_rule", "rate")),
             (loss_mod, ("avg_ce_loss_and_grad", "tmpr_loss")),
-            (bptt, ("reset_keep", "choice")),
+            (bptt, ("reset_keep", "blend_rule", "rate")),
         ):
             for name in names:
                 monkeypatch.setattr(mod, name, refuse)

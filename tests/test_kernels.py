@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from ternspike import network as net_mod
-from ternspike.bptt import _blend_partials, _chain_omega, _exact_sweep_ctsn, choice
+from ternspike.bptt import _blend_partials, _chain_omega, _exact_sweep_ctsn
 from ternspike.network import LayerTrace, Trace, smooth_spike
-from ternspike.neuron import NeuronConfig, decay, g_neuromorphic, g_static, reset_keep, ternary_fire
+from ternspike.neuron import NeuronConfig, blend, blend_rule, decay, rate, reset_keep, ternary_fire
 from ternspike.numerics import component_rng
 
 SHAPE = (64, 256)
@@ -53,26 +53,58 @@ class TestBlend:
         alpha, beta, gamma = FACTORS
         h, u = _adversarial(1), _adversarial(2)
         want = np.where(h >= 0.0, alpha * h, beta * h) + gamma * u
-        _same_bits(g_static(h, u, alpha, beta, gamma), want)
+        rule = blend_rule("ctsn_static", FACTORS)
+        _same_bits(blend(rule, h, u), want)
         out = np.empty(SHAPE)
-        assert g_static(h, u, alpha, beta, gamma, out=out) is out
+        assert blend(rule, h, u, out=out) is out
         _same_bits(out, want)
 
     def test_neuromorphic_matches_where(self):
         alpha, beta, gamma = FACTORS
         h, u = _adversarial(3), _adversarial(4)
         want = alpha * h + np.where(u >= 0.0, beta * u, gamma * u)
-        _same_bits(g_neuromorphic(h, u, alpha, beta, gamma), want)
+        rule = blend_rule("ctsn_neuromorphic", FACTORS)
+        _same_bits(blend(rule, h, u), want)
         out = np.empty(SHAPE)
-        assert g_neuromorphic(h, u, alpha, beta, gamma, out=out) is out
+        assert blend(rule, h, u, out=out) is out
         _same_bits(out, want)
 
 
 class TestChoice:
     @pytest.mark.parametrize("pivot", [0.0, V_TH, -V_TH])
     def test_matches_where(self, pivot):
-        x = _adversarial(5)
-        _same_bits(choice(x, pivot, 0.25, 0.75), np.where(x >= pivot, 0.25, 0.75))
+        # shifting by the pivot puts the planted +-v_th and 0 values exactly on rate's pivot, 0
+        x = _adversarial(5) - pivot
+        _same_bits(rate(np.array((0.75, 0.25)), x), np.where(x >= 0.0, 0.25, 0.75))
+        assert rate(0.25, x) == 0.25
+
+
+# The paper's two blend equations, written out.
+PAPER_BLENDS = {
+    "ctsn_static": lambda h, u, a, b, g: a * np.maximum(h, 0.0) + b * np.minimum(h, 0.0) + g * u,
+    "ctsn_neuromorphic": lambda h, u, a, b, g: a * h + b * np.maximum(u, 0.0) + g * np.minimum(u, 0.0),
+}
+
+
+class TestBlendFactorMapping:
+    @pytest.mark.parametrize("kind", CTSN_KINDS)
+    def test_blend_and_partials_follow_the_paper(self, kind):
+        paper = PAPER_BLENDS[kind]
+        h_prev = np.array([0.8, 0.6, -0.9, -0.4])  # sign quadrants of (h(t-1), u(t)):
+        u = np.array([0.5, -0.7, 0.3, -0.2])  # (+, +), (+, -), (-, +), (-, -)
+        np.testing.assert_allclose(blend(blend_rule(kind, FACTORS), h_prev, u), paper(h_prev, u, *FACTORS),
+                                   rtol=1e-15)
+        dh_next = np.array([1.3, -0.6, 0.9, 2.1])
+        h = np.stack([h_prev, np.zeros(4)])[:, None]  # (T=2, B=1, D=4); only h[0] feeds a blend
+        dh = np.stack([np.zeros(4), dh_next])[:, None]
+        got = _blend_partials(dh, h, u[None, None], kind)
+        step = 1e-3  # the blend is linear in each factor, so central differences are exact to roundoff
+        for i in range(3):
+            up, down = list(FACTORS), list(FACTORS)
+            up[i] += step
+            down[i] -= step
+            want = dh_next @ (paper(h_prev, u, *up) - paper(h_prev, u, *down)) / (2.0 * step)
+            assert got[i] == pytest.approx(want, rel=1e-9)
 
 
 class TestResetFactor:
@@ -119,7 +151,7 @@ def _reference_sweep_ctsn(cache: Trace, du_tilde, H):
     for t in reversed(range(len(du_tilde) - 1)):
         du_tilde[t] += dh[t + 1] * gu[t] * carry[t]
         dh[t] = du_tilde[t] + dh[t + 1] * gh[t]
-    partials = _blend_partials(dh, tr.h, u, cfg.kind == "ctsn_static")
+    partials = _blend_partials(dh, tr.h, u, cfg.kind)
     return du_tilde, _chain_omega(tr.factors, partials)
 
 

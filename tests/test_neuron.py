@@ -6,11 +6,11 @@ from ternspike.neuron import (
     CTSNParams,
     NeuronConfig,
     NeuronState,
+    blend,
+    blend_rule,
     closed_form_potential,
     ctsn_step,
     effective_params,
-    g_neuromorphic,
-    g_static,
     surrogate,
     ternary_fire,
     ternary_step,
@@ -137,38 +137,42 @@ class TestEffectiveParams:
                 assert 0.0 < val < 1.0
 
 
+def _blend(kind, h_prev, u, alpha, beta, gamma):
+    """One unit's blend under ``kind``'s rule at the given factors."""
+    return blend(blend_rule(kind, (alpha, beta, gamma)), np.array([h_prev]), np.array([u]))[0]
+
+
 class TestBlendRules:
     def test_static_positive_memory(self):
-        out = g_static(np.array([0.4]), np.array([0.2]), 0.5, 0.9, 0.5)
-        assert out[0] == pytest.approx(0.3)
+        assert _blend("ctsn_static", 0.4, 0.2, 0.5, 0.9, 0.5) == pytest.approx(0.3)
 
     def test_static_negative_memory(self):
-        out = g_static(np.array([-0.4]), np.array([0.2]), 0.9, 0.25, 0.5)
-        assert out[0] == pytest.approx(0.0)
+        assert _blend("ctsn_static", -0.4, 0.2, 0.9, 0.25, 0.5) == pytest.approx(0.0)
 
     def test_static_zero_fixed_point(self):
-        assert g_static(np.array([0.0]), np.array([0.0]), 0.3, 0.7, 0.9)[0] == 0.0
+        assert _blend("ctsn_static", 0.0, 0.0, 0.3, 0.7, 0.9) == 0.0
 
     def test_neuromorphic_positive_potential(self):
-        out = g_neuromorphic(np.array([0.4]), np.array([0.2]), 0.5, 0.5, 0.9)
-        assert out[0] == pytest.approx(0.3)
+        assert _blend("ctsn_neuromorphic", 0.4, 0.2, 0.5, 0.5, 0.9) == pytest.approx(0.3)
 
     def test_neuromorphic_negative_potential(self):
-        out = g_neuromorphic(np.array([0.4]), np.array([-0.2]), 0.5, 0.9, 0.25)
-        assert out[0] == pytest.approx(0.15)
+        assert _blend("ctsn_neuromorphic", 0.4, -0.2, 0.5, 0.9, 0.25) == pytest.approx(0.15)
 
     def test_neuromorphic_zero_fixed_point(self):
-        assert g_neuromorphic(np.array([0.0]), np.array([0.0]), 0.3, 0.7, 0.9)[0] == 0.0
+        assert _blend("ctsn_neuromorphic", 0.0, 0.0, 0.3, 0.7, 0.9) == 0.0
 
-    @pytest.mark.parametrize("fn,branch_arg", [(g_static, 0), (g_neuromorphic, 1)])
-    def test_branch_continuity_at_zero(self, fn, branch_arg):
+    @pytest.mark.parametrize("kind", ["ctsn_static", "ctsn_neuromorphic"])
+    def test_branch_continuity_at_zero(self, kind):
         # value approaching the branch point from both sides converges
         eps = 1e-12
-        args_hi = [np.array([eps]), np.array([eps])]
-        args_lo = [np.array([-eps]), np.array([-eps])]
-        hi = fn(args_hi[0], args_hi[1], 0.3, 0.8, 0.6)[0]
-        lo = fn(args_lo[0], args_lo[1], 0.3, 0.8, 0.6)[0]
+        hi = _blend(kind, eps, eps, 0.3, 0.8, 0.6)
+        lo = _blend(kind, -eps, -eps, 0.3, 0.8, 0.6)
         assert hi == pytest.approx(lo, abs=1e-11)
+
+    @pytest.mark.parametrize("kind", ["ctsn_static", "ctsn_neuromorphic"])
+    def test_shape_mismatch(self, kind):
+        with pytest.raises(DimensionError, match="blend shapes disagree"):
+            blend(blend_rule(kind, (0.3, 0.8, 0.6)), np.zeros(2), np.zeros(3))
 
 
 class TestCtsnStep:
