@@ -162,16 +162,15 @@ def kappa(u, tau: float, v_th: float):
     return np.select(conds, vals, default=0.0)
 
 
-def xi(h_next_inputs, o, u_tilde, H, params: CTSNParams, kind: str, tau: float):
+def xi(u_next, o, u_tilde, H, params: CTSNParams, kind: str, tau: float):
     """Closed-form potential-to-potential factor of the complemented unit.
 
-    ``h_next_inputs`` is the pair (h(t), u(t+1)) feeding the next blend.  The
-    first term is the blend's potential derivative taken directly (without
-    the decay-and-reset factor of the u(t+1) chain; that omission is what
+    ``u_next`` is u(t+1), the potential the next blend rates.  The first
+    term is the blend's potential derivative taken directly (without the
+    decay-and-reset factor of the u(t+1) chain; that omission is what
     separates this closed form from the exact graph).  The second term is the
     reset path: d_blend/d_u * (-tau * u~(t)) * sign(o) * H.
     """
-    _, u_next = h_next_inputs
     o = np.asarray(o, dtype=np.float64)
     u_tilde = np.asarray(u_tilde, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -402,7 +401,7 @@ def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNPa
     tr, cfg = cache.layers[l], cache.cfg
     n_steps = len(direct)
     u = cache.decayed(l)
-    xis = xi((tr.h[:-1], u[1:]), tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
+    xis = xi(u[1:], tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
     gh, _ = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u[1:])  # d h(s+1) / d h(s)
     dx = direct.copy()
     for t in range(n_steps):

@@ -429,8 +429,7 @@ def run_ablation(cfg: dict) -> list[dict]:
                 train_ds, eval_ds, _ = build_datasets(run_cfg)
                 net = _build_net(run_cfg, train_ds.feature_dim, train_ds.num_classes)
                 tc = _train_config(run_cfg)
-                trainer.fit(net, train_ds, eval_ds, tc)
-                arm_accs[name].append(trainer.evaluate(net, eval_ds))
+                arm_accs[name].append(trainer.fit(net, train_ds, eval_ds, tc)[-1]["eval_acc"])
         for name, _, _ in _ABLATE_ARMS:
             accs = np.array(arm_accs[name])
             rows.append(

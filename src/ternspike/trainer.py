@@ -40,6 +40,7 @@ MODEL_MAGIC = b"TSPKNET1"
 MODEL_VERSION = 2
 _KIND_CODES = {"ternary": 0, "ctsn_static": 1, "ctsn_neuromorphic": 2}
 _RESET_CODES = {"hard": 0, "soft": 1}
+_EVAL_ENTRIES = 1 << 18  # entries of one (T, B, D) array of an eval forward: 2 MiB of float64
 
 
 @dataclass
@@ -155,26 +156,31 @@ def train_epoch(
     }
 
 
-def eval_batches(net: net_mod.Network, data: Dataset, batch_size: int = 256):
+def eval_batches(net: net_mod.Network, data: Dataset):
     """Forward the dataset in order; yield (labels, logits, cache) per batch.
 
-    The generator keeps no reference to a yielded trace, so a consumer that
-    drops it holds one trace at a time.
+    A batch holds max(256, 2**18 // (T * D)) samples, D the widest layer (input, hidden
+    or readout), so each (T, B, D) array of a forward stays within 2 MiB unless 256
+    samples already pass that.  A sample's logits do not depend on its batch (a test
+    pins this for the BLAS in use).  The generator keeps no reference to a yielded
+    trace, so a consumer that drops it holds one trace at a time.
     """
     n = len(data.labels)
+    widest = max([net.input_dim] + [layer.w.shape[1] for layer in net.layers + [net.readout]])
+    batch_size = max(256, _EVAL_ENTRIES // (net.n_steps * widest))
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
         xs_seq, labels = encode_batch(data, idx, net.n_steps)
         yield (labels, *net_mod.forward(net, xs_seq))
 
 
-def evaluate(net: net_mod.Network, data: Dataset, batch_size: int = 256) -> float:
+def evaluate(net: net_mod.Network, data: Dataset) -> float:
     """Fraction of correct time-averaged predictions over the dataset."""
     n = len(data.labels)
     if n == 0:
         return 0.0
     correct = 0
-    for labels, logits, cache in eval_batches(net, data, batch_size):
+    for labels, logits, cache in eval_batches(net, data):
         del cache  # free this trace before the next batch's forward
         correct += int(np.sum(net_mod.predict(logits) == labels))
     return correct / n

@@ -94,15 +94,15 @@ class TestXi:
         return CTSNParams()  # alpha = beta = gamma = 0.5
 
     def test_silent_neuron_keeps_blend_term_only(self):
-        val = xi((0.0, 0.1), 0.0, 0.3, 1.0, self._params_half(), "ctsn_static", 0.25)
+        val = xi(0.1, 0.0, 0.3, 1.0, self._params_half(), "ctsn_static", 0.25)
         assert float(val) == pytest.approx(0.5)
 
     def test_firing_neuron_hand_value(self):
-        val = xi((0.0, 0.0), 1.0, 0.6, 1.0, self._params_half(), "ctsn_static", 0.25)
+        val = xi(0.0, 1.0, 0.6, 1.0, self._params_half(), "ctsn_static", 0.25)
         assert float(val) == pytest.approx(0.5 + 0.5 * (-0.25 * 0.6))
 
     def test_dead_surrogate_leaves_blend_term(self):
-        val = xi((0.0, 0.0), 1.0, 1.2, 0.0, self._params_half(), "ctsn_static", 0.25)
+        val = xi(0.0, 1.0, 1.2, 0.0, self._params_half(), "ctsn_static", 0.25)
         assert float(val) == pytest.approx(0.5)
 
     def test_neuromorphic_branches_on_next_potential(self):
@@ -110,8 +110,8 @@ class TestXi:
         from ternspike.neuron import effective_params
 
         _, beta, gamma = effective_params(p)
-        up = xi((0.0, 0.4), 0.0, 0.3, 1.0, p, "ctsn_neuromorphic", 0.25)
-        down = xi((0.0, -0.4), 0.0, 0.3, 1.0, p, "ctsn_neuromorphic", 0.25)
+        up = xi(0.4, 0.0, 0.3, 1.0, p, "ctsn_neuromorphic", 0.25)
+        down = xi(-0.4, 0.0, 0.3, 1.0, p, "ctsn_neuromorphic", 0.25)
         assert float(up) == pytest.approx(beta)
         assert float(down) == pytest.approx(gamma)
 

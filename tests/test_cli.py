@@ -1,7 +1,8 @@
 
+import numpy as np
 import pytest
 
-from ternspike import cli
+from ternspike import cli, data as data_mod, network as net_mod, trainer
 from ternspike.cli import DEFAULTS, main, parse_config_file, resolve_config
 
 
@@ -205,6 +206,23 @@ class TestEvalAndHist:
         assert csv_path.read_bytes() == first
         meta = (out / "membrane_hist.csv.meta").read_text()
         assert "v_th=0.5" in meta
+
+    def test_hist_totals_are_the_sum_over_slices(self, tmp_path):
+        # the default eval set goes through one forward; its counts equal those of 97-row slices
+        run, out = tmp_path / "run", tmp_path / "hist"
+        assert main(["train", "--out_dir", str(run), "--train.epochs", "1"]) == 0
+        assert main(["hist", "--model", str(run / "model.bin"), "--out_dir", str(out), "--hist.bins", "9"]) == 0
+        cfg = resolve_config(_args("eval"))
+        _, eval_ds, _ = cli.build_datasets(cfg)
+        net = trainer.load_model(run / "model.bin", cli._neuron_config(cfg), cfg["train.t"])
+        totals = np.zeros((len(net.layers), net.n_steps, 9), dtype=np.int64)
+        for start in range(0, len(eval_ds.labels), 97):
+            idx = np.arange(start, min(start + 97, len(eval_ds.labels)))
+            _, cache = net_mod.forward(net, data_mod.encode_batch(eval_ds, idx, net.n_steps)[0])
+            for l in range(len(net.layers)):
+                totals[l] += net_mod.capture_histograms(cache, l, 9, (cfg["hist.lo"], cfg["hist.hi"]))[0]
+        rows = (out / "membrane_hist.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[4]) for row in rows] == totals.ravel().tolist()
 
     def test_hist_dim_mismatch_exits_2(self, trained, tmp_path):
         out = tmp_path / "hist_out"

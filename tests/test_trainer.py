@@ -230,6 +230,28 @@ class TestFlatStorage:
         assert not np.array_equal(clone.params, before)
         np.testing.assert_array_equal(clone.layers[0].w, clone.params[clone.layout["layer0.w"][0]].reshape(5, 4))
 
+    def test_a_given_vector_must_be_the_one_every_array_views(self):
+        net = _toy_net(kind="ctsn_static", dims=(5, 4, 3), seed=61)
+
+        def on(vector):  # the network's layers rebuilt as views of ``vector``
+            view = lambda name: vector[net.layout[name][0]].reshape(net.layout[name][1])
+            layers = [net_mod.Layer(view(f"layer{l}.w"), view(f"layer{l}.b"), net_mod.CTSNParams())
+                      for l in range(len(net.layers))]
+            for l, layer in enumerate(layers):
+                layer.omega.vector = view(f"layer{l}.omega")
+            return layers, net_mod.Layer(view("readout.w"), view("readout.b"))
+
+        vector = net.params.copy()
+        adopted = net_mod.Network(*on(vector), net.cfg, net.n_steps, vector)
+        assert adopted.params is vector and adopted.layout == net.layout
+        layers, readout = on(vector)
+        readout.b = readout.b.copy()
+        with pytest.raises(ValueError, match="not the vector"):
+            net_mod.Network(layers, readout, net.cfg, net.n_steps, vector)
+        longer = np.zeros(vector.size + 1)
+        with pytest.raises(ValueError, match="not the vector"):
+            net_mod.Network(*on(longer), net.cfg, net.n_steps, longer)
+
 
 class TestTrainEpoch:
     def test_single_step_descends_on_fixed_batch(self):
@@ -305,6 +327,42 @@ class TestEvaluate:
         data = _toy_data()
         net = _toy_net(seed=8)
         assert evaluate(net, data) == evaluate(net, data)
+
+    @pytest.mark.parametrize("kind,events", [("ternary", False), ("ctsn_static", False),
+                                             ("ctsn_neuromorphic", False), ("ctsn_neuromorphic", True)],
+                             ids=["ternary", "ctsn_static", "ctsn_neuromorphic", "ctsn_neuromorphic-events"])
+    def test_a_sample_gets_the_same_logits_in_any_batch(self, kind, events):
+        # eval_batches sizes its forwards freely because of this: the desk eval set
+        # through one forward equals its 256-row and 97-row slices bit for bit
+        rng = component_rng(31)
+        data = (data_mod.synth_event_frames(768, 16, 4, 0.05, rng, classes=4) if events
+                else data_mod.synth_static(768, 16, 4, 3.0, rng))
+        net = net_mod.build_network((16, 12, 12), 4, NeuronConfig(kind=kind), 4, rng, init_scale=2.0)
+        whole, _ = net_mod.forward(net, data_mod.encode_batch(data, np.arange(768), 4)[0])
+        for rows in (256, 97):
+            for start in range(0, 768, rows):
+                idx = np.arange(start, min(start + rows, 768))
+                part, _ = net_mod.forward(net, data_mod.encode_batch(data, idx, 4)[0])
+                assert part.tobytes() == whole[:, idx].tobytes(), (rows, start)
+
+    @pytest.mark.parametrize("dims,classes,n_steps,n,rows", [
+        ((16, 12, 12), 4, 4, 768, [768]),  # the desk eval set: one forward
+        ((784, 800, 800), 10, 4, 600, [256, 256, 88]),  # wide layers keep 256 samples
+        ((64, 32), 10, 8, 1100, [512, 512, 76]),  # 2**18 // (8 * 64)
+    ], ids=["desk", "wide", "T8"])
+    def test_eval_batch_rows_follow_the_widest_layer(self, monkeypatch, dims, classes, n_steps, n, rows):
+        rng = component_rng(5)
+        data = data_mod.synth_static(n, dims[0], classes, 3.0, rng)
+        net = net_mod.build_network(dims, classes, NeuronConfig(), n_steps, rng)
+        seen = []
+
+        def forward(net, xs_seq):
+            seen.append(len(xs_seq[0]))
+            return None, None
+
+        monkeypatch.setattr(net_mod, "forward", forward)
+        assert [len(labels) for labels, _, _ in trainer.eval_batches(net, data)] == rows
+        assert seen == rows
 
     def test_evaluate_holds_one_trace_at_a_time(self):
         # three batches of 256; the previous batch's trace must be gone before the next forward
