@@ -191,9 +191,12 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def echo_config(cfg: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = [f"{key}={cfg[key]}" for key in sorted(cfg)]
-    (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.resolved").write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"key out_dir: cannot write {out_dir}/config.resolved: {exc}") from exc
 
 
 def _neuron_config(cfg: dict) -> NeuronConfig:

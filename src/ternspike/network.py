@@ -16,16 +16,17 @@ analytic gradient is checked on, and the one the gradcheck kink search
 inspects.  The finite-difference oracle runs its own copy of this forward
 (``bptt.finite_difference``).
 
-A ``Network`` keeps one float64 vector, ``params``, that every layer's ``w``, ``b``
-and ``CTSNParams.vector`` view: it copies the arrays it is given into a new one, or
-takes the vector ``build_network`` drew them into.  ``Network.layout`` states the
-order, and gradients, momentum, FD members and model files follow it.
+A ``Network`` is built from its widths and carved out of one float64 vector,
+``params``, that every layer's ``w``, ``b`` and ``CTSNParams.vector`` view: a new zero
+vector, or one it is given (``build_network`` draws the weights into the former,
+``parse_model`` and ``Network.copy`` hand it the latter).  ``param_layout`` states the
+names, order and shapes once; gradients, momentum, FD members and model files follow it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,62 +61,67 @@ class Layer:
     omega: CTSNParams | None = None
 
 
-@dataclass
-class Network:
-    """Spiking layers and a readout; ``layout`` maps each array's name to (slice of ``params``, shape).
+def param_layout(dims, n_classes: int, is_ctsn: bool) -> dict[str, tuple[slice, tuple[int, ...]]]:
+    """Name -> (slice of the parameter vector, shape), in vector order: per hidden layer
+    ``layer{l}.w`` (fan_in, fan_out), ``layer{l}.b`` and, for complemented kinds,
+    ``layer{l}.omega`` (3,); then ``readout.w`` and ``readout.b``.
 
-    ``params`` left out copies every array into a new vector; given, it is taken as the vector,
-    and every array must already be its view, back to back in layout order.
+    ``dims`` lists the input dimension followed by each hidden width.  This is the one
+    statement of the layout: networks, gradients, momentum, FD members and model files follow it.
+    """
+    if len(dims) < 2:
+        raise ValueError("need at least an input and one hidden dimension")
+    shapes = {}
+    for l, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        shapes.update({f"layer{l}.w": (fan_in, fan_out), f"layer{l}.b": (fan_out,)})
+        if is_ctsn:
+            shapes[f"layer{l}.omega"] = (3,)
+    shapes.update({"readout.w": (dims[-1], n_classes), "readout.b": (n_classes,)})
+    layout, start = {}, 0
+    for name, shape in shapes.items():
+        layout[name] = (slice(start, start + math.prod(shape)), shape)
+        start += math.prod(shape)
+    return layout
+
+
+class Network:
+    """Spiking layers and a readout carved out of one parameter vector, ``params``.
+
+    ``dims`` lists the input dimension followed by each hidden width.  Every ``layers[l].w``,
+    ``.b``, ``.omega.vector`` and ``readout.w``, ``.b`` is a view of ``params`` at its
+    ``layout`` entry (name -> (slice, shape), see ``param_layout``).  ``params`` left out
+    starts a zero vector; given, it is taken as is (not copied) and must have shape (P,).
     """
 
-    layers: list[Layer]
-    readout: Layer
-    cfg: NeuronConfig
-    n_steps: int
-    params: Array | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        dims = [layer.w.shape for layer in self.layers] + [self.readout.w.shape]
-        for i in range(len(dims) - 1):
-            if dims[i][1] != dims[i + 1][0]:
-                raise DimensionError(
-                    f"layer {i} output {dims[i]} does not chain into layer {i + 1} input {dims[i + 1]}"
-                )
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        slots = []  # (name, owner, attribute) in layout order
-        for l, layer in enumerate(self.layers):
-            slots += [(f"layer{l}.w", layer, "w"), (f"layer{l}.b", layer, "b")]
-            if layer.omega is not None:
-                slots.append((f"layer{l}.omega", layer.omega, "vector"))
-        slots += [("readout.w", self.readout, "w"), ("readout.b", self.readout, "b")]
-        self.layout, start = {}, 0
-        for name, owner, attr in slots:
-            a = getattr(owner, attr)
-            self.layout[name] = (slice(start, start + a.size), a.shape)
-            start += a.size
+    def __init__(self, dims, n_classes: int, cfg: NeuronConfig, n_steps: int, params: Array | None = None):
+        if n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+        self.dims, self.n_classes, self.cfg, self.n_steps = tuple(dims), n_classes, cfg, n_steps
+        self.layout = param_layout(self.dims, n_classes, cfg.is_ctsn)
+        size = self.layout["readout.b"][0].stop
+        if params is None:  # np.empty and a fill: np.zeros cost wide-static 1.5-4% in training
+            params = np.empty(size)
+            params[...] = 0.0
+        elif params.shape != (size,):
+            raise ValueError(f"params has shape {params.shape}, the layout needs ({size},)")
+        self.params = params
+        view = lambda name: params[self.layout[name][0]].reshape(self.layout[name][1])
+        self.layers = []
+        for l in range(len(self.dims) - 1):
+            omega = CTSNParams() if cfg.is_ctsn else None
+            if omega is not None:
+                omega.vector = view(f"layer{l}.omega")
+            self.layers.append(Layer(view(f"layer{l}.w"), view(f"layer{l}.b"), omega))
+        self.readout = Layer(view("readout.w"), view("readout.b"))
         self.omega_slices = [span for name, (span, _) in self.layout.items() if name.endswith(".omega")]
-        if self.params is None:
-            self.params = np.empty(start)
-            for (_, owner, attr), (span, shape) in zip(slots, self.layout.values()):
-                view = self.params[span].reshape(shape)
-                view[...] = getattr(owner, attr)
-                setattr(owner, attr, view)
-        elif self.params.shape != (start,) or any(getattr(o, a).base is not self.params for _, o, a in slots):
-            raise ValueError("params is not the vector every parameter array views")
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].w.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.readout.w.shape[1]
+        return self.dims[0]
 
     def copy(self) -> "Network":
-        """An independent network: new layers over a new parameter vector."""
-        layers = [Layer(l.w, l.b, None if l.omega is None else CTSNParams(*l.omega.vector)) for l in self.layers]
-        return Network(layers, Layer(self.readout.w, self.readout.b), replace(self.cfg), self.n_steps)
+        """An independent network over a copy of the parameter vector."""
+        return Network(self.dims, self.n_classes, replace(self.cfg), self.n_steps, self.params.copy())
 
 
 def build_network(
@@ -126,31 +132,14 @@ def build_network(
     rng: np.random.Generator,
     init_scale: float = 1.0,
 ) -> Network:
-    """Dense network with fan-in-scaled Gaussian weights and zero biases.
+    """Dense network with fan-in-scaled Gaussian weights and zero biases and omegas.
 
     ``dims`` lists the input dimension followed by each hidden width, e.g.
-    (16, 32, 32) for two hidden spiking layers on 16 features.
+    (16, 32, 32) for two hidden spiking layers on 16 features.  The vector is
+    allocated before any matrix is drawn, and each matrix is drawn into its view.
     """
-    dims = list(dims)
-    if len(dims) < 2:
-        raise ValueError("need at least an input and one hidden dimension")
-    shapes = list(zip(dims[:-1], dims[1:])) + [(dims[-1], n_classes)]
-    n_omega = 3 if cfg.is_ctsn else 0
-    # the vector is allocated before any drawn matrix, and each matrix is drawn straight into its view;
-    # np.empty and a fill, as the copying path allocates (np.zeros cost wide-static 1.5-4% in training)
-    params = np.empty(sum(fan_in * fan_out + fan_out + n_omega for fan_in, fan_out in shapes) - n_omega)
-    params[...] = 0.0
-    layers, start = [], 0
-    for l, (fan_in, fan_out) in enumerate(shapes):  # layout order: w, b, then omega in a hidden layer
-        w = params[start : start + fan_in * fan_out].reshape(fan_in, fan_out)
-        start += w.size + fan_out
-        omega = CTSNParams() if cfg.is_ctsn and l < len(dims) - 1 else None
-        layers.append(Layer(w, params[start - fan_out : start], omega))
-        if omega is not None:
-            omega.vector = params[start : start + 3]
-            start += 3
-    net = Network(layers[:-1], layers[-1], cfg, n_steps, params)
-    for layer in layers:
+    net = Network(dims, n_classes, cfg, n_steps)
+    for layer in net.layers + [net.readout]:
         layer.w[...] = rng.normal(0.0, init_scale / math.sqrt(len(layer.w)), size=layer.w.shape)
     return net
 

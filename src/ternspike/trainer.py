@@ -14,10 +14,11 @@ The final model is persisted in a flat binary format:
     n_hidden u16 LE   number of hidden (spiking) layers
     n_arrays u32 LE   total array count
     then per array: ndim u32 LE, dims u32 LE each, payload float64 LE
-    array order: Network.layout (layer 0 w, b, [omega (3,)], layer 1 ..., readout w, b)
+    array order: network.param_layout (layer 0 w, b, [omega (3,)], layer 1 ..., readout w, b)
     crc32   u32 LE    zlib CRC-32 of every byte before it
 
-Version 1 files are the same without the trailing CRC; they still load.
+Version 1 files are the same without the trailing CRC; they still load.  The loader
+checks the bytes and shapes, then hands ``Network`` the arrays as one vector.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import bptt, network as net_mod
 from .data import Dataset, encode_batch
 from .errors import FormatError, LengthError, NumericError
 from .loss import TMPRConfig
-from .neuron import CTSNParams, NeuronConfig, effective_params
+from .neuron import NeuronConfig, effective_params
 from .numerics import Array, component_rng
 
 MODEL_MAGIC = b"TSPKNET1"
@@ -247,7 +248,8 @@ def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:
 def parse_model(blob: bytes, cfg: NeuronConfig, n_steps: int, name) -> net_mod.Network:
     """Rebuild a network from the flat binary format; ``name`` labels the messages.  ``cfg``
     gives the neuron semantics, whose kind and reset must match the saved ones.  Reads versions
-    1 and 2; a version 2 blob whose CRC does not match its bytes raises ``FormatError``."""
+    1 and 2; a version 2 blob whose CRC does not match its bytes raises ``FormatError``, and so
+    does an array holding a NaN or an infinity."""
     off = 0
 
     def take(n: int) -> bytes:
@@ -288,21 +290,23 @@ def parse_model(blob: bytes, cfg: NeuronConfig, n_steps: int, name) -> net_mod.N
             raise FormatError(f"array at offset {offsets[-1]} has {ndim} dimensions, at most 2")
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
         arrays.append(np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape))
+        if not np.isfinite(arrays[-1]).all():
+            raise FormatError(f"array at offset {offsets[-1]} holds a non-finite value")
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes at offset {off}")
     per_hidden = 3 if cfg.is_ctsn else 2
     if n_hidden < 1 or n_arrays != n_hidden * per_hidden + 2:
         raise FormatError(f"array count {n_arrays} inconsistent with {n_hidden} hidden layers")
-    layers, i = [], 0
+    dims, i = [], 0  # the input dimension, then each layer's output width
     for l in range(n_hidden + 1):  # the last one is the readout
-        w, b, omega = arrays[i], arrays[i + 1], None
-        if w.ndim != 2 or b.shape != w.shape[1:] or (layers and layers[-1].w.shape[1] != len(w)):
+        w, b = arrays[i], arrays[i + 1]
+        if w.ndim != 2 or b.shape != w.shape[1:] or (dims and dims[-1] != len(w)):
             raise FormatError(f"layer {l} arrays {w.shape}, {b.shape} at offset {offsets[i]} do not chain")
+        dims += [w.shape[1]] if dims else list(w.shape)
         i += 2
         if cfg.is_ctsn and l < n_hidden:
             if arrays[i].shape != (3,):
                 raise FormatError(f"omega array at offset {offsets[i]} has shape {arrays[i].shape}, not (3,)")
-            omega = CTSNParams(*arrays[i])
             i += 1
-        layers.append(net_mod.Layer(w=w, b=b, omega=omega))
-    return net_mod.Network(layers=layers[:-1], readout=layers[-1], cfg=cfg, n_steps=n_steps)
+    params = np.concatenate([a.ravel() for a in arrays])
+    return net_mod.Network(dims[:-1], dims[-1], cfg, n_steps, params)

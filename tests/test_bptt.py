@@ -19,7 +19,7 @@ from ternspike.bptt import (
 from ternspike.errors import NumericError, StateError
 from ternspike.gradcheck import random_network
 from ternspike.loss import TMPRConfig
-from ternspike.network import Layer, Network, forward, smooth_spike
+from ternspike.network import Network, forward, smooth_spike
 from ternspike.neuron import CTSNParams, NeuronConfig, blend_rule, rate
 from ternspike.numerics import component_rng, seeded_rng
 
@@ -118,14 +118,10 @@ class TestXi:
 
 def _tiny_identity_net(kind="ternary", n_steps=1, fan=1):
     """One hidden unit with unit weight and an identity readout."""
-    cfg = NeuronConfig(kind=kind)
-    omega = CTSNParams() if cfg.is_ctsn else None
-    return Network(
-        layers=[Layer(w=np.eye(fan), b=np.zeros(fan), omega=omega)],
-        readout=Layer(w=np.eye(fan), b=np.zeros(fan)),
-        cfg=cfg,
-        n_steps=n_steps,
-    )
+    net = Network((fan, fan), fan, NeuronConfig(kind=kind), n_steps)
+    net.layers[0].w[...] = np.eye(fan)
+    net.readout.w[...] = np.eye(fan)
+    return net
 
 
 class TestBackwardExact:

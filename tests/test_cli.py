@@ -1,9 +1,13 @@
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from ternspike import cli, data as data_mod, network as net_mod, trainer
 from ternspike.cli import DEFAULTS, main, parse_config_file, resolve_config
+from ternspike.neuron import NeuronConfig
 
 
 def _args(*argv):
@@ -17,6 +21,13 @@ TRAIN_FAST = [
     "--model.hidden", "10",
     "--train.batch_size", "32",
 ]
+
+
+def _saved_model(tmp_path):
+    """A default-task ternary model (16 features, one hidden layer of 10, 4 classes), untrained."""
+    path = tmp_path / "model.bin"
+    trainer.save_model(path, net_mod.build_network((16, 10), 4, NeuronConfig(), 4, np.random.default_rng(0)))
+    return path
 
 
 class TestConfigResolution:
@@ -192,6 +203,16 @@ class TestEvalAndHist:
         assert code == 0
         assert "eval accuracy" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["eval", "hist"])
+    def test_non_finite_model_exits_2_naming_its_offset(self, tmp_path, capsys, command):
+        path = _saved_model(tmp_path)
+        body = bytearray(path.read_bytes()[:-4])
+        body[32:40] = struct.pack("<d", np.nan)  # layer0.w[0, 0]: the array header starts at offset 20
+        path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+        argv = [command, "--model", str(path), "--out_dir", str(tmp_path / "out")] + TRAIN_FAST
+        assert main(argv) == 2
+        assert "array at offset 20 holds a non-finite value" in capsys.readouterr().err
+
     def test_hist_row_count_and_determinism(self, trained, tmp_path):
         out = tmp_path / "hist_out"
         argv = ["hist", "--model", str(trained / "model.bin"), "--out_dir", str(out),
@@ -306,6 +327,17 @@ class TestExitCodeDiscipline:
         assert err.startswith("numeric error: batch starting at sample 32: non-finite parameter in "), err
         assert err.count("\n") == 1, err
         assert not (out / "model.bin").exists()
+
+    @pytest.mark.parametrize("command", ["train", "hist", "ablate"])
+    def test_unusable_out_dir_exits_2_naming_it(self, tmp_path, capsys, command):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        extra = {"train": [], "hist": ["--model", str(_saved_model(tmp_path))],
+                 "ablate": ["--ablate.seeds", "1", "--ablate.timesteps", "2"]}[command]
+        for out_dir in (blocker, blocker / "sub"):  # FileExistsError, NotADirectoryError
+            assert main([command, "--out_dir", str(out_dir)] + extra + TRAIN_FAST) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: key out_dir: cannot write {out_dir}/config.resolved: "), err
 
     def test_soft_reset_training_rejected(self, tmp_path):
         code = main(

@@ -5,12 +5,12 @@ from ternspike import bptt
 from ternspike.errors import DimensionError, StateError
 from ternspike.loss import TMPRConfig
 from ternspike.network import (
-    Layer,
     Network,
     Trace,
     build_network,
     capture_histograms,
     forward,
+    param_layout,
     predict,
     write_histograms_csv,
 )
@@ -61,13 +61,9 @@ class TestForward:
         np.testing.assert_array_equal(la[0], lb[0])
 
     def test_identity_layer_suprathreshold_spikes_everywhere(self):
-        cfg = NeuronConfig()
-        net = Network(
-            layers=[Layer(w=np.eye(3), b=np.zeros(3))],
-            readout=Layer(w=np.eye(3), b=np.zeros(3)),
-            cfg=cfg,
-            n_steps=1,
-        )
+        net = Network((3, 3), 3, NeuronConfig(), 1)
+        net.layers[0].w[...] = np.eye(3)
+        net.readout.w[...] = np.eye(3)
         _, cache = forward(net, [np.full((2, 3), 0.9)])
         np.testing.assert_array_equal(cache.entries[0][0].o, 1.0)
 
@@ -192,14 +188,16 @@ class TestPredict:
 
 
 class TestBuildNetwork:
-    def test_layer_chaining_enforced(self):
-        with pytest.raises(DimensionError):
-            Network(
-                layers=[Layer(w=np.zeros((4, 6)), b=np.zeros(6))],
-                readout=Layer(w=np.zeros((5, 3)), b=np.zeros(3)),
-                cfg=NeuronConfig(),
-                n_steps=1,
-            )
+    def test_param_layout_names_order_and_shapes(self):
+        layout = param_layout((4, 6, 5), 3, is_ctsn=True)
+        assert [(name, shape) for name, (_, shape) in layout.items()] == [
+            ("layer0.w", (4, 6)), ("layer0.b", (6,)), ("layer0.omega", (3,)),
+            ("layer1.w", (6, 5)), ("layer1.b", (5,)), ("layer1.omega", (3,)),
+            ("readout.w", (5, 3)), ("readout.b", (3,)),
+        ]
+        spans = [span for span, _ in layout.values()]
+        assert spans[0].start == 0 and all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+        assert "layer0.omega" not in param_layout((4, 6), 3, is_ctsn=False)
 
     def test_omega_only_on_complemented_kinds(self):
         assert _net(kind="ternary").layers[0].omega is None

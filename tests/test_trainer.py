@@ -230,27 +230,13 @@ class TestFlatStorage:
         assert not np.array_equal(clone.params, before)
         np.testing.assert_array_equal(clone.layers[0].w, clone.params[clone.layout["layer0.w"][0]].reshape(5, 4))
 
-    def test_a_given_vector_must_be_the_one_every_array_views(self):
+    def test_a_params_of_the_wrong_size_raises(self):
         net = _toy_net(kind="ctsn_static", dims=(5, 4, 3), seed=61)
-
-        def on(vector):  # the network's layers rebuilt as views of ``vector``
-            view = lambda name: vector[net.layout[name][0]].reshape(net.layout[name][1])
-            layers = [net_mod.Layer(view(f"layer{l}.w"), view(f"layer{l}.b"), net_mod.CTSNParams())
-                      for l in range(len(net.layers))]
-            for l, layer in enumerate(layers):
-                layer.omega.vector = view(f"layer{l}.omega")
-            return layers, net_mod.Layer(view("readout.w"), view("readout.b"))
-
         vector = net.params.copy()
-        adopted = net_mod.Network(*on(vector), net.cfg, net.n_steps, vector)
-        assert adopted.params is vector and adopted.layout == net.layout
-        layers, readout = on(vector)
-        readout.b = readout.b.copy()
-        with pytest.raises(ValueError, match="not the vector"):
-            net_mod.Network(layers, readout, net.cfg, net.n_steps, vector)
-        longer = np.zeros(vector.size + 1)
-        with pytest.raises(ValueError, match="not the vector"):
-            net_mod.Network(*on(longer), net.cfg, net.n_steps, longer)
+        assert net_mod.Network(net.dims, net.n_classes, net.cfg, net.n_steps, vector).params is vector
+        for wrong in (np.zeros(vector.size + 1), np.zeros(vector.size - 3), vector.reshape(1, -1)):
+            with pytest.raises(ValueError, match=rf"params has shape .*, the layout needs \({vector.size},\)"):
+                net_mod.Network(net.dims, net.n_classes, net.cfg, net.n_steps, wrong)
 
 
 class TestTrainEpoch:
@@ -470,6 +456,25 @@ class TestFitAndPersistence:
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         with pytest.raises(FormatError, match=match):
             load_model(path, NeuronConfig(kind=kind), n_steps=3)
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_payload_rejected_naming_offset(self, tmp_path, value, version):
+        # the toy net of the test above: b0 (10,) at offset 512, readout w (10, 3) at offset 600
+        save_model(tmp_path / "model.bin", _toy_net())
+        saved = (tmp_path / "model.bin").read_bytes()[:-4]
+        body = bytearray(saved[:8] + struct.pack("<I", version) + saved[12:])
+
+        def load(body):
+            blob = bytes(body) + (struct.pack("<I", zlib.crc32(body)) if version == 2 else b"")
+            return parse_model(blob, NeuronConfig(), 3, "model.bin")
+
+        body[612:620] = struct.pack("<d", value)  # readout w[0, 0]
+        with pytest.raises(FormatError, match="array at offset 600 holds a non-finite value"):
+            load(body)
+        body[544:552] = struct.pack("<d", -value)  # b0[3], an earlier array
+        with pytest.raises(FormatError, match="array at offset 512 holds a non-finite value"):
+            load(body)
 
     def test_checksum_mismatch_names_its_offset(self, tmp_path):
         path = tmp_path / "model.bin"
