@@ -298,6 +298,9 @@ def _build_net(cfg: dict, feature_dim: int, n_classes: int) -> net_mod.Network:
 
 def cmd_train(cfg: dict) -> int:
     out_dir = Path(cfg["out_dir"])
+    for name in ("dataset.manifest", "metrics.csv", "model.bin"):  # checked before any work is done
+        if (out_dir / name).is_dir():
+            raise ConfigError(f"key out_dir: {out_dir / name} is a directory")
     train_ds, eval_ds, manifest = build_datasets(cfg)
     echo_config(cfg, out_dir)
     data_mod.write_manifest(out_dir / "dataset.manifest", manifest)

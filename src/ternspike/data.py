@@ -1,8 +1,9 @@
 """Dataset ingestion and encoding.
 
-Static datasets hold flat per-sample feature vectors that are repeated at
-every timestep (direct encoding); neuromorphic datasets hold one sparse
-signed frame per timestep and feed the network one frame at a time.
+Static datasets hold flat float64 per-sample feature vectors that are
+repeated at every timestep (direct encoding); neuromorphic datasets hold one
+sparse signed frame per timestep as int8 {-1, 0, +1}, an eighth of the float64
+size, and a batch is widened to float64 once when it is gathered.
 
 The IDX reader/writer speaks the classic big-endian format (magic
 0x00000803 for ubyte image tensors, 0x00000801 for ubyte label vectors), and
@@ -24,14 +25,15 @@ from .numerics import Array
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+_DRAW_CHUNK = 1 << 16  # uniforms per draw while generating event frames: 512 KiB of float64
 
 
 @dataclass
 class Dataset:
     """Immutable sample collection.
 
-    ``inputs`` is (N, D) for static data and (N, T, D) for neuromorphic
-    event frames; labels are integers in [0, num_classes).
+    ``inputs`` is (N, D) float data for static samples and (N, T, D) int8 event
+    frames for neuromorphic ones; labels are integers in [0, num_classes).
     """
 
     inputs: Array
@@ -45,6 +47,8 @@ class Dataset:
         want = 2 if self.kind == "static" else 3
         if self.inputs.ndim != want:
             raise DimensionError(f"{self.kind} inputs must be {want}-d, got shape {self.inputs.shape}")
+        if self.kind == "neuromorphic" and self.inputs.dtype != np.int8:
+            raise TypeError(f"neuromorphic inputs must be int8 event frames, got {self.inputs.dtype}")
         if len(self.labels) != len(self.inputs):
             raise ConsistencyError(f"{len(self.inputs)} inputs but {len(self.labels)} labels")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
@@ -62,15 +66,16 @@ def encode_batch(data: Dataset, idx, n_steps: int):
     """Materialize one batch as a per-timestep input sequence.
 
     Static samples are direct-encoded (repeated); neuromorphic samples must
-    carry exactly ``n_steps`` frames, and come as one contiguous (T, B, D)
-    array gathered in a single copy, which ``network.forward`` takes as is.
+    carry exactly ``n_steps`` frames, and come as one contiguous float64
+    (T, B, D) array, gathered as int8 and widened once, which
+    ``network.forward`` takes as is.
     """
     labels = data.labels[idx]
     if data.kind == "static":
         return direct_encode(data.inputs[idx], n_steps), labels
     if data.inputs.shape[1] != n_steps:
         raise DimensionError(f"dataset has {data.inputs.shape[1]} frames per sample, network expects {n_steps}")
-    return data.inputs[np.asarray(idx)[None], np.arange(n_steps)[:, None]], labels
+    return data.inputs[np.asarray(idx)[None], np.arange(n_steps)[:, None]].astype(np.float64), labels
 
 
 def direct_encode(x: Array, n_steps: int) -> list[Array]:
@@ -206,19 +211,30 @@ def synth_event_frames(
     classes: int = 2,
     sign_noise: float = 0.1,
 ) -> Dataset:
-    """Sparse signed event frames with a class-specific spatiotemporal code.
+    """Sparse signed int8 event frames with a class-specific spatiotemporal code.
 
     Each class owns a fixed {-1, +1} template per (timestep, pixel); a pixel
     is active independently with probability ``rate`` and carries the
-    template sign, flipped with probability ``sign_noise``.
+    template sign, flipped with probability ``sign_noise``.  The frames start
+    as the templates of their labels and are masked, then flipped, in place;
+    each pass draws its uniforms in sample order, ``_DRAW_CHUNK`` at a time,
+    so the corpus holds its int8 result and one chunk of draws at most.
     """
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
-    templates = np.where(rng.random((classes, n_steps, dims)) < 0.5, -1.0, 1.0)
+    templates = np.where(rng.random((classes, n_steps, dims)) < 0.5, -1, 1).astype(np.int8)
     labels = np.arange(n, dtype=np.int64) % classes
-    active = rng.random((n, n_steps, dims)) < rate
-    flips = np.where(rng.random((n, n_steps, dims)) < sign_noise, -1.0, 1.0)
-    inputs = active * templates[labels] * flips
+    inputs = templates[labels]
+    flat = inputs.reshape(-1)
+    draws = np.empty(min(flat.size, _DRAW_CHUNK))
+    for prob, flip in ((rate, False), (sign_noise, True)):  # the activity pass, then the sign flips
+        for lo in range(0, flat.size, _DRAW_CHUNK):
+            part = flat[lo : lo + _DRAW_CHUNK]
+            hit = rng.random(out=draws[: part.size]) < prob
+            if flip:
+                np.negative(part, out=part, where=hit)
+            else:
+                part *= hit
     return Dataset(inputs=inputs, labels=labels, kind="neuromorphic", num_classes=classes)
 
 

@@ -140,7 +140,8 @@ def build_network(
     """
     net = Network(dims, n_classes, cfg, n_steps)
     for layer in net.layers + [net.readout]:
-        layer.w[...] = rng.normal(0.0, init_scale / math.sqrt(len(layer.w)), size=layer.w.shape)
+        rng.standard_normal(out=layer.w)  # normal(0, s) is 0.0 + s * z: the same stream and values
+        layer.w *= init_scale / math.sqrt(len(layer.w))
     return net
 
 

@@ -160,15 +160,15 @@ def train_epoch(
 def eval_batches(net: net_mod.Network, data: Dataset):
     """Forward the dataset in order; yield (labels, logits, cache) per batch.
 
-    A batch holds max(256, 2**18 // (T * D)) samples, D the widest layer (input, hidden
-    or readout), so each (T, B, D) array of a forward stays within 2 MiB unless 256
-    samples already pass that.  A sample's logits do not depend on its batch (a test
-    pins this for the BLAS in use).  The generator keeps no reference to a yielded
-    trace, so a consumer that drops it holds one trace at a time.
+    A batch holds max(1, 2**18 // (T * D)) samples, D the widest layer (input, hidden
+    or readout), so each (T, B, D) array of a forward stays within 2 MiB: 768 samples
+    on 16-12-12 at T=4, 81 on 784-800-800.  A sample's logits do not depend on its
+    batch (a test pins this for the BLAS in use).  The generator keeps no reference to
+    a yielded trace, so a consumer that drops it holds one trace at a time.
     """
     n = len(data.labels)
     widest = max([net.input_dim] + [layer.w.shape[1] for layer in net.layers + [net.readout]])
-    batch_size = max(256, _EVAL_ENTRIES // (net.n_steps * widest))
+    batch_size = max(1, _EVAL_ENTRIES // (net.n_steps * widest))
     for start in range(0, n, batch_size):
         idx = np.arange(start, min(start + batch_size, n))
         xs_seq, labels = encode_batch(data, idx, net.n_steps)

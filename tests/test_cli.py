@@ -339,6 +339,19 @@ class TestExitCodeDiscipline:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: key out_dir: cannot write {out_dir}/config.resolved: "), err
 
+    @pytest.mark.parametrize("name", ["dataset.manifest", "metrics.csv", "model.bin"])
+    def test_output_path_that_is_a_directory_exits_2_before_training(self, tmp_path, capsys, monkeypatch, name):
+        out = tmp_path / "run"
+        (out / name).mkdir(parents=True)
+
+        def no_data(cfg):
+            raise AssertionError("built data although an output path is a directory")
+
+        monkeypatch.setattr(cli, "build_datasets", no_data)
+        assert main(["train", "--out_dir", str(out)] + TRAIN_FAST) == 2
+        assert capsys.readouterr().err == f"config error: key out_dir: {out / name} is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == [name]
+
     def test_soft_reset_training_rejected(self, tmp_path):
         code = main(
             ["train", "--out_dir", str(tmp_path / "run"), "--neuron.reset", "soft"] + TRAIN_FAST

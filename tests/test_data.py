@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,45 @@ class TestSynthEvents:
         b = synth_event_frames(20, 10, 5, 0.3, seeded_rng(8))
         np.testing.assert_array_equal(a.inputs, b.inputs)
 
+    @staticmethod
+    def _float64_frames(n, dims, n_steps, rate, rng, classes, sign_noise=0.1):
+        """The float64 formula the int8 generator replaced, kept as its reference."""
+        templates = np.where(rng.random((classes, n_steps, dims)) < 0.5, -1.0, 1.0)
+        labels = np.arange(n, dtype=np.int64) % classes
+        active = rng.random((n, n_steps, dims)) < rate
+        flips = np.where(rng.random((n, n_steps, dims)) < sign_noise, -1.0, 1.0)
+        return active * templates[labels] * flips
+
+    @pytest.mark.parametrize("n,dims,n_steps,rate,classes", [
+        (3, 5, 4, 0.3, 2),  # far below one chunk of draws
+        (41, 100, 20, 0.2, 3),  # 82,000 values: one full chunk and a partial one
+        (64, 256, 4, 0.05, 10),  # exactly one chunk
+        (30, 64, 40, 0.0, 2),  # rate 0, across chunks
+        (30, 64, 40, 1.0, 4),  # rate 1, across chunks
+    ])
+    def test_int8_frames_equal_the_float64_formula(self, n, dims, n_steps, rate, classes):
+        ours, ref = seeded_rng(12), seeded_rng(12)
+        ds = synth_event_frames(n, dims, n_steps, rate, ours, classes=classes)
+        want = self._float64_frames(n, dims, n_steps, rate, ref, classes)
+        assert ds.inputs.dtype == np.int8 and ds.inputs.shape == want.shape
+        np.testing.assert_array_equal(ds.inputs.astype(np.float64), want)
+        assert ours.random() == ref.random()  # both consumed the same stream
+
+    def test_generation_holds_its_int8_result_and_one_chunk(self):
+        rng = seeded_rng(13)
+        tracemalloc.start()
+        try:
+            ds = synth_event_frames(256, 784, 4, 0.05, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ds.inputs.nbytes + (1 << 20)
+
+    def test_float_frames_are_rejected(self):
+        frames = np.zeros((4, 3, 5))
+        with pytest.raises(TypeError, match="int8"):
+            Dataset(inputs=frames, labels=np.zeros(4, dtype=np.int64), kind="neuromorphic", num_classes=1)
+
 
 class TestEncodeBatch:
     def test_static_repeats(self):
@@ -188,7 +229,8 @@ class TestEncodeBatch:
         ds = synth_event_frames(6, 4, 3, 0.5, seeded_rng(11))
         seq, _ = encode_batch(ds, np.array([4, 1, 3]), 3)
         assert isinstance(seq, np.ndarray) and seq.shape == (3, 3, 4) and seq.flags.c_contiguous
-        assert seq.tobytes() == np.stack([ds.inputs[[4, 1, 3], t, :] for t in range(3)]).tobytes()
+        want = np.stack([ds.inputs[[4, 1, 3], t, :] for t in range(3)]).astype(np.float64)
+        assert seq.dtype == np.float64 and seq.tobytes() == want.tobytes()
 
 
 def test_manifest_round_trips_keys(tmp_path):

@@ -333,7 +333,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("dims,classes,n_steps,n,rows", [
         ((16, 12, 12), 4, 4, 768, [768]),  # the desk eval set: one forward
-        ((784, 800, 800), 10, 4, 600, [256, 256, 88]),  # wide layers keep 256 samples
+        ((784, 800, 800), 10, 4, 600, [81] * 7 + [33]),  # 2**18 // (4 * 800)
         ((64, 32), 10, 8, 1100, [512, 512, 76]),  # 2**18 // (8 * 64)
     ], ids=["desk", "wide", "T8"])
     def test_eval_batch_rows_follow_the_widest_layer(self, monkeypatch, dims, classes, n_steps, n, rows):
