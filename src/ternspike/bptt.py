@@ -88,6 +88,18 @@ class GradSet:
                 raise NumericError(f"non-finite {what} in {name}")
 
 
+def _relative_error_vector(a: GradSet, b: GradSet, min_abs: float):
+    """(keep, rel) over the whole vectors: the mask of compared entries and the relative
+    error of every entry (see ``relative_errors``)."""
+    fa, fb = a.vector, b.vector
+    denom = np.maximum(np.abs(fa), np.abs(fb))
+    keep = ~(denom <= min_abs)  # not denom > min_abs: NaN entries stay in
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(denom > 0.0, np.abs(fa - fb) / denom, 0.0)
+    rel[~(np.isfinite(fa) & np.isfinite(fb))] = np.inf
+    return keep, rel
+
+
 def relative_errors(a: GradSet, b: GradSet, min_abs: float = 0.0):
     """Per-entry relative errors between two gradient sets, taken over the whole
     vectors and yielded one parameter array at a time.
@@ -98,15 +110,10 @@ def relative_errors(a: GradSet, b: GradSet, min_abs: float = 0.0):
     of exact zeros counts as zero error, and a non-finite entry as infinite
     error.
     """
-    fa, fb = a.vector, b.vector
-    denom = np.maximum(np.abs(fa), np.abs(fb))
-    keep = ~(denom <= min_abs)  # not denom > min_abs: NaN entries stay in
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(denom > 0.0, np.abs(fa - fb) / denom, 0.0)
-    rel[~(np.isfinite(fa) & np.isfinite(fb))] = np.inf
+    keep, rel = _relative_error_vector(a, b, min_abs)
     for name, (span, _) in a.layout.items():
         idx = np.flatnonzero(keep[span])
-        yield name, idx, fa[span][idx], fb[span][idx], rel[span][idx]
+        yield name, idx, a.vector[span][idx], b.vector[span][idx], rel[span][idx]
 
 
 def max_relative_error(
@@ -115,15 +122,17 @@ def max_relative_error(
     """Worst per-parameter relative error between two gradient sets.
 
     Skips entries as ``relative_errors`` does.  Returns the error and a
-    descriptor of the first worst entry (parameter name and flat index).
+    descriptor of the first worst entry in layout order (parameter name and
+    flat index), or (0.0, "none") when no compared entry has an error above 0.
+    One pass over the whole vectors: skipped entries read as -1.
     """
-    worst = 0.0
-    where = "none"
-    for name, idx, _, _, rel in relative_errors(a, b, min_abs):
-        if rel.size and rel.max() > worst:
-            k = int(np.argmax(rel))  # first maximum, so ties go to the earliest entry
-            worst, where = float(rel[k]), f"{name}[{idx[k]}]"
-    return worst, where
+    keep, rel = _relative_error_vector(a, b, min_abs)
+    rel[~keep] = -1.0
+    k = int(np.argmax(rel))  # first maximum, so ties go to the earliest entry
+    if not rel[k] > 0.0:
+        return 0.0, "none"
+    name, (span, _) = next((name, entry) for name, entry in a.layout.items() if k < entry[0].stop)
+    return float(rel[k]), f"{name}[{k - span.start}]"
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +229,15 @@ def _backward(cache: Trace, dL_dO, net: Network, mode: str, du_extra, sweep) -> 
     A = _layer_param_grads(cache.layers[-1].o, g, net.readout.w, grads, "readout")
     for l in reversed(range(cache.n_layers)):
         H = cache.surrogate(l)
-        direct = A * H
+        A *= H  # A is the GEMM's own output, so it becomes the direct adjoint in place
         if du_extra is not None:
-            direct += np.asarray(du_extra[l], dtype=np.float64)
-        dx, domega = sweep(cache, l, direct, H, net.layers[l].omega)
+            A += np.asarray(du_extra[l], dtype=np.float64)
+        dx, domega = sweep(cache, l, A, H, net.layers[l].omega)
+        del A, H  # dx may be A itself; no array of this layer outlives it
         if domega is not None:
             grads[f"layer{l}.omega"][...] = domega
         A = _layer_param_grads(cache.layer_input(l), dx, net.layers[l].w, grads, f"layer{l}", below=l > 0)
+        del dx
     return grads
 
 
@@ -251,13 +262,14 @@ def _blend_partials(dh: Array, h: Array, u: Array, kind: str):
     first step contributes nothing: both blend inputs are zero there.
     """
     dh, partials = dh[1:], [0.0] * 3
+    part, prod = np.empty_like(u), np.empty_like(u)  # reused by every product
     for r, x in zip(BLEND_RULES[kind], (h[:-1], u)):
         if isinstance(r, int):
-            partials[r] = float((dh * x).sum())
+            partials[r] = float(np.multiply(dh, x, out=prod).sum())
         else:
             below, above = r
-            partials[above] = float((dh * np.maximum(x, 0.0)).sum())
-            partials[below] = float((dh * np.minimum(x, 0.0)).sum())
+            partials[above] = float(np.multiply(dh, np.maximum(x, 0.0, out=part), out=prod).sum())
+            partials[below] = float(np.multiply(dh, np.minimum(x, 0.0, out=part), out=prod).sum())
     return tuple(partials)
 
 
@@ -328,19 +340,26 @@ def _exact_sweep_ctsn(cache: Trace, l: int, du_tilde: Array, H: Array, omega: CT
     The potential adjoint flows through u(t+1) = tau * u~(t) * (1 - |o(t)|)
     into the blend; the memory adjoint flows along h(t+1) -> h(t) with the
     blend's h-derivative.  Both reach the blend's parameters.  tau * u~ and the
-    reset factor serve the carry and u(t+1); the sign-free blend derivative is a scalar.
+    reset factor serve the carry and then become u(t+1) in place; the sign-free blend
+    derivative is a scalar.  The time loop runs through one (B, D) scratch.
     """
     tr, cfg = cache.layers[l], cache.cfg
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
     keep, tu = reset_keep(o, cache.smooth), cfg.tau * ut
-    carry = cfg.tau * keep - tu * np.sign(o) * H[:-1]  # du(t+1)/du~(t)
-    u = tu * keep  # u(t + 1)
+    reset = tu * np.sign(o)
+    reset *= H[:-1]
+    carry = cfg.tau * keep  # du(t+1)/du~(t)
+    carry -= reset
+    del reset
+    u = np.multiply(tu, keep, out=tu)  # u(t + 1)
     gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u)
     dh = np.empty_like(du_tilde)  # memory adjoint
     dh[-1] = du_tilde[-1]
+    step = np.empty_like(dh[0])
     for t in reversed(range(len(du_tilde) - 1)):
-        du_tilde[t] += dh[t + 1] * gu[t] * carry[t]
-        dh[t] = du_tilde[t] + dh[t + 1] * gh[t]
+        np.multiply(dh[t + 1], gu[t], out=step)
+        du_tilde[t] += np.multiply(step, carry[t], out=step)
+        np.add(du_tilde[t], np.multiply(dh[t + 1], gh[t], out=step), out=dh[t])
     return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, cfg.kind))
 
 
@@ -378,23 +397,27 @@ def backward_recursion(
 
 
 def _recursion_ternary(cache: Trace, l: int, direct: Array, H: Array, omega):
-    """Literal factor-product sum for one ternary layer."""
+    """Factor-product sum for one ternary layer: du(t) gains direct(t') times
+    eps(t' - 1) * ... * eps(t), multiplied in that order from one.  The product for t
+    extends the one for t + 1 by eps(t), so each is formed once (O(T^2) products, not
+    O(T^3)); every term is still added to du(t) in increasing t'."""
     tr = cache.layers[l]
     eps = epsilon(tr.u_tilde, tr.o, H, cache.cfg.tau)
-    n_steps = len(direct)
     dx = direct.copy()
-    for t in range(n_steps):
-        for t_next in range(t + 1, n_steps):
-            prod = np.ones_like(dx[t])
-            for k in range(1, t_next - t + 1):
-                prod = prod * eps[t_next - k]
+    for t_next in range(1, len(direct)):
+        prod = np.ones_like(dx[0])
+        for t in reversed(range(t_next)):
+            prod *= eps[t]
             dx[t] += direct[t_next] * prod
     return dx, None
 
 
 def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNParams, stats):
-    """Literal xi-product sum for one complemented layer, then its omega gradient.
+    """xi-product sum for one complemented layer, then its omega gradient.
 
+    du~(t) gains direct(t') times xi(t) * (xi(t+1) + gh(t+1)) * ... * (xi(t'-1) + gh(t'-1)),
+    multiplied left to right; the product for t' + 1 extends the one for t' by one
+    pair, so each is formed once.  ``stats`` still counts every pair of every product.
     The closed form only defines potential adjoints; the memory adjoint is
     recovered by the one-step relation dh(t) = du~(t) + dh(t+1) * gh(t).
     """
@@ -403,17 +426,16 @@ def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNPa
     u = cache.decayed(l)
     xis = xi(u[1:], tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
     gh, _ = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u[1:])  # d h(s+1) / d h(s)
+    pairs = [xis[s] + gh[s] for s in range(n_steps - 1)]
     dx = direct.copy()
-    for t in range(n_steps):
-        if t + 1 < n_steps:
-            dx[t] += direct[t + 1] * xis[t]
+    for t in range(n_steps - 1):
+        prod = xis[t].copy()
+        dx[t] += direct[t + 1] * prod
         for t_next in range(t + 2, n_steps):
-            prod = xis[t].copy()
-            for s in range(t + 1, t_next):
-                prod = prod * (xis[s] + gh[s])
-                if stats is not None:
-                    stats["comp_grad_factors"] += 1
+            prod *= pairs[t_next - 1]
             dx[t] += direct[t_next] * prod
+    if stats is not None:  # a product reaching t' from t holds t' - t - 1 pairs
+        stats["comp_grad_factors"] += sum((n_steps - t - 2) * (n_steps - t - 1) // 2 for t in range(n_steps))
     dh = dx.copy()
     for t in reversed(range(n_steps - 1)):
         dh[t] = dx[t] + dh[t + 1] * gh[t]

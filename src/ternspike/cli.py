@@ -273,15 +273,16 @@ def build_datasets(cfg: dict) -> tuple[data_mod.Dataset, data_mod.Dataset, dict]
                 f"but the IDX pair holds {len(corpus.labels)}"
             )
         manifest.update(images=images, labels=labels)
-    train_ds = corpus.subset(np.arange(0, n_train))
-    eval_ds = corpus.subset(np.arange(n_train, n_train + n_eval))
+    n_used = n_train + n_eval
+    if len(corpus.labels) > n_used:  # an IDX pair's spare samples are not kept
+        corpus = corpus.subset(np.arange(n_used))
+    train_rows, eval_rows = slice(0, n_train), slice(n_train, n_used)
     if cfg["data.normalize"] and corpus.kind == "static":
-        mean, std = data_mod.dataset_stats(train_ds)
-        if std > 0:
-            train_ds = data_mod.normalize(train_ds, mean, std)
-            eval_ds = data_mod.normalize(eval_ds, mean, std)
+        mean, std = data_mod.dataset_stats(corpus.subset(train_rows))
+        if std > 0:  # in place: the corpus is this call's own
+            corpus = data_mod.normalize(corpus, mean, std, out=corpus.inputs)
             manifest.update(norm_mean=mean, norm_std=std)
-    return train_ds, eval_ds, manifest
+    return corpus.subset(train_rows), corpus.subset(eval_rows), manifest  # views of one array
 
 
 def _build_net(cfg: dict, feature_dim: int, n_classes: int) -> net_mod.Network:

@@ -154,11 +154,14 @@ def dataset_stats(ds: Dataset) -> tuple[float, float]:
     return float(ds.inputs.mean()), float(ds.inputs.std())
 
 
-def normalize(ds: Dataset, mean: float, std: float) -> Dataset:
-    """Shift and scale all input values: (x - mean) / std."""
+def normalize(ds: Dataset, mean: float, std: float, out: Array | None = None) -> Dataset:
+    """Shift and scale all input values, (x - mean) / std, into one array: ``out``
+    when given (which may be ``ds.inputs`` itself), else a new one."""
     if std <= 0.0:
         raise ValueError(f"std must be positive, got {std}")
-    return replace(ds, inputs=(ds.inputs - mean) / std)
+    inputs = np.subtract(ds.inputs, mean, out=out)
+    inputs /= std
+    return replace(ds, inputs=inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +198,15 @@ def synth_static(
         dirs = rng.normal(size=(classes, dims))
         centers = margin * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     labels = np.arange(n, dtype=np.int64) % classes
-    means = centers[labels]
-    if mirror:
-        means = np.where(rng.random(n)[:, None] < 0.5, means, -means)
-    inputs = means + rng.standard_normal((n, dims))
+    flip = rng.random(n)[:, None] >= 0.5 if mirror else None  # drawn before the noise
+    inputs = rng.standard_normal((n, dims))  # the noise is the output; the means are added into it
+    for c in range(classes):  # round-robin labels: class c owns rows c, c + classes, ...
+        rows = inputs[c::classes]
+        if flip is None:
+            rows += centers[c]
+        else:  # z - center is z + (-center) bit for bit
+            np.add(rows, centers[c], out=rows, where=~flip[c::classes])
+            np.subtract(rows, centers[c], out=rows, where=flip[c::classes])
     return Dataset(inputs=inputs, labels=labels, kind="static", num_classes=classes)
 
 

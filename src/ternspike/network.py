@@ -40,6 +40,8 @@ from .neuron import (  # the step functions stay importable here for per-step ca
     blend_rule,
     ctsn_step,
     decay,
+    fire_scratch,
+    soft_decay,
     surrogate,
     ternary_fire,
     ternary_step,
@@ -152,9 +154,13 @@ def smooth_spike(u_tilde: Array, v_th: float, a: float, out: Array | None = None
     its derivative equals the rectangular surrogate almost everywhere.  With
     the default v_th = a = 0.5 the clamp levels coincide with the spike
     values +-1, so the stand-in matches real spikes at the window edges.
+    ``np.clip``'s bits (NaN, signed zeros and infinities included) from one
+    maximum and one minimum, without its Python wrappers; ``out`` may be
+    ``u_tilde`` itself.
     """
     edge = v_th + a
-    return np.clip(u_tilde, -edge, edge, out=out)
+    o = np.maximum(u_tilde, -edge, out=out)
+    return np.minimum(o, edge, out=o)
 
 
 @dataclass
@@ -252,7 +258,10 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
 
     ``pre`` is the input current, (T, B, D), or (B, D) when every timestep
     shares it.  A stacked ``pre`` is turned into u~ in place; each step's
-    results are written straight into the trace arrays.
+    results are written straight into the trace arrays.  The layer allocates
+    one (B, D) float64 scratch, which holds the decayed potential, and the
+    fire's masks and int8 spikes once; every step is then a short run of
+    ``out=`` calls of the ``neuron`` helpers on per-step views taken once.
     """
     shape = (n_steps,) + pre.shape[-2:]
     stacked = pre.ndim == 3
@@ -260,27 +269,38 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
     o = np.empty(shape)
     h = np.empty(shape) if cfg.is_ctsn else None
     factors = None
-    fire = ((lambda u, out: smooth_spike(u, cfg.v_th, cfg.a, out=out)) if smooth
-            else (lambda u, out: ternary_fire(u, cfg.v_th, out=out)))
+    tau, v_th, a = cfg.tau, cfg.v_th, cfg.a
+    scratch, masks = np.empty(shape[1:]), fire_scratch(shape[1:])
+    mask = masks[0]  # also the decay's and the blend's sign mask, which the fire rewrites last
     if cfg.is_ctsn:
         # looked up on the module, so a wrapper installed there sees the call
         factors = neuron_mod.effective_params(omega)
         rule = blend_rule(cfg.kind, factors)
+        step_h = list(h)
+    step_u, step_o = list(u_tilde), list(o)
+    step_x = list(pre) if stacked else [pre] * n_steps
     for t in range(n_steps):
-        x = pre[t] if stacked else pre
+        ut = step_u[t]
         if t == 0:  # zero initial state: u~(1) = x(1)
             if h is not None:
-                h[0] = 0.0
+                step_h[0][...] = 0.0
             if not stacked:
-                u_tilde[0] = x
-        elif h is not None:
-            blend(rule, h[t - 1], decay(u_tilde[t - 1], o[t - 1], cfg.tau, smooth), out=h[t])
-            np.add(h[t], x, out=u_tilde[t])
+                ut[...] = pre
         elif cfg.reset == "soft":
-            np.add(cfg.tau * (u_tilde[t - 1] - o[t - 1] * cfg.v_th), x, out=u_tilde[t])
+            np.add(soft_decay(step_u[t - 1], step_o[t - 1], tau, v_th, out=scratch), step_x[t], out=ut)
         else:
-            np.add(decay(u_tilde[t - 1], o[t - 1], cfg.tau, smooth), x, out=u_tilde[t])
-        fire(u_tilde[t], o[t])
+            # o(t) is written only by this step's fire, so the stand-in's float
+            # reset factor is staged there; the spiking one is a bool mask
+            decay(step_u[t - 1], step_o[t - 1], tau, smooth, out=scratch, keep=step_o[t] if smooth else mask)
+            if h is None:
+                np.add(scratch, step_x[t], out=ut)
+            else:
+                blend(rule, step_h[t - 1], scratch, out=step_h[t], scratch=scratch, mask=mask)
+                np.add(step_h[t], step_x[t], out=ut)
+        if smooth:
+            smooth_spike(ut, v_th, a, out=step_o[t])
+        else:
+            ternary_fire(ut, v_th, out=step_o[t], scratch=masks)
     return LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=factors)
 
 

@@ -21,6 +21,10 @@ Two neuron families live here:
 Step functions are pure: they take a state, return a new state, and never
 mutate their inputs, so independent batch elements can be processed in
 parallel.  State is zero-initialized at the start of every input sequence.
+
+The helpers the steps are made of also take ``out=`` and scratch buffers, with
+the same bits, so ``network``'s layer loop runs each timestep as a short run of
+ufunc calls into buffers it allocates once, and every formula is stated here alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .numerics import Array, sigmoid
+from .numerics import Array
 
 KINDS = ("ternary", "ctsn_static", "ctsn_neuromorphic")
 RESETS = ("hard", "soft")
@@ -87,8 +91,14 @@ class CTSNParams:
 
 
 def effective_params(p: CTSNParams) -> tuple[float, float, float]:
-    """Map raw omegas to the effective (alpha, beta, gamma) in (0, 1)."""
-    return tuple(sigmoid(p.vector).tolist())
+    """Map raw omegas to the effective (alpha, beta, gamma) in (0, 1).
+
+    ``numerics.sigmoid``'s formula on Python floats around one ``np.exp`` call
+    on the three -|omega|: the same bits, without its array temporaries.
+    """
+    omega = p.vector.tolist()
+    e = np.exp([-abs(w) for w in omega]).tolist()
+    return tuple([1.0 / (1.0 + x) if w >= 0.0 else x / (1.0 + x) for w, x in zip(omega, e)])
 
 
 @dataclass
@@ -112,17 +122,28 @@ class NeuronState:
         return cls(u=z(), h=z(), u_tilde=z(), o_prev=z())
 
 
-def ternary_fire(u_tilde: Array, v_th: float, out: Array | None = None) -> Array:
+def fire_scratch(shape) -> tuple[Array, Array, Array]:
+    """Buffers ``ternary_fire`` takes as ``scratch``: two bool masks and an int8 array."""
+    return np.empty(shape, dtype=bool), np.empty(shape, dtype=bool), np.empty(shape, dtype=np.int8)
+
+
+def ternary_fire(u_tilde: Array, v_th: float, out: Array | None = None, scratch=None) -> Array:
     """Threshold the potential into {-1, 0, +1}; comparisons are inclusive.
 
     ``v_th`` is positive, so the two comparisons never both hold; NaN fires
-    nothing.  ``out``, when given, is a float64 array that receives the spikes.
+    nothing.  Both comparisons land in bool masks whose int8 difference is
+    cast to float64 once.  ``out``, when given, is a float64 array that
+    receives the spikes and may be ``u_tilde`` itself; ``scratch`` is a
+    ``fire_scratch`` of the same shape, allocated per call when left out.
     """
     u_tilde = np.asarray(u_tilde, dtype=np.float64)
+    above, below, spikes = fire_scratch(u_tilde.shape) if scratch is None else scratch
+    np.greater_equal(u_tilde, v_th, out=above)
+    np.less_equal(u_tilde, -v_th, out=below)
+    np.subtract(above.view(np.int8), below.view(np.int8), out=spikes)
     if out is None:
-        out = np.empty_like(u_tilde)
-    np.greater_equal(u_tilde, v_th, out=out)
-    out -= u_tilde <= -v_th
+        return spikes.astype(np.float64)
+    np.copyto(out, spikes)
     return out
 
 
@@ -132,14 +153,28 @@ def surrogate(u_tilde: Array, v_th: float, a: float) -> Array:
     return (np.abs(u_tilde) - v_th < a).astype(np.float64)
 
 
-def reset_keep(o: Array, smooth: bool = False) -> Array:
-    """1 - |o|, what a spike leaves of the potential: as o == 0 (same bits, one call) unless ``smooth``."""
-    return 1.0 - np.abs(o) if smooth else np.equal(o, 0.0)
+def reset_keep(o: Array, smooth: bool = False, out: Array | None = None) -> Array:
+    """1 - |o|, what a spike leaves of the potential: as o == 0 (same bits, one call) unless
+    ``smooth``.  ``out``, when given, receives it: a bool array unless ``smooth``, else float64."""
+    if not smooth:
+        return np.equal(o, 0.0, out=out)
+    keep = np.abs(o, out=out)
+    return np.subtract(1.0, keep, out=keep)
 
 
-def decay(u_prev: Array, o_prev: Array, tau: float, smooth: bool = False) -> Array:
-    """Leak with the spike reset folded in: tau * u(t-1) * reset_keep(o(t-1))."""
-    return tau * u_prev * reset_keep(o_prev, smooth)
+def decay(u_prev: Array, o_prev: Array, tau: float, smooth: bool = False,
+          out: Array | None = None, keep: Array | None = None) -> Array:
+    """Leak with the spike reset folded in: tau * u(t-1) * reset_keep(o(t-1)).  ``out``
+    receives the result and ``keep``, when given, the reset factor (see ``reset_keep``)."""
+    u = np.multiply(tau, u_prev, out=out)
+    return np.multiply(u, reset_keep(o_prev, smooth, out=keep), out=u)
+
+
+def soft_decay(u_prev: Array, o_prev: Array, tau: float, v_th: float, out: Array | None = None) -> Array:
+    """Leak after a soft reset: tau * (u(t-1) - o(t-1) * v_th).  ``out`` receives the result."""
+    u = np.multiply(o_prev, v_th, out=out)
+    np.subtract(u_prev, u, out=u)
+    return np.multiply(tau, u, out=u)
 
 
 def _check_state_input(state: NeuronState, x: Array) -> Array:
@@ -177,7 +212,7 @@ def ternary_step_soft(
     if cfg.reset != "soft":
         raise ValueError("ternary_step_soft requires reset='soft'")
     x = _check_state_input(state, x)
-    u = cfg.tau * (state.u - state.o_prev * cfg.v_th) + x
+    u = soft_decay(state.u, state.o_prev, cfg.tau, cfg.v_th) + x
     o = ternary_fire(u, cfg.v_th) if fire is None else fire(u)
     return o, NeuronState(u=u, h=np.zeros_like(u), u_tilde=u, o_prev=o)
 
@@ -202,19 +237,27 @@ def blend_rule(kind: str, factors) -> tuple:
                   for r in BLEND_RULES[kind]])
 
 
-def rate(r, x):
+def rate(r, x, out: Array | None = None, mask: Array | None = None):
     """The rate ``r`` at operand ``x``: a float as it is, a table read at the 0/1 mask
-    x >= 0 (``np.where``'s bits without its branch on a random sign; NaN reads below)."""
-    return r.take(x >= 0.0) if isinstance(r, np.ndarray) else r
+    x >= 0 (``np.where``'s bits without its branch on a random sign; NaN reads below).
+    A table's rates go to ``out`` and its mask to the bool array ``mask``, when given."""
+    if not isinstance(r, np.ndarray):
+        return r
+    return r.take(np.greater_equal(x, 0.0, out=mask), out=out, mode="clip")
 
 
-def blend(rule, h_prev: Array, u: Array, out: Array | None = None) -> Array:
+def blend(rule, h_prev: Array, u: Array, out: Array | None = None,
+          scratch: Array | None = None, mask: Array | None = None) -> Array:
     """Memory blend r_h * h_prev + r_u * u under ``rule`` (see ``blend_rule``), the h
-    term first.  h_prev = u = 0 is a fixed point.  ``out``, when given, receives the result."""
+    term first.  h_prev = u = 0 is a fixed point.  ``out``, when given, receives the
+    result; ``scratch``, a float64 array other than ``out`` that may be ``u`` itself,
+    holds the h term, and the bool array ``mask`` the rates' sign masks."""
     if h_prev.shape != u.shape:
         raise DimensionError(f"blend shapes disagree: {h_prev.shape} vs {u.shape}")
     r_h, r_u = rule
-    return np.add(rate(r_h, h_prev) * h_prev, rate(r_u, u) * u, out=out)
+    u_term = np.multiply(rate(r_u, u, out, mask), u, out=out)
+    h_term = np.multiply(rate(r_h, h_prev, scratch, mask), h_prev, out=scratch)
+    return np.add(h_term, u_term, out=u_term)
 
 
 def ctsn_step(

@@ -232,6 +232,103 @@ class TestComplementalFactorCounter:
             assert stats["comp_grad_factors"] > 0
 
 
+def _literal_recursion_ternary(cache, l, direct, H):
+    """The O(T^3) factor-product sum: every product rebuilt from one."""
+    eps = epsilon(cache.layers[l].u_tilde, cache.layers[l].o, H, cache.cfg.tau)
+    dx = direct.copy()
+    for t in range(len(direct)):
+        for t_next in range(t + 1, len(direct)):
+            prod = np.ones_like(dx[t])
+            for k in range(1, t_next - t + 1):
+                prod = prod * eps[t_next - k]
+            dx[t] += direct[t_next] * prod
+    return dx
+
+
+def _literal_recursion_ctsn(cache, l, direct, H, omega, stats):
+    """The O(T^3) xi-product sum, counting each pair as it multiplies it, then the omega gradient."""
+    tr, cfg = cache.layers[l], cache.cfg
+    n_steps = len(direct)
+    u = cache.decayed(l)
+    xis = xi(u[1:], tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
+    gh, _ = bptt._step_rates(cfg.kind, tr.factors, tr.h[:-1], u[1:])
+    dx = direct.copy()
+    for t in range(n_steps):
+        if t + 1 < n_steps:
+            dx[t] += direct[t + 1] * xis[t]
+        for t_next in range(t + 2, n_steps):
+            prod = xis[t].copy()
+            for s in range(t + 1, t_next):
+                prod = prod * (xis[s] + gh[s])
+                stats["comp_grad_factors"] += 1
+            dx[t] += direct[t_next] * prod
+    dh = dx.copy()
+    for t in reversed(range(n_steps - 1)):
+        dh[t] = dx[t] + dh[t + 1] * gh[t]
+    return dx, bptt._chain_omega(tr.factors, bptt._blend_partials(dh, tr.h, u[1:], cfg.kind))
+
+
+class TestRecursionAgainstLiteralLoops:
+    @pytest.mark.parametrize("kind", ("ternary", "ctsn_static", "ctsn_neuromorphic"))
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 6, 9])
+    def test_same_bits_and_factor_count(self, kind, n_steps):
+        rng = component_rng(51, n_steps)
+        cfg = NeuronConfig(kind=kind)
+        net = net_mod.build_network([6, 7, 5], 3, cfg, n_steps, rng, init_scale=1.5)
+        for layer in net.layers:
+            if layer.omega is not None:
+                layer.omega.set_vector(rng.normal(0.0, 0.7, size=3))
+        _, cache = forward(net, [rng.normal(size=(4, 6)) for _ in range(n_steps)])
+        for l in range(cache.n_layers):
+            H = cache.surrogate(l)
+            direct = rng.normal(size=H.shape) * (rng.random(H.shape) < 0.8)
+            if kind == "ternary":
+                got, _ = bptt._recursion_ternary(cache, l, direct, H, None)
+                assert got.tobytes() == _literal_recursion_ternary(cache, l, direct, H).tobytes()
+            else:
+                got_stats, want_stats = {"comp_grad_factors": 0}, {"comp_grad_factors": 0}
+                omega = net.layers[l].omega
+                got = bptt._recursion_ctsn(cache, l, direct, H, omega, got_stats)
+                want = _literal_recursion_ctsn(cache, l, direct, H, omega, want_stats)
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got_stats == want_stats
+
+
+def _per_array_max_relative_error(a, b, min_abs=0.0):
+    """The per-array search: a later array's worst replaces the current one only if larger."""
+    worst, where = 0.0, "none"
+    for name, idx, _, _, rel in relative_errors(a, b, min_abs):
+        if rel.size and rel.max() > worst:
+            k = int(np.argmax(rel))
+            worst, where = float(rel[k]), f"{name}[{idx[k]}]"
+    return worst, where
+
+
+class TestMaxRelativeErrorAgainstPerArrayLoop:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_worst_entry(self, seed):
+        rng = component_rng(52, seed)
+        net, _, _ = random_network(rng, kind=KINDS[seed % 3])
+        a = GradSet(net, rng.normal(size=net.params.size) * (rng.random(net.params.size) < 0.7))
+        b = GradSet(net, a.vector * (1.0 + rng.normal(0.0, 1e-3, size=a.vector.size)))
+        if seed % 4 == 1:  # ties between arrays: the same error planted in two of them
+            a.vector[[3, -1]], b.vector[[3, -1]] = 1.0, 0.5
+        if seed % 4 == 2:  # infinite errors: non-finite entries in several arrays
+            a.vector[[5, -2]] = [np.inf, np.nan]
+        if seed % 4 == 3:  # a floor that skips most entries
+            b.vector[::2] = 1e-9
+        for min_abs in (0.0, 1e-8, 0.5):
+            assert max_relative_error(a, b, min_abs) == _per_array_max_relative_error(a, b, min_abs)
+
+    def test_all_skipped_and_all_equal_give_none(self):
+        net, _, _ = random_network(component_rng(53), kind="ternary")
+        a, b = GradSet.zeros_like(net), GradSet.zeros_like(net)
+        b.vector[:] = 1e-9
+        assert max_relative_error(a, b, 1e-8) == (0.0, "none") == _per_array_max_relative_error(a, b, 1e-8)
+        assert max_relative_error(b, b) == (0.0, "none") == _per_array_max_relative_error(b, b)
+
+
 KINDS = ("ternary", "ctsn_static", "ctsn_neuromorphic")
 
 

@@ -1,6 +1,8 @@
 
 import struct
+import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from ternspike import cli, data as data_mod, network as net_mod, trainer
 from ternspike.cli import DEFAULTS, main, parse_config_file, resolve_config
 from ternspike.neuron import NeuronConfig
+from ternspike.numerics import component_rng
 
 
 def _args(*argv):
@@ -21,6 +24,60 @@ TRAIN_FAST = [
     "--model.hidden", "10",
     "--train.batch_size", "32",
 ]
+
+
+WIDE_STATIC = ["--data.dims", "784", "--data.classes", "10", "--data.n_train", "512", "--data.n_eval", "512"]
+
+
+class TestBuildDatasets:
+    @pytest.mark.parametrize("argv", [[], WIDE_STATIC, ["--data.normalize", "false"],
+                                      ["--data.source", "synth_events", "--data.n_train", "40", "--data.n_eval", "24"]])
+    def test_slices_equal_the_copied_and_normalized_subsets(self, argv):
+        cfg = resolve_config(_args("train", *argv))
+        train_ds, eval_ds, manifest = cli.build_datasets(cfg)
+        rng = component_rng(cfg["seed"], 10)  # the reference: copied subsets, each normalized on its own
+        n_train, n_eval = cfg["data.n_train"], cfg["data.n_eval"]
+        if cfg["data.source"] == "synth_static":
+            corpus = data_mod.synth_static(n_train + n_eval, cfg["data.dims"], cfg["data.classes"],
+                                           cfg["data.margin"], rng, mirror=cfg["data.mirror"])
+        else:
+            corpus = data_mod.synth_event_frames(n_train + n_eval, cfg["data.dims"], cfg["train.t"],
+                                                 cfg["data.rate"], rng, classes=cfg["data.classes"])
+        want_train, want_eval = corpus.subset(np.arange(n_train)), corpus.subset(np.arange(n_train, n_train + n_eval))
+        if cfg["data.normalize"] and corpus.kind == "static":
+            mean, std = data_mod.dataset_stats(want_train)
+            assert (manifest["norm_mean"], manifest["norm_std"]) == (mean, std)
+            want_train = replace(want_train, inputs=(want_train.inputs - mean) / std)
+            want_eval = replace(want_eval, inputs=(want_eval.inputs - mean) / std)
+        for got, want in ((train_ds, want_train), (eval_ds, want_eval)):
+            assert got.inputs.dtype == want.inputs.dtype
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_wide_static_peak_is_the_result_and_the_std_temporary(self):
+        # np.std makes one temporary of the train rows it reads; nothing else outlives a step
+        cfg = resolve_config(_args("train", *WIDE_STATIC))
+        cli.build_datasets(cfg)  # first-call imports and caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            train_ds, eval_ds, _ = cli.build_datasets(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = train_ds.inputs.nbytes + eval_ds.inputs.nbytes
+        assert peak <= result + train_ds.inputs.nbytes + (1 << 20)
+
+    def test_spare_idx_samples_are_not_kept(self, tmp_path):
+        images = np.random.default_rng(3).integers(0, 256, size=(50, 4, 4), dtype=np.uint8)
+        labels = np.arange(50, dtype=np.uint8) % 4
+        (tmp_path / "img").write_bytes(data_mod.write_idx_images(images))
+        (tmp_path / "lab").write_bytes(data_mod.write_idx_labels(labels))
+        cfg = resolve_config(_args("train", "--data.source", "idx", "--data.images", str(tmp_path / "img"),
+                                   "--data.labels", str(tmp_path / "lab"), "--data.n_train", "20",
+                                   "--data.n_eval", "10"))
+        train_ds, eval_ds, _ = cli.build_datasets(cfg)
+        assert train_ds.inputs.base.shape == (30, 16)
+        assert eval_ds.inputs.base is train_ds.inputs.base
 
 
 def _saved_model(tmp_path):

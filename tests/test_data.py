@@ -143,6 +143,27 @@ class TestSynthStatic:
         counts = np.bincount(ds.labels, minlength=3)
         assert counts.max() - counts.min() <= 1
 
+    @pytest.mark.parametrize("dims,classes,mirror", [(8, 4, True), (8, 4, False), (3, 5, True), (784, 10, True)])
+    def test_in_place_build_equals_the_literal_formula(self, dims, classes, mirror):
+        # the reference adds the noise to a full (n, dims) array of +-class means
+        n, margin = 203, 3.0
+        ours, ref = seeded_rng(21), seeded_rng(21)
+        got = synth_static(n, dims, classes, margin, ours, mirror=mirror)
+        if dims >= classes:
+            centers = np.zeros((classes, dims))
+            centers[np.arange(classes), np.arange(classes)] = margin
+        else:
+            dirs = ref.normal(size=(classes, dims))
+            centers = margin * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+        labels = np.arange(n) % classes
+        means = centers[labels]
+        if mirror:
+            means = np.where(ref.random(n)[:, None] < 0.5, means, -means)
+        want = means + ref.standard_normal((n, dims))
+        assert got.inputs.tobytes() == want.tobytes()
+        assert got.labels.tolist() == labels.tolist()
+        assert ours.random() == ref.random()  # both consumed the same stream
+
     def test_large_margin_linearly_separable(self):
         # nearest-centroid (a linear rule) classifies a wide-margin corpus perfectly
         ds = synth_static(200, 8, 4, 12.0, seeded_rng(4))

@@ -1,9 +1,12 @@
-"""Bit equality of the branch-free complemented-neuron kernels against literal references.
+"""Bit equality of the neuron kernels against literal references.
 
 The engine picks blend rates from a two-entry table indexed by a sign mask and
-uses ``o == 0`` as the reset factor of exactly ternary spikes.  Each reference
-here is the plain formula (``np.where`` on the mask, ``1 - |o|``), written out
-in the test.  The inputs are wide (64 x 256, so numpy's vector loops run) and
+uses ``o == 0`` as the reset factor of exactly ternary spikes; it fires through
+one int8 difference of two bool masks, clamps the stand-in with one maximum
+and one minimum, maps the mixing factors on Python floats and runs each layer
+through buffers allocated once.  Each reference here is the plain formula
+(``np.where`` on the mask, ``1 - |o|``, the two-cast fire, ``np.clip``,
+``numerics.sigmoid``, the per-step neuron functions), written out in the test.  The inputs are wide (64 x 256, so numpy's vector loops run) and
 carry adversarial values among random ones: signed zeros, NaN, infinities,
 subnormals and potentials exactly at +-v_th.
 """
@@ -13,9 +16,24 @@ import pytest
 
 from ternspike import network as net_mod
 from ternspike.bptt import _blend_partials, _chain_omega, _exact_sweep_ctsn
-from ternspike.network import LayerTrace, Trace, smooth_spike
-from ternspike.neuron import NeuronConfig, blend, blend_rule, decay, rate, reset_keep, ternary_fire
-from ternspike.numerics import component_rng
+from ternspike.network import LayerTrace, Trace, _run_layer, smooth_spike
+from ternspike.neuron import (
+    CTSNParams,
+    NeuronConfig,
+    NeuronState,
+    blend,
+    blend_rule,
+    ctsn_step,
+    decay,
+    effective_params,
+    fire_scratch,
+    rate,
+    reset_keep,
+    ternary_fire,
+    ternary_step,
+    ternary_step_soft,
+)
+from ternspike.numerics import component_rng, sigmoid
 
 SHAPE = (64, 256)
 V_TH = 0.5
@@ -218,3 +236,96 @@ def test_forward_recurrence_matches_reference(kind, smooth):
     _same_bits(tr.o, o)
     if cfg.is_ctsn:
         _same_bits(tr.h, h)
+
+
+class TestFire:
+    @pytest.mark.parametrize("shape", [SHAPE, (3, 8), (5,) + SHAPE])
+    def test_matches_the_two_cast_formula(self, shape):
+        u = _adversarial(11, shape)
+        want = np.empty_like(u)
+        np.greater_equal(u, V_TH, out=want)  # the float64 cast of one mask, minus the other's
+        want -= u <= -V_TH
+        _same_bits(ternary_fire(u, V_TH), want)
+        out = np.full_like(u, 7.0)
+        assert ternary_fire(u, V_TH, out=out, scratch=fire_scratch(shape)) is out
+        _same_bits(out, want)
+
+    def test_out_may_alias_the_input(self):
+        u = np.array([-1.0, 1.0, 0.2, -0.7])
+        assert ternary_fire(u, 0.5, out=u) is u
+        assert u.tolist() == [-1.0, 1.0, 0.0, -1.0]
+        u = _adversarial(12)
+        want = ternary_fire(u, V_TH)
+        _same_bits(ternary_fire(u, V_TH, out=u), want)
+
+
+class TestSmoothSpike:
+    @pytest.mark.parametrize("shape", [SHAPE, (3, 8)])
+    def test_matches_clip(self, shape):
+        u = _adversarial(13, shape)
+        want = np.clip(u, -(V_TH + 0.5), V_TH + 0.5)
+        _same_bits(smooth_spike(u, V_TH, 0.5), want)
+        out = np.full_like(u, 7.0)
+        assert smooth_spike(u, V_TH, 0.5, out=out) is out
+        _same_bits(out, want)
+
+    def test_out_may_alias_the_input(self):
+        u = _adversarial(14)
+        want = np.clip(u, -(V_TH + 0.5), V_TH + 0.5)
+        assert smooth_spike(u, V_TH, 0.5, out=u) is u
+        _same_bits(u, want)
+
+
+class TestEffectiveParams:
+    def test_matches_sigmoid_bit_for_bit(self):
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1e-300,
+                    36.7, -36.7, 709.0, -709.0, 745.2, -745.2, 1e308, -1e308]
+        values = np.concatenate([specials, component_rng(15, 41).normal(0.0, 4.0, size=3000)])
+        for omega in values.reshape(-1, 3):
+            got = np.array(effective_params(CTSNParams(*omega)))
+            _same_bits(got, sigmoid(omega))
+
+
+def _reference_layer(pre, omega, cfg: NeuronConfig, smooth: bool):
+    """(u~, o, h) of one layer from a chain of the per-step neuron functions.
+
+    The layer's first step is its definition, u~(1) = x(1) and h(1) = 0: a step
+    function forms it as 0 + x(1), which would turn an input -0.0 into +0.0.
+    """
+    fire = (lambda u: smooth_spike(u, cfg.v_th, cfg.a)) if smooth else None
+    first, zero = pre[0].copy(), np.zeros(pre.shape[-2:])
+    o = smooth_spike(first, cfg.v_th, cfg.a) if smooth else ternary_fire(first, cfg.v_th)
+    state = NeuronState(u=zero if cfg.is_ctsn else first, h=zero, u_tilde=first, o_prev=o)
+    rows = [(first, o, zero)]
+    for t in range(1, len(pre)):
+        if cfg.is_ctsn:
+            o, state = ctsn_step(state, pre[t], omega, cfg, fire=fire)
+        elif cfg.reset == "soft":
+            o, state = ternary_step_soft(state, pre[t], cfg, fire=fire)
+        else:
+            o, state = ternary_step(state, pre[t], cfg, fire=fire)
+        rows.append((state.u_tilde, o, state.h))
+    return tuple(np.stack(arrays) for arrays in zip(*rows))
+
+
+LAYER_CONFIGS = [("ternary", "hard"), ("ternary", "soft"), ("ctsn_static", "hard"), ("ctsn_neuromorphic", "hard")]
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (1, 1), SHAPE])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("smooth", [False, True])
+@pytest.mark.parametrize("kind,reset", LAYER_CONFIGS)
+def test_run_layer_matches_the_step_functions(kind, reset, smooth, stacked, shape):
+    n_steps = 5
+    cfg = NeuronConfig(kind=kind, reset=reset, v_th=V_TH)
+    omega = CTSNParams(0.4, -0.9, 1.3) if cfg.is_ctsn else None
+    pre = 2.0 * _adversarial(16, (n_steps,) + shape if stacked else shape)
+    seq = pre if stacked else np.broadcast_to(pre, (n_steps,) + shape)
+    want_ut, want_o, want_h = _reference_layer(seq, omega, cfg, smooth)
+    tr = _run_layer(pre.copy(), omega, cfg, n_steps, smooth)
+    _same_bits(tr.u_tilde, want_ut)
+    _same_bits(tr.o, want_o)
+    if cfg.is_ctsn:
+        _same_bits(tr.h, want_h)
+    else:
+        assert tr.h is None
