@@ -12,7 +12,6 @@ from .neuron import (
     surrogate,
     ternary_fire,
     ternary_step,
-    ternary_step_soft,
 )
 from .trainer import TrainConfig, cosine_lr, evaluate, fit, sgd_step, train_epoch
 
@@ -39,7 +38,6 @@ __all__ = [
     "surrogate",
     "ternary_fire",
     "ternary_step",
-    "ternary_step_soft",
     "tmpr_grad",
     "tmpr_loss",
     "train_epoch",

@@ -149,7 +149,7 @@ def epsilon(u, o, H, tau: float):
     u = np.asarray(u, dtype=np.float64)
     o = np.asarray(o, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
-    return tau * (1.0 - np.abs(o) - np.sign(o) * u * H)
+    return tau * (reset_keep(o) - np.sign(o) * u * H)
 
 
 def kappa(u, tau: float, v_th: float):
@@ -199,10 +199,6 @@ def _mode_for(net: Network, mode: str) -> None:
         raise ValueError(f"mode 'ctsn' but network kind is {net.cfg.kind!r}")
     if mode not in ("ternary", "ctsn"):
         raise ValueError(f"unknown backward mode {mode!r}")
-    if net.cfg.reset == "soft":
-        raise ValueError(
-            "gradient engines cover hard-reset dynamics; soft reset is a forward-only mode"
-        )
 
 
 def _layer_param_grads(x: Array, dx: Array, w: Array, grads: GradSet, name: str, below: bool = True):
@@ -339,19 +335,19 @@ def _exact_sweep_ctsn(cache: Trace, l: int, du_tilde: Array, H: Array, omega: CT
 
     The potential adjoint flows through u(t+1) = tau * u~(t) * (1 - |o(t)|)
     into the blend; the memory adjoint flows along h(t+1) -> h(t) with the
-    blend's h-derivative.  Both reach the blend's parameters.  tau * u~ and the
-    reset factor serve the carry and then become u(t+1) in place; the sign-free blend
-    derivative is a scalar.  The time loop runs through one (B, D) scratch.
+    blend's h-derivative.  Both reach the blend's parameters.  tau * u~ becomes u(t+1)
+    and the reset factor the carry, in place; the sign-free blend derivative is a
+    scalar.  The time loop runs through one (B, D) scratch.
     """
     tr, cfg = cache.layers[l], cache.cfg
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
-    keep, tu = reset_keep(o, cache.smooth), cfg.tau * ut
+    keep, tu = reset_keep(o), cfg.tau * ut
     reset = tu * np.sign(o)
     reset *= H[:-1]
-    carry = cfg.tau * keep  # du(t+1)/du~(t)
+    u = np.multiply(tu, keep, out=tu)  # u(t + 1)
+    carry = np.multiply(keep, cfg.tau, out=keep)  # du(t+1)/du~(t)
     carry -= reset
     del reset
-    u = np.multiply(tu, keep, out=tu)  # u(t + 1)
     gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u)
     dh = np.empty_like(du_tilde)  # memory adjoint
     dh[-1] = du_tilde[-1]

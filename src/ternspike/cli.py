@@ -25,7 +25,7 @@ import numpy as np
 from . import bptt, data as data_mod, gradcheck, network as net_mod, trainer
 from .errors import ConfigError, ConsistencyError, FormatError, NumericError
 from .loss import TMPRConfig
-from .neuron import KINDS, NeuronConfig
+from .neuron import KINDS, RESETS, NeuronConfig
 from .numerics import component_rng
 
 ENV_PREFIX = "TERNSPIKE_"
@@ -103,7 +103,7 @@ DOMAINS: dict[str, tuple] = {
     **dict.fromkeys(("model.hidden", "ablate.timesteps"),
                     ((lambda v: min(_ints(v), default=0) >= 1), "a comma list of integers of at least 1")),
     "neuron.kind": _one_of(*KINDS),
-    "neuron.reset": _one_of("hard"),  # no gradient engine covers the soft reset
+    "neuron.reset": _one_of(*RESETS),
     "gradcheck.mode": _one_of(*KINDS, "ctsn"),
     "data.source": _one_of("synth_static", "synth_events", "idx"),
 }
@@ -348,7 +348,9 @@ def cmd_gradcheck(cfg: dict, paper_recursion: bool) -> int:
     seed = cfg["seed"]
     step = cfg["gradcheck.fd_step"]
     mode = cfg["gradcheck.mode"]
-    if paper_recursion and mode.startswith("ctsn"):
+    if paper_recursion:
+        if not mode.startswith("ctsn"):
+            raise ConfigError(f"key gradcheck.mode: --paper-recursion needs a ctsn mode, got {mode!r}")
         kind = mode if mode != "ctsn" else "ctsn_static"
         report = gradcheck.ctsn_recursion_report(kind=kind, seed=seed)
         print(f"closed-form recursion vs exact graph ({report['kind']}):")
@@ -413,16 +415,18 @@ def cmd_hist(cfg: dict, model_path: str) -> int:
     return 0
 
 
-_ABLATE_ARMS = (
-    ("ternary", "ternary", False),
-    ("ternary+ctsn", "ctsn_static", False),
-    ("ctsn+tmpr", "ctsn_static", True),
+_ABLATE_ARMS = (  # (name, complemented, with TMPR)
+    ("ternary", False, False),
+    ("ternary+ctsn", True, False),
+    ("ctsn+tmpr", True, True),
 )
 
 
 def run_ablation(cfg: dict) -> list[dict]:
-    """Three-arm comparison with shared seeds and shared data order."""
+    """Three-arm comparison with shared seeds and shared data order.  The complemented
+    arms take the blend rule of the data: ``ctsn_neuromorphic`` on events, else ``ctsn_static``."""
     n_seeds = cfg["ablate.seeds"]
+    ctsn_kind = "ctsn_neuromorphic" if cfg["data.source"] == "synth_events" else "ctsn_static"
     rows = []
     for t_steps in _ints(cfg["ablate.timesteps"]):
         arm_accs = {name: [] for name, _, _ in _ABLATE_ARMS}
@@ -430,8 +434,8 @@ def run_ablation(cfg: dict) -> list[dict]:
             run_cfg = dict(cfg)
             run_cfg["seed"] = cfg["seed"] + s
             run_cfg["train.t"] = t_steps
-            for name, kind, with_tmpr in _ABLATE_ARMS:
-                run_cfg["neuron.kind"] = kind
+            for name, complemented, with_tmpr in _ABLATE_ARMS:
+                run_cfg["neuron.kind"] = ctsn_kind if complemented else "ternary"
                 run_cfg["tmpr.enabled"] = with_tmpr
                 train_ds, eval_ds, _ = build_datasets(run_cfg)
                 net = _build_net(run_cfg, train_ds.feature_dim, train_ds.num_classes)

@@ -41,7 +41,6 @@ from .neuron import (  # the step functions stay importable here for per-step ca
     ctsn_step,
     decay,
     fire_scratch,
-    soft_decay,
     surrogate,
     ternary_fire,
     ternary_step,
@@ -187,14 +186,13 @@ class Trace:
     """Record of one forward pass: one ``LayerTrace`` per spiking layer.
 
     ``x`` is the network input, (B, D_in) when every timestep shares one
-    array (direct encoding) and (T, B, D_in) otherwise.  ``smooth`` marks a
-    pass of the stand-in, whose ``o`` is continuous, not ternary.
+    array (direct encoding) and (T, B, D_in) otherwise.  A pass of the stand-in
+    holds a continuous ``o``; ``reset_keep``'s 1 - |o| serves both kinds of pass.
     """
 
     layers: list[LayerTrace]
     x: Array
     cfg: NeuronConfig
-    smooth: bool = False
 
     def __post_init__(self) -> None:
         if not self.layers or len(self.layers[0].u_tilde) == 0:
@@ -223,7 +221,7 @@ class Trace:
         if tr.h is None:
             return tr.u_tilde
         u = np.zeros_like(tr.u_tilde)
-        u[1:] = decay(tr.u_tilde[:-1], tr.o[:-1], self.cfg.tau, self.smooth)
+        u[1:] = decay(tr.u_tilde[:-1], tr.o[:-1], self.cfg.tau)
         return u
 
     def potentials(self) -> list[Array]:
@@ -259,9 +257,11 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
     ``pre`` is the input current, (T, B, D), or (B, D) when every timestep
     shares it.  A stacked ``pre`` is turned into u~ in place; each step's
     results are written straight into the trace arrays.  The layer allocates
-    one (B, D) float64 scratch, which holds the decayed potential, and the
-    fire's masks and int8 spikes once; every step is then a short run of
-    ``out=`` calls of the ``neuron`` helpers on per-step views taken once.
+    two (B, D) float64 scratches, which hold the decayed potential and the reset
+    factor 1 - |o(t-1)|, and the fire's masks and int8 spikes once; every step is
+    then a short run of ``out=`` calls of the ``neuron`` helpers on per-step views
+    taken once.  (Staging the factor in o(t) instead, which the fire then
+    overwrites, cost a wide 256 x 800 layer 10-18%: that row is not yet in cache.)
     """
     shape = (n_steps,) + pre.shape[-2:]
     stacked = pre.ndim == 3
@@ -270,8 +270,8 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
     h = np.empty(shape) if cfg.is_ctsn else None
     factors = None
     tau, v_th, a = cfg.tau, cfg.v_th, cfg.a
-    scratch, masks = np.empty(shape[1:]), fire_scratch(shape[1:])
-    mask = masks[0]  # also the decay's and the blend's sign mask, which the fire rewrites last
+    scratch, keep, masks = np.empty(shape[1:]), np.empty(shape[1:]), fire_scratch(shape[1:])
+    mask = masks[0]  # also the blend's sign mask, which the fire rewrites last
     if cfg.is_ctsn:
         # looked up on the module, so a wrapper installed there sees the call
         factors = neuron_mod.effective_params(omega)
@@ -286,12 +286,8 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
                 step_h[0][...] = 0.0
             if not stacked:
                 ut[...] = pre
-        elif cfg.reset == "soft":
-            np.add(soft_decay(step_u[t - 1], step_o[t - 1], tau, v_th, out=scratch), step_x[t], out=ut)
         else:
-            # o(t) is written only by this step's fire, so the stand-in's float
-            # reset factor is staged there; the spiking one is a bool mask
-            decay(step_u[t - 1], step_o[t - 1], tau, smooth, out=scratch, keep=step_o[t] if smooth else mask)
+            decay(step_u[t - 1], step_o[t - 1], tau, out=scratch, keep=keep)
             if h is None:
                 np.add(scratch, step_x[t], out=ut)
             else:
@@ -330,7 +326,7 @@ def forward(net: Network, input_seq, smooth: bool = False) -> tuple[Array, Trace
     for layer in net.layers:
         layers.append(_run_layer(_affine(cur, layer), layer.omega, cfg, net.n_steps, smooth))
         cur = layers[-1].o
-    return _affine(cur, net.readout), Trace(layers, x, cfg, smooth)
+    return _affine(cur, net.readout), Trace(layers, x, cfg)
 
 
 def predict(logits) -> Array:

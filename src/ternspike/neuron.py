@@ -3,9 +3,8 @@
 Two neuron families live here:
 
 * The plain ternary unit: a leaky integrator that emits spikes in
-  ``{-1, 0, +1}`` and resets after every spike, either by zeroing the
-  potential (hard reset, multiplicative ``1 - |o|``) or by subtracting the
-  signed threshold (soft reset).
+  ``{-1, 0, +1}`` and zeroes its potential after every spike: the hard reset,
+  the one reset of every kind, whose one form is ``reset_keep``'s float 1 - |o|.
 
 * The complemented ternary unit ("ctsn"): the integrator feeds a
   non-resetting memory term ``h`` that blends its own history with the
@@ -37,7 +36,7 @@ from .errors import DimensionError
 from .numerics import Array
 
 KINDS = ("ternary", "ctsn_static", "ctsn_neuromorphic")
-RESETS = ("hard", "soft")
+RESETS = ("hard",)
 
 
 @dataclass
@@ -45,8 +44,8 @@ class NeuronConfig:
     """Shared neuron hyperparameters.
 
     ``tau`` is the leak constant, ``v_th`` the firing threshold, ``a`` the
-    surrogate half-width.  Soft reset is only defined for the plain ternary
-    neuron; the complemented unit always uses the multiplicative reset.
+    surrogate half-width.  ``reset`` admits only ``RESETS``' one entry, the
+    hard reset every kind uses.
     """
 
     tau: float = 0.25
@@ -66,8 +65,6 @@ class NeuronConfig:
             raise ValueError(f"unknown reset mode {self.reset!r}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown neuron kind {self.kind!r}")
-        if self.reset == "soft" and self.kind != "ternary":
-            raise ValueError("soft reset is only defined for kind='ternary'")
 
     @property
     def is_ctsn(self) -> bool:
@@ -153,28 +150,19 @@ def surrogate(u_tilde: Array, v_th: float, a: float) -> Array:
     return (np.abs(u_tilde) - v_th < a).astype(np.float64)
 
 
-def reset_keep(o: Array, smooth: bool = False, out: Array | None = None) -> Array:
-    """1 - |o|, what a spike leaves of the potential: as o == 0 (same bits, one call) unless
-    ``smooth``.  ``out``, when given, receives it: a bool array unless ``smooth``, else float64."""
-    if not smooth:
-        return np.equal(o, 0.0, out=out)
+def reset_keep(o: Array, out: Array | None = None) -> Array:
+    """1 - |o|, what a spike leaves of the potential.  ``out``, a float64 array, receives
+    it when given.  The subtraction reuses |o|'s array, which a 0-d ``o`` does not return."""
     keep = np.abs(o, out=out)
-    return np.subtract(1.0, keep, out=keep)
+    return np.subtract(1.0, keep, out=keep if keep.ndim else None)
 
 
-def decay(u_prev: Array, o_prev: Array, tau: float, smooth: bool = False,
-          out: Array | None = None, keep: Array | None = None) -> Array:
+def decay(u_prev: Array, o_prev: Array, tau: float, out: Array | None = None,
+          keep: Array | None = None) -> Array:
     """Leak with the spike reset folded in: tau * u(t-1) * reset_keep(o(t-1)).  ``out``
-    receives the result and ``keep``, when given, the reset factor (see ``reset_keep``)."""
+    receives the result and ``keep``, a float64 array, the reset factor, when given."""
     u = np.multiply(tau, u_prev, out=out)
-    return np.multiply(u, reset_keep(o_prev, smooth, out=keep), out=u)
-
-
-def soft_decay(u_prev: Array, o_prev: Array, tau: float, v_th: float, out: Array | None = None) -> Array:
-    """Leak after a soft reset: tau * (u(t-1) - o(t-1) * v_th).  ``out`` receives the result."""
-    u = np.multiply(o_prev, v_th, out=out)
-    np.subtract(u_prev, u, out=u)
-    return np.multiply(tau, u, out=u)
+    return np.multiply(u, reset_keep(o_prev, out=keep), out=u)
 
 
 def _check_state_input(state: NeuronState, x: Array) -> Array:
@@ -193,10 +181,10 @@ def ternary_step(
     optionally replaces the threshold function (the differentiable stand-in
     used by gradient checks); dynamics are otherwise identical.
     """
-    if cfg.kind != "ternary" or cfg.reset != "hard":
-        raise ValueError("ternary_step requires kind='ternary', reset='hard'")
+    if cfg.kind != "ternary":
+        raise ValueError("ternary_step requires kind='ternary'")
     x = _check_state_input(state, x)
-    u = decay(state.u, state.o_prev, cfg.tau, smooth=fire is not None) + x
+    u = decay(state.u, state.o_prev, cfg.tau) + x
     o = ternary_fire(u, cfg.v_th) if fire is None else fire(u)
     return o, NeuronState(u=u, h=np.zeros_like(u), u_tilde=u, o_prev=o)
 
@@ -206,13 +194,13 @@ def ternary_step_soft(
 ) -> tuple[Array, NeuronState]:
     """One soft-reset ternary step: a spike subtracts the signed threshold.
 
-    u(t) = tau * (u(t-1) - o(t-1) * v_th) + x(t), then fire.  Residual
-    potential beyond the threshold survives the reset.
+    u(t) = tau * (u(t-1) - o(t-1) * v_th) + x(t), then fire.  No config selects it: it
+    stays only for the benchmark tracer's lookup on ``network``; ROADMAP item 1 deletes it.
     """
-    if cfg.reset != "soft":
-        raise ValueError("ternary_step_soft requires reset='soft'")
+    if cfg.kind != "ternary":
+        raise ValueError("ternary_step_soft requires kind='ternary'")
     x = _check_state_input(state, x)
-    u = soft_decay(state.u, state.o_prev, cfg.tau, cfg.v_th) + x
+    u = cfg.tau * (state.u - state.o_prev * cfg.v_th) + x
     o = ternary_fire(u, cfg.v_th) if fire is None else fire(u)
     return o, NeuronState(u=u, h=np.zeros_like(u), u_tilde=u, o_prev=o)
 
@@ -275,7 +263,7 @@ def ctsn_step(
     if not cfg.is_ctsn:
         raise ValueError("ctsn_step requires a ctsn_* neuron kind")
     x = _check_state_input(state, x)
-    u = decay(state.u_tilde, state.o_prev, cfg.tau, smooth=fire is not None)
+    u = decay(state.u_tilde, state.o_prev, cfg.tau)
     h = blend(blend_rule(cfg.kind, effective_params(p)), state.h, u)
     u_tilde = h + x
     o = ternary_fire(u_tilde, cfg.v_th) if fire is None else fire(u_tilde)

@@ -10,7 +10,7 @@ The final model is persisted in a flat binary format:
     magic   8 bytes   b"TSPKNET1"
     version u32 LE    2
     kind    u8        0 = ternary, 1 = ctsn_static, 2 = ctsn_neuromorphic
-    reset   u8        0 = hard, 1 = soft
+    reset   u8        always 0 (the hard reset, the only one)
     n_hidden u16 LE   number of hidden (spiking) layers
     n_arrays u32 LE   total array count
     then per array: ndim u32 LE, dims u32 LE each, payload float64 LE
@@ -40,7 +40,7 @@ from .numerics import Array, component_rng
 MODEL_MAGIC = b"TSPKNET1"
 MODEL_VERSION = 2
 _KIND_CODES = {"ternary": 0, "ctsn_static": 1, "ctsn_neuromorphic": 2}
-_RESET_CODES = {"hard": 0, "soft": 1}
+_RESET_CODES = {"hard": 0}
 _EVAL_ENTRIES = 1 << 18  # entries of one (T, B, D) array of an eval forward: 2 MiB of float64
 
 
@@ -272,14 +272,13 @@ def parse_model(blob: bytes, cfg: NeuronConfig, n_steps: int, name) -> net_mod.N
         if struct.unpack("<I", blob[crc_off:])[0] != zlib.crc32(blob[:crc_off]):
             raise FormatError(f"checksum mismatch at offset {crc_off} in {name}")
         blob = blob[:crc_off]
-    kind_code, reset_code = struct.unpack("<BB", take(2))
-    kinds = {v: k for k, v in _KIND_CODES.items()}
-    resets = {v: k for k, v in _RESET_CODES.items()}
-    if kinds.get(kind_code) != cfg.kind or resets.get(reset_code) != cfg.reset:
-        raise FormatError(
-            f"model was saved with kind={kinds.get(kind_code)!r}, reset={resets.get(reset_code)!r}; "
-            f"config says kind={cfg.kind!r}, reset={cfg.reset!r}"
-        )
+    for key, codes, want in (("kind", _KIND_CODES, cfg.kind), ("reset", _RESET_CODES, cfg.reset)):
+        at, code = off, take(1)[0]
+        saved = {v: k for k, v in codes.items()}.get(code)
+        if saved is None:
+            raise FormatError(f"unknown {key} code {code} at offset {at} in {name}")
+        if saved != want:
+            raise FormatError(f"saved {key} {saved!r} at offset {at} in {name}, config says {want!r}")
     (n_hidden,) = struct.unpack("<H", take(2))
     (n_arrays,) = struct.unpack("<I", take(4))
     arrays, offsets = [], []

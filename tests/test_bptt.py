@@ -156,13 +156,6 @@ class TestBackwardExact:
         with pytest.raises(ValueError):
             backward_exact(cache, [np.array([[1.0]])], net, "ctsn")
 
-    def test_soft_reset_rejected(self):
-        net = _tiny_identity_net()
-        net.cfg = NeuronConfig(reset="soft")
-        _, cache = forward(net, [np.array([[0.3]])])
-        with pytest.raises(ValueError, match="soft"):
-            backward_exact(cache, [np.array([[1.0]])], net, "ternary")
-
 
 class TestRecursionAgainstExact:
     def test_two_step_identity(self):

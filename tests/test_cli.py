@@ -347,6 +347,14 @@ class TestGradcheckCommand:
         assert code == 0
         assert "closed-form recursion vs exact graph" in out
 
+    @pytest.mark.parametrize("mode", [[], ["--mode", "ternary"]])
+    def test_paper_recursion_needs_a_ctsn_mode(self, capsys, mode):
+        # the closed-form recursion report exists only for complemented networks
+        assert main(["gradcheck", "--paper-recursion"] + mode) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: key gradcheck.mode: "), err
+
     def test_coarse_fd_step_is_advisory(self, capsys):
         code = main(
             ["gradcheck", "--fd-step", "1e-2", "--gradcheck.networks", "4",
@@ -428,6 +436,23 @@ class TestAblateCommand:
         lines = (out / "ablation.csv").read_text().splitlines()
         assert lines[0] == "method,timesteps,mean_eval_acc,sd_eval_acc"
         assert len(lines) == 1 + 3 * 2  # three arms x two timestep settings
+
+    @pytest.mark.parametrize("source,ctsn_kind", [("synth_static", "ctsn_static"),
+                                                  ("synth_events", "ctsn_neuromorphic")])
+    def test_complemented_arms_take_the_blend_rule_of_the_data(self, monkeypatch, source, ctsn_kind):
+        kinds, build = [], cli._build_net
+
+        def recording_build(*args):
+            net = build(*args)
+            kinds.append(net.cfg.kind)
+            return net
+
+        monkeypatch.setattr(cli, "_build_net", recording_build)
+        monkeypatch.setattr(trainer, "fit", lambda net, *args: [{"eval_acc": 0.5}])
+        cfg = resolve_config(_args("ablate", "--data.source", source, "--ablate.seeds", "2",
+                                   "--data.n_train", "40", "--data.n_eval", "24"))
+        cli.run_ablation(cfg)
+        assert kinds == ["ternary", ctsn_kind, ctsn_kind] * 2
 
 
 def _idx_pair(tmp_path, n=12, rows=4, cols=3):

@@ -1,7 +1,7 @@
 """Bit equality of the neuron kernels against literal references.
 
 The engine picks blend rates from a two-entry table indexed by a sign mask and
-uses ``o == 0`` as the reset factor of exactly ternary spikes; it fires through
+resets through the float factor 1 - |o| on every pass; it fires through
 one int8 difference of two bool masks, clamps the stand-in with one maximum
 and one minimum, maps the mixing factors on Python floats and runs each layer
 through buffers allocated once.  Each reference here is the plain formula
@@ -31,7 +31,6 @@ from ternspike.neuron import (
     reset_keep,
     ternary_fire,
     ternary_step,
-    ternary_step_soft,
 )
 from ternspike.numerics import component_rng, sigmoid
 
@@ -136,10 +135,11 @@ class TestResetFactor:
     def test_smooth_reset_keeps_one_minus_abs(self):
         u = _adversarial(7)
         o = smooth_spike(u, V_TH, 0.5)
-        _same_bits(reset_keep(o, smooth=True), 1.0 - np.abs(o))
-        _same_bits(decay(u, o, 0.25, smooth=True), 0.25 * u * (1.0 - np.abs(o)))
-        # o == 0 would be wrong here: the stand-in's o is continuous
-        assert not np.array_equal(decay(u, o, 0.25), decay(u, o, 0.25, smooth=True), equal_nan=True)
+        _same_bits(reset_keep(o), 1.0 - np.abs(o))
+        _same_bits(decay(u, o, 0.25), 0.25 * u * (1.0 - np.abs(o)))
+        out = np.full_like(o, 7.0)
+        assert reset_keep(o, out=out) is out
+        _same_bits(out, 1.0 - np.abs(o))
 
 
 def _ctsn_trace(kind: str, smooth: bool, n_steps: int = 5) -> Trace:
@@ -150,7 +150,7 @@ def _ctsn_trace(kind: str, smooth: bool, n_steps: int = 5) -> Trace:
     h = _adversarial(9, (n_steps,) + SHAPE)
     h[0] = 0.0
     cfg = NeuronConfig(kind=kind, v_th=V_TH)
-    return Trace([LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=FACTORS)], np.zeros((SHAPE[0], 3)), cfg, smooth)
+    return Trace([LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=FACTORS)], np.zeros((SHAPE[0], 3)), cfg)
 
 
 def _reference_sweep_ctsn(cache: Trace, du_tilde, H):
@@ -300,15 +300,13 @@ def _reference_layer(pre, omega, cfg: NeuronConfig, smooth: bool):
     for t in range(1, len(pre)):
         if cfg.is_ctsn:
             o, state = ctsn_step(state, pre[t], omega, cfg, fire=fire)
-        elif cfg.reset == "soft":
-            o, state = ternary_step_soft(state, pre[t], cfg, fire=fire)
         else:
             o, state = ternary_step(state, pre[t], cfg, fire=fire)
         rows.append((state.u_tilde, o, state.h))
     return tuple(np.stack(arrays) for arrays in zip(*rows))
 
 
-LAYER_CONFIGS = [("ternary", "hard"), ("ternary", "soft"), ("ctsn_static", "hard"), ("ctsn_neuromorphic", "hard")]
+LAYER_CONFIGS = [("ternary", "hard"), ("ctsn_static", "hard"), ("ctsn_neuromorphic", "hard")]
 
 
 @pytest.mark.parametrize("shape", [(3, 8), (1, 1), SHAPE])

@@ -22,7 +22,6 @@ from ternspike.neuron import (
     effective_params,
     surrogate,
     ternary_step,
-    ternary_step_soft,
 )
 from ternspike.numerics import component_rng, seeded_rng
 
@@ -110,7 +109,7 @@ def _ctsn_net(kind, n_steps=4, seed=7):
     return net
 
 
-CONFIGS = [("ternary", "hard"), ("ternary", "soft"), ("ctsn_static", "hard"), ("ctsn_neuromorphic", "hard")]
+CONFIGS = [("ternary", "hard"), ("ctsn_static", "hard"), ("ctsn_neuromorphic", "hard")]
 
 
 class TestTrace:
@@ -129,8 +128,6 @@ class TestTrace:
                 x = cur[t] @ layer.w + layer.b
                 if net.cfg.is_ctsn:
                     o, state = ctsn_step(state, x, layer.omega, net.cfg)
-                elif reset == "soft":
-                    o, state = ternary_step_soft(state, x, net.cfg)
                 else:
                     o, state = ternary_step(state, x, net.cfg)
                 e = cache.entries[l][t]

@@ -104,20 +104,22 @@ class TestTernaryStep:
 class TestSoftReset:
     def test_residual_potential(self):
         # residual before leak: 2.5 - 0.5 = 2.0, then times tau with zero input
-        cfg = NeuronConfig(reset="soft")
+        cfg = NeuronConfig()
         o, new = ternary_step_soft(_state(u=2.5, o=1.0), np.array([0.0]), cfg)
         assert new.u[0] == pytest.approx(0.25 * 2.0)
         assert o[0] == 1.0
 
     def test_silent_step(self):
-        cfg = NeuronConfig(reset="soft")
+        cfg = NeuronConfig()
         o, new = ternary_step_soft(_state(u=0.3, o=0.0), np.array([0.1]), cfg)
         assert new.u[0] == pytest.approx(0.175)
         assert o[0] == 0.0
 
     def test_soft_reset_rejected_for_ctsn(self):
-        with pytest.raises(ValueError):
-            NeuronConfig(reset="soft", kind="ctsn_static")
+        # no kind admits the soft reset: the hard reset is the only one
+        for kind in ("ternary", "ctsn_static"):
+            with pytest.raises(ValueError, match="unknown reset mode"):
+                NeuronConfig(reset="soft", kind=kind)
 
 
 class TestEffectiveParams:

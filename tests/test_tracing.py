@@ -1,0 +1,55 @@
+"""The benchmark's lookups on the package, checked without running the benchmark.
+
+``tsbench/tracing.py`` wraps names it looks up on the package modules (the
+per-step functions among them) and reads ``Trace.entries`` rows.  A name the
+package drops, or a row field it renames, fails here, not only in the
+benchmark's self-test.  The tracer is imported from its file, unchanged.
+"""
+
+import importlib.util
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+
+from ternspike import bptt, cli, gradcheck, loss, network, neuron, trainer
+from ternspike.neuron import NeuronConfig
+from ternspike.numerics import component_rng
+
+MODULES = dict(cli=cli, network=network, neuron=neuron, loss=loss, bptt=bptt, trainer=trainer,
+               gradcheck=gradcheck)
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parent.parent / "tsbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrument_wraps_the_package_and_puts_every_name_back():
+    tracing = _tracing()
+    before = {name: dict(vars(mod)) for name, mod in MODULES.items()}
+    tracer = tracing.Tracer()
+    cfg = NeuronConfig(kind="ctsn_static")
+    n_steps, batch, dims = 3, 5, [6, 7, 4]
+    with tracing.instrument(tracer, SimpleNamespace(**MODULES)):
+        assert network.forward is not before["network"]["forward"]
+        net = network.build_network(dims, 3, cfg, n_steps, component_rng(1, 0), init_scale=2.0)
+        seq = [component_rng(2, t).normal(size=(batch, dims[0])) for t in range(n_steps)]
+        logits, cache = network.forward(net, seq)
+        bptt.backward_exact(cache, np.ones_like(logits), net, "ctsn")
+    for name, mod in MODULES.items():
+        assert all(vars(mod)[attr] is value for attr, value in before[name].items()), name
+    assert {s[tracing.NAME] for s in tracer.spans} == {
+        "network.build_network", "network.forward", "neuron.effective_params", "bptt.backward_exact",
+        "neuron.surrogate"}
+    # the counts read the entries' o and surrogate rows, one (B, D) row per layer and step
+    units = n_steps * batch * sum(dims[1:])
+    assert tracer.counts[("setup", "spikes_total")] == units
+    assert tracer.counts[("setup", "window_total")] == units
+    for l, rows in enumerate(cache.entries):
+        for t, e in enumerate(rows):
+            assert e.u.shape == e.surrogate.shape == (batch, dims[l + 1])
+            assert e.surrogate.tobytes() == cache.surrogate(l)[t].tobytes()

@@ -414,7 +414,7 @@ class TestFitAndPersistence:
         net = _toy_net(kind="ternary")
         path = tmp_path / "model.bin"
         save_model(path, net)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="saved kind 'ternary' at offset 12 in .*, config says 'ctsn_static'"):
             load_model(path, NeuronConfig(kind="ctsn_static"), n_steps=3)
 
     def test_model_bad_magic_rejected(self, tmp_path):
@@ -446,8 +446,12 @@ class TestFitAndPersistence:
             ("ternary", lambda b: b[:20] + struct.pack("<4I", 3, 6, 10, 1) + b[32:], "offset 20 has 3 dimensions"),
             # 8 * (2**32 - 1)**2 bytes: more than an int64 element count holds
             ("ternary", lambda b: b[:24] + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + b[32:], "truncated at offset"),
+            # the kind byte at offset 12 and the reset byte at 13: codes no kind or reset has
+            ("ternary", lambda b: b[:12] + b"\x07" + b[13:], "unknown kind code 7 at offset 12 in "),
+            ("ternary", lambda b: b[:13] + b"\x01" + b[14:], "unknown reset code 1 at offset 13 in "),
         ],
-        ids=["trailing-bytes", "widths-do-not-chain", "omega-length", "ndim", "element-count"],
+        ids=["trailing-bytes", "widths-do-not-chain", "omega-length", "ndim", "element-count", "kind-code",
+             "reset-code"],
     )
     def test_model_corruption_rejected_naming_offset(self, tmp_path, kind, mutate, match):
         path = tmp_path / "model.bin"
