@@ -31,6 +31,7 @@ from ternspike.neuron import (
     reset_keep,
     ternary_fire,
     ternary_step,
+    ternary_step_soft,
 )
 from ternspike.numerics import component_rng, sigmoid
 
@@ -274,6 +275,37 @@ class TestSmoothSpike:
         want = np.clip(u, -(V_TH + 0.5), V_TH + 0.5)
         assert smooth_spike(u, V_TH, 0.5, out=u) is u
         _same_bits(u, want)
+
+
+class TestSoftStep:
+    """``ternary_step_soft`` keeps its formula inline: tau * (u - o * v_th) + x, in that order."""
+
+    @pytest.mark.parametrize("shape", [SHAPE, (3, 8), (1, 1)])
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_matches_the_literal_formula(self, smooth, shape):
+        cfg = NeuronConfig(v_th=V_TH)
+        u, x, v = _adversarial(16, shape), _adversarial(17, shape), _adversarial(18, shape)
+        o_prev = smooth_spike(v, V_TH, 0.5) if smooth else ternary_fire(v, V_TH)
+        fire = (lambda w: smooth_spike(w, V_TH, 0.5)) if smooth else None
+        o, new = ternary_step_soft(NeuronState(u=u, h=np.zeros_like(u), u_tilde=u, o_prev=o_prev),
+                                   x, cfg, fire=fire)
+        want_u = cfg.tau * (u - o_prev * V_TH) + x
+        if smooth:
+            want_o = np.clip(want_u, -(V_TH + 0.5), V_TH + 0.5)
+        else:
+            want_o = (want_u >= V_TH).astype(np.float64) - (want_u <= -V_TH)
+        _same_bits(new.u, want_u)
+        _same_bits(new.u_tilde, want_u)
+        _same_bits(o, want_o)
+        _same_bits(new.o_prev, want_o)
+        _same_bits(new.h, np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", CTSN_KINDS)
+    def test_complemented_kinds_rejected(self, kind):
+        u = np.zeros((3, 8))
+        state = NeuronState(u=u, h=u, u_tilde=u, o_prev=u)
+        with pytest.raises(ValueError, match="requires kind='ternary'"):
+            ternary_step_soft(state, u, NeuronConfig(kind=kind))
 
 
 class TestEffectiveParams:

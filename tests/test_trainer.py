@@ -410,6 +410,13 @@ class TestFitAndPersistence:
         data = _toy_data()
         assert evaluate(net, data) == evaluate(loaded, data)
 
+    @pytest.mark.parametrize("kind,code", [("ternary", 0), ("ctsn_static", 1), ("ctsn_neuromorphic", 2)])
+    def test_header_kind_code_and_reset_byte_zero(self, tmp_path, kind, code):
+        # the kind byte at offset 12; the reset byte at 13 is 0, the hard reset, for every kind
+        path = tmp_path / "model.bin"
+        save_model(path, _toy_net(kind=kind))
+        assert path.read_bytes()[12:14] == bytes([code, 0])
+
     def test_model_kind_mismatch_rejected(self, tmp_path):
         net = _toy_net(kind="ternary")
         path = tmp_path / "model.bin"
