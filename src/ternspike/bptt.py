@@ -8,15 +8,15 @@ it with the forward pass, both losses and the regularizer's adjoint
 injection, and is the one entry point for training and the gradient checks.
 
 ``backward_recursion`` evaluates the closed-form per-timestep factor
-products instead: the ternary potential adjoint is a sum over later
-timesteps of per-step leak/reset factors (``epsilon``), and the complemented
-neuron's adjoint is a sum of ``xi`` products with an additive memory-blend
-term.  For the plain ternary neuron the two implementations are algebraically
-identical, so agreement within float roundoff is a strong cross-check.  For
-the complemented neuron the closed form drops the decay-and-reset factor
-from its potential-to-memory derivative (it uses the blend coefficient
-alone), so the two disagree beyond T=1 by construction; the gradcheck
-command reports that gap instead of hiding it.
+products instead: a potential adjoint is a sum over later timesteps of
+products of per-step factors.  One sweep serves every kind: the first step's
+factor is the blend's u-rate times the ternary leak/reset factor
+(``epsilon``), each later step's factor adds the blend's h-rate, and the
+plain ternary neuron is the case of rates 1 and 0.  Both implementations are
+algebraically identical for every kind, so agreement within float roundoff is
+a strong cross-check.  The paper's complemented factor (``xi``) drops the
+leak-and-reset factor tau * (1 - |o|); it is kept only for the gradcheck
+command's report of the gap that omission opens beyond T=1.
 
 Both engines read the stacked trace of ``network.forward`` and work one
 layer at a time over all timesteps: the factors are formed over the whole
@@ -41,6 +41,7 @@ perturbations of every parameter entry in one pass over a (2P, P) member array.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -172,13 +173,14 @@ def kappa(u, tau: float, v_th: float):
 
 
 def xi(u_next, o, u_tilde, H, params: CTSNParams, kind: str, tau: float):
-    """Closed-form potential-to-potential factor of the complemented unit.
+    """The paper's closed-form potential-to-potential factor of the complemented unit.
 
     ``u_next`` is u(t+1), the potential the next blend rates.  The first
-    term is the blend's potential derivative taken directly (without the
-    decay-and-reset factor of the u(t+1) chain; that omission is what
-    separates this closed form from the exact graph).  The second term is the
-    reset path: d_blend/d_u * (-tau * u~(t)) * sign(o) * H.
+    term is the blend's potential derivative g_u taken directly; the second
+    is the reset path: g_u * (-tau * u~(t)) * sign(o) * H.  The exact graph's
+    factor is g_u * epsilon: the first term lacks the leak-and-reset factor
+    tau * (1 - |o|) of the u(t+1) chain.  Only ``backward_recursion(...,
+    paper_xi=True)`` uses it, for ``gradcheck.ctsn_recursion_report``.
     """
     o = np.asarray(o, dtype=np.float64)
     u_tilde = np.asarray(u_tilde, dtype=np.float64)
@@ -371,71 +373,58 @@ def backward_recursion(
     mode: str,
     du_extra: Sequence[Sequence[Array]] | None = None,
     stats: dict | None = None,
+    paper_xi: bool = False,
 ) -> GradSet:
-    """Gradients via the explicit per-timestep factor products.
+    """Gradients via the explicit per-timestep factor products, one sweep for every kind.
 
-    Ternary layers: du(t) = sum over t' >= t of the direct adjoint at t'
-    times the product of epsilon factors walked back from t' - 1 to t.
+    du~(t) = direct(t) + the sum over t' > t of direct(t') times
+    first(t) * pair(t+1) * ... * pair(t'-1).  first(s) = g_u(s) * epsilon(s) is the
+    one-step factor d u~(s+1) / d u~(s): the ternary leak/reset factor rated by the
+    blend's u-rate; pair(s) = first(s) + g_h(s) adds the memory path.  Ternary layers
+    are the case g_u = 1, g_h = 0, where both factors are epsilon.
 
-    Complemented layers: the t' = t + 1 term carries a bare ``xi`` factor;
-    terms from t' >= t + 2 multiply xi(t) by (xi(s) + blend-h-derivative)
-    pairs for the intermediate steps.  ``stats['comp_grad_factors']``, when a
-    dict is supplied, counts how many such additive blend terms entered the
-    potential-adjoint products (zero whenever T <= 2).
+    ``stats['comp_grad_factors']``, when a dict is supplied, counts how many pairs
+    (additive blend terms) entered the complemented layers' products (zero whenever
+    T <= 2).  ``paper_xi`` takes first(s) as the paper's ``xi`` instead, which lacks
+    the leak-and-reset factor; only ``gradcheck.ctsn_recursion_report`` passes it.
     """
-    if stats is not None:
-        stats["comp_grad_factors"] = 0
-    if mode == "ternary":
-        sweep = _recursion_ternary
-    else:
-        sweep = lambda cache, l, direct, H, omega: _recursion_ctsn(cache, l, direct, H, omega, stats)
-    return _backward(cache, dL_dO, net, mode, du_extra, sweep)
+    if stats is not None:  # a product reaching t' from t holds t' - t - 1 pairs
+        n = cache.n_steps
+        pairs = sum((n - t - 2) * (n - t - 1) // 2 for t in range(n))
+        stats["comp_grad_factors"] = pairs * cache.n_layers if net.cfg.is_ctsn else 0
+    return _backward(cache, dL_dO, net, mode, du_extra, partial(_recursion, paper_xi=paper_xi))
 
 
-def _recursion_ternary(cache: Trace, l: int, direct: Array, H: Array, omega):
-    """Factor-product sum for one ternary layer: du(t) gains direct(t') times
-    eps(t' - 1) * ... * eps(t), multiplied in that order from one.  The product for t
-    extends the one for t + 1 by eps(t), so each is formed once (O(T^2) products, not
-    O(T^3)); every term is still added to du(t) in increasing t'."""
-    tr = cache.layers[l]
-    eps = epsilon(tr.u_tilde, tr.o, H, cache.cfg.tau)
-    dx = direct.copy()
-    for t_next in range(1, len(direct)):
-        prod = np.ones_like(dx[0])
-        for t in reversed(range(t_next)):
-            prod *= eps[t]
-            dx[t] += direct[t_next] * prod
-    return dx, None
+def _recursion(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNParams | None, paper_xi: bool = False):
+    """Factor-product sum for one layer, then its omega gradient (None if ternary).
 
-
-def _recursion_ctsn(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNParams, stats):
-    """xi-product sum for one complemented layer, then its omega gradient.
-
-    du~(t) gains direct(t') times xi(t) * (xi(t+1) + gh(t+1)) * ... * (xi(t'-1) + gh(t'-1)),
-    multiplied left to right; the product for t' + 1 extends the one for t' by one
-    pair, so each is formed once.  ``stats`` still counts every pair of every product.
-    The closed form only defines potential adjoints; the memory adjoint is
-    recovered by the one-step relation dh(t) = du~(t) + dh(t+1) * gh(t).
+    For each t' the product walks back from one: pair(t'-1), ..., pair(t+1), and the
+    term for t multiplies it by first(t).  Each product extends the one for t + 1, so
+    each is formed once (O(T^2) products, not O(T^3)); every term is added to du~(t)
+    in increasing t'.  The closed form only defines potential adjoints; the memory
+    adjoint is recovered by the one-step relation dh(t) = du~(t) + dh(t+1) * g_h(t).
     """
     tr, cfg = cache.layers[l], cache.cfg
     n_steps = len(direct)
-    u = cache.decayed(l)
-    xis = xi(u[1:], tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
-    gh, _ = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u[1:])  # d h(s+1) / d h(s)
-    pairs = [xis[s] + gh[s] for s in range(n_steps - 1)]
+    first = pair = epsilon(tr.u_tilde[:-1], tr.o[:-1], H[:-1], cfg.tau)
+    if omega is not None:
+        u = cache.decayed(l)[1:]  # u(s + 1), the operand g_u rates
+        gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u)
+        first = (xi(u, tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau) if paper_xi
+                 else [g * e for g, e in zip(gu, first)])
+        pair = [f + g for f, g in zip(first, gh)]
     dx = direct.copy()
-    for t in range(n_steps - 1):
-        prod = xis[t].copy()
-        dx[t] += direct[t + 1] * prod
-        for t_next in range(t + 2, n_steps):
-            prod *= pairs[t_next - 1]
-            dx[t] += direct[t_next] * prod
-    if stats is not None:  # a product reaching t' from t holds t' - t - 1 pairs
-        stats["comp_grad_factors"] += sum((n_steps - t - 2) * (n_steps - t - 1) // 2 for t in range(n_steps))
+    for t_next in range(1, n_steps):
+        prod = np.ones_like(dx[0])
+        for t in reversed(range(t_next)):
+            dx[t] += direct[t_next] * (prod * first[t])
+            prod *= pair[t]
+    if omega is None:
+        return dx, None
     dh = dx.copy()
     for t in reversed(range(n_steps - 1)):
         dh[t] = dx[t] + dh[t + 1] * gh[t]
-    return dx, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u[1:], cfg.kind))
+    return dx, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, cfg.kind))
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,8 @@ def cmd_gradcheck(cfg: dict, paper_recursion: bool) -> int:
         report = gradcheck.ctsn_recursion_report(kind=kind, seed=seed)
         print(f"closed-form recursion vs exact graph ({report['kind']}):")
         print(f"  max relative gap {report['max_rel_err']:.3e} (worst at {report['worst']})")
-        print(f"  agreement at T=1: {report['agree_at_T1']}")
+        agree = "n/a" if report["agree_at_T1"] is None else report["agree_at_T1"]
+        print(f"  agreement at T=1: {agree} ({report['n_T1']} networks with T=1)")
         print(f"  note: {report['note']}")
         return 0
     _demo_parameter_report(seed)

@@ -79,17 +79,19 @@ def test_A1_closed_form_oracle():
 
 
 def test_A2_gradient_cross_implementation():
-    """Recursion vs exact traversal, 100 random ternary nets, <= 1e-10."""
+    """Recursion vs exact traversal, 100 random nets of each kind, <= 1e-10."""
     start = time.time()
-    result = suite_recursion_vs_exact(seed=0, n_networks=100, tol=1e-10)
+    results = [suite_recursion_vs_exact(seed=0, n_networks=100, tol=1e-10, kind=kind)
+               for kind in ("ternary", "ctsn_static", "ctsn_neuromorphic")]
     elapsed = time.time() - start
-    ok = result.passed and elapsed < 30.0
+    ok = all(r.passed for r in results) and elapsed < 30.0
     _report(
         "A2 recursion-vs-exact gradients",
         ok,
-        f"max rel err {result.max_rel_err:.2e} at {result.worst}, {elapsed:.1f}s",
+        "; ".join(f"{r.name} max rel err {r.max_rel_err:.2e} at {r.worst}" for r in results) + f", {elapsed:.1f}s",
     )
-    assert result.passed, result.worst
+    for r in results:
+        assert r.passed, f"{r.name}: {r.worst}"
     assert elapsed < 30.0
 
 

@@ -20,7 +20,7 @@ from ternspike.errors import NumericError, StateError
 from ternspike.gradcheck import random_network
 from ternspike.loss import TMPRConfig
 from ternspike.network import Network, forward, smooth_spike
-from ternspike.neuron import CTSNParams, NeuronConfig, blend_rule, rate
+from ternspike.neuron import CTSNParams, NeuronConfig, blend_rule, effective_params, rate
 from ternspike.numerics import component_rng, seeded_rng
 
 
@@ -107,8 +107,6 @@ class TestXi:
 
     def test_neuromorphic_branches_on_next_potential(self):
         p = CTSNParams(omega_beta=1.0, omega_gamma=-1.0)
-        from ternspike.neuron import effective_params
-
         _, beta, gamma = effective_params(p)
         up = xi(0.4, 0.0, 0.3, 1.0, p, "ctsn_neuromorphic", 0.25)
         down = xi(-0.4, 0.0, 0.3, 1.0, p, "ctsn_neuromorphic", 0.25)
@@ -238,23 +236,27 @@ def _literal_recursion_ternary(cache, l, direct, H):
     return dx
 
 
-def _literal_recursion_ctsn(cache, l, direct, H, omega, stats):
-    """The O(T^3) xi-product sum, counting each pair as it multiplies it, then the omega gradient."""
+def _literal_recursion_ctsn(cache, l, direct, H, omega, stats, paper_xi=False):
+    """The O(T^3) sum of first(t) = g_u(t) * epsilon(t) (the paper's xi if ``paper_xi``)
+    times the pairs first(s) + g_h(s) for t < s < t', each product rebuilt from one and
+    walked back from t' - 1, counting each pair as it multiplies it; then the omega gradient."""
     tr, cfg = cache.layers[l], cache.cfg
     n_steps = len(direct)
     u = cache.decayed(l)
-    xis = xi(u[1:], tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
-    gh, _ = bptt._step_rates(cfg.kind, tr.factors, tr.h[:-1], u[1:])
+    gh, gu = bptt._step_rates(cfg.kind, tr.factors, tr.h[:-1], u[1:])
+    if paper_xi:
+        first = xi(u[1:], tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
+    else:
+        eps = epsilon(tr.u_tilde[:-1], tr.o[:-1], H[:-1], cfg.tau)
+        first = [gu[s] * eps[s] for s in range(n_steps - 1)]
     dx = direct.copy()
     for t in range(n_steps):
-        if t + 1 < n_steps:
-            dx[t] += direct[t + 1] * xis[t]
-        for t_next in range(t + 2, n_steps):
-            prod = xis[t].copy()
-            for s in range(t + 1, t_next):
-                prod = prod * (xis[s] + gh[s])
+        for t_next in range(t + 1, n_steps):
+            prod = np.ones_like(dx[t])
+            for s in range(t_next - 1, t, -1):
+                prod = prod * (first[s] + gh[s])
                 stats["comp_grad_factors"] += 1
-            dx[t] += direct[t_next] * prod
+            dx[t] += direct[t_next] * (prod * first[t])
     dh = dx.copy()
     for t in reversed(range(n_steps - 1)):
         dh[t] = dx[t] + dh[t + 1] * gh[t]
@@ -262,9 +264,8 @@ def _literal_recursion_ctsn(cache, l, direct, H, omega, stats):
 
 
 class TestRecursionAgainstLiteralLoops:
-    @pytest.mark.parametrize("kind", ("ternary", "ctsn_static", "ctsn_neuromorphic"))
-    @pytest.mark.parametrize("n_steps", [1, 2, 3, 6, 9])
-    def test_same_bits_and_factor_count(self, kind, n_steps):
+    @staticmethod
+    def _case(kind, n_steps):
         rng = component_rng(51, n_steps)
         cfg = NeuronConfig(kind=kind)
         net = net_mod.build_network([6, 7, 5], 3, cfg, n_steps, rng, init_scale=1.5)
@@ -274,18 +275,34 @@ class TestRecursionAgainstLiteralLoops:
         _, cache = forward(net, [rng.normal(size=(4, 6)) for _ in range(n_steps)])
         for l in range(cache.n_layers):
             H = cache.surrogate(l)
-            direct = rng.normal(size=H.shape) * (rng.random(H.shape) < 0.8)
+            yield net, cache, l, H, rng.normal(size=H.shape) * (rng.random(H.shape) < 0.8)
+
+    @pytest.mark.parametrize("kind", ("ternary", "ctsn_static", "ctsn_neuromorphic"))
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 6, 9])
+    def test_same_bits_and_factor_count(self, kind, n_steps):
+        want_stats = {"comp_grad_factors": 0}
+        for net, cache, l, H, direct in self._case(kind, n_steps):
+            got = bptt._recursion(cache, l, direct, H, net.layers[l].omega)
             if kind == "ternary":
-                got, _ = bptt._recursion_ternary(cache, l, direct, H, None)
-                assert got.tobytes() == _literal_recursion_ternary(cache, l, direct, H).tobytes()
+                assert got[1] is None
+                assert got[0].tobytes() == _literal_recursion_ternary(cache, l, direct, H).tobytes()
             else:
-                got_stats, want_stats = {"comp_grad_factors": 0}, {"comp_grad_factors": 0}
-                omega = net.layers[l].omega
-                got = bptt._recursion_ctsn(cache, l, direct, H, omega, got_stats)
-                want = _literal_recursion_ctsn(cache, l, direct, H, omega, want_stats)
+                want = _literal_recursion_ctsn(cache, l, direct, H, net.layers[l].omega, want_stats)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
-                assert got_stats == want_stats
+        got_stats = {}
+        backward_recursion(cache, np.zeros((n_steps, 4, 3)), net, "ternary" if kind == "ternary" else "ctsn",
+                           stats=got_stats)
+        assert got_stats == want_stats
+
+    @pytest.mark.parametrize("kind", ("ctsn_static", "ctsn_neuromorphic"))
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 6])
+    def test_paper_xi_same_bits(self, kind, n_steps):
+        for net, cache, l, H, direct in self._case(kind, n_steps):
+            got = bptt._recursion(cache, l, direct, H, net.layers[l].omega, paper_xi=True)
+            want = _literal_recursion_ctsn(cache, l, direct, H, net.layers[l].omega, {"comp_grad_factors": 0}, True)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 def _per_array_max_relative_error(a, b, min_abs=0.0):
@@ -499,10 +516,28 @@ class TestCtsnRecursionGap:
         assert report["agree_at_T1"]
         assert "note" in report and report["note"]
 
+    def test_no_t1_network_is_not_agreement(self):
+        # none of seed 2's ten stream-4 draws has T=1, so there is nothing to agree at T=1
+        from ternspike.gradcheck import ctsn_recursion_report
+
+        report = ctsn_recursion_report(seed=2)
+        assert report["n_T1"] == 0
+        assert report["agree_at_T1"] is None
+        assert ctsn_recursion_report(seed=1, n_networks=6)["n_T1"] == 2
+
+    @pytest.mark.parametrize("kind", ("ctsn_static", "ctsn_neuromorphic"))
+    def test_default_recursion_closes_the_gap(self, kind):
+        # the paper's xi lacks tau * (1 - |o|); the default first factor g_u * epsilon keeps it
+        from ternspike.gradcheck import _recursion_gaps
+
+        paper = max(err for _, _, err, _ in _recursion_gaps(kind, 2, 4, 10, paper_xi=True))
+        exact = max(err for _, _, err, _ in _recursion_gaps(kind, 2, 4, 10))
+        assert paper > 1.0
+        assert exact <= 1e-10
+
     def test_gap_vanishes_when_factors_match(self):
-        # on a network whose spikes never fire and whose potentials never
-        # reset, the closed form's missing tau*(1-|o|) factor is the whole
-        # difference; with T=1 there is no temporal term at all
+        # with T=1 there is no temporal term at all, so the paper's missing
+        # tau*(1-|o|) factor cannot show and the recursion equals the exact graph
         rng = component_rng(46)
         net, _, labels = random_network(rng, kind="ctsn_static", max_steps=1)
         net.n_steps = 1
@@ -513,6 +548,54 @@ class TestCtsnRecursionGap:
             backward_exact(cache, dL, net, "ctsn"), backward_recursion(cache, dL, net, "ctsn")
         )
         assert err <= 1e-12
+
+
+class TestSaturatedLimit:
+    """Omegas of +-800 and 40 put the effective factors at exactly 0 and 1, where each blend
+    is h(t) = u(t): the complemented net is then the ternary net with the same weights."""
+
+    OMEGAS = {"ctsn_static": (-800.0, -800.0, 40.0), "ctsn_neuromorphic": (-800.0, 40.0, 40.0)}
+
+    @staticmethod
+    def _pair(kind, dims, n_steps, seed):
+        rng = component_rng(52, seed)
+        comp = net_mod.build_network(dims[:-1], dims[-1], NeuronConfig(kind=kind), n_steps, rng, init_scale=1.5)
+        tern = net_mod.build_network(dims[:-1], dims[-1], NeuronConfig(), n_steps, rng)
+        comp_params, tern_params = GradSet.of(comp), GradSet.of(tern)
+        for name, arr in tern_params.named():
+            arr[...] = comp_params[name]
+        for layer in comp.layers:
+            layer.omega.set_vector(TestSaturatedLimit.OMEGAS[kind])
+        seq = [rng.normal(size=(5, dims[0])) for _ in range(n_steps)]
+        return comp, tern, seq, rng.integers(0, dims[-1], size=5)
+
+    @staticmethod
+    def _assert_same_grads(comp_grads, tern_grads):
+        for name, arr in comp_grads.named():
+            if name.endswith(".omega"):
+                assert np.all(arr == 0.0), name  # the sigmoid is flat at the limit
+            else:
+                assert arr.tobytes() == tern_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("kind", ("ctsn_static", "ctsn_neuromorphic"))
+    @pytest.mark.parametrize("dims,n_steps", [([6, 7, 5, 3], 6), ([16, 12, 12, 4], 4), ([5, 4, 2], 3), ([4, 6, 3], 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_complemented_net_is_the_ternary_net(self, kind, dims, n_steps, seed):
+        comp, tern, seq, labels = self._pair(kind, dims, n_steps, seed)
+        for layer in comp.layers:
+            assert effective_params(layer.omega) == tuple(float(w > 0.0) for w in self.OMEGAS[kind])
+        for smooth in (False, True):
+            comp_logits, _ = forward(comp, seq, smooth=smooth)
+            tern_logits, _ = forward(tern, seq, smooth=smooth)
+            assert comp_logits.tobytes() == tern_logits.tobytes()
+        for tmpr in (None, TMPRConfig(lam=0.3)):
+            comp_grads = loss_and_grads(comp, seq, labels, tmpr)[3]
+            self._assert_same_grads(comp_grads, loss_and_grads(tern, seq, labels, tmpr)[3])
+        grads = []
+        for net, mode in ((comp, "ctsn"), (tern, "ternary")):
+            logits, cache = forward(net, seq)
+            grads.append(backward_recursion(cache, loss_mod.avg_ce_grad(logits, labels), net, mode))
+        self._assert_same_grads(*grads)
 
 
 class TestGradSet:

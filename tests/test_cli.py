@@ -346,6 +346,8 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert "closed-form recursion vs exact graph" in out
+        # the default seed draws no T=1 network, so there is no agreement to claim
+        assert "  agreement at T=1: n/a (0 networks with T=1)\n" in out
 
     @pytest.mark.parametrize("mode", [[], ["--mode", "ternary"]])
     def test_paper_recursion_needs_a_ctsn_mode(self, capsys, mode):
