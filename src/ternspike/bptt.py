@@ -398,11 +398,12 @@ def backward_recursion(
 def _recursion(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNParams | None, paper_xi: bool = False):
     """Factor-product sum for one layer, then its omega gradient (None if ternary).
 
-    For each t' the product walks back from one: pair(t'-1), ..., pair(t+1), and the
-    term for t multiplies it by first(t).  Each product extends the one for t + 1, so
-    each is formed once (O(T^2) products, not O(T^3)); every term is added to du~(t)
-    in increasing t'.  The closed form only defines potential adjoints; the memory
-    adjoint is recovered by the one-step relation dh(t) = du~(t) + dh(t+1) * g_h(t).
+    The product for (t, t') walks back from one: pair(t'-1), ..., pair(t+1), and the
+    term multiplies it by first(t).  The products of one gap t' - t = k, over every t,
+    form one (T - k, B, D) stack that extends the previous gap's, so the sweep takes
+    O(T) array operations; each du~(t) gains its terms in increasing t'.  The closed
+    form only defines potential adjoints; the memory adjoint is recovered by the
+    one-step relation dh(t) = du~(t) + dh(t+1) * g_h(t).
     """
     tr, cfg = cache.layers[l], cache.cfg
     n_steps = len(direct)
@@ -411,14 +412,14 @@ def _recursion(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNParams 
         u = cache.decayed(l)[1:]  # u(s + 1), the operand g_u rates
         gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u)
         first = (xi(u, tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau) if paper_xi
-                 else [g * e for g, e in zip(gu, first)])
-        pair = [f + g for f, g in zip(first, gh)]
+                 else np.array([g * e for g, e in zip(gu, first)]))
+        pair = np.array([f + g for f, g in zip(first, gh)])
     dx = direct.copy()
-    for t_next in range(1, n_steps):
-        prod = np.ones_like(dx[0])
-        for t in reversed(range(t_next)):
-            dx[t] += direct[t_next] * (prod * first[t])
-            prod *= pair[t]
+    span = np.ones_like(first)  # span[t] = pair(t+k-1) * ... * pair(t+1) at gap k
+    for k in range(1, n_steps):
+        if k > 1:
+            span = span[1:] * pair[1:n_steps - k + 1]
+        dx[:n_steps - k] += direct[k:] * (span * first[:n_steps - k])
     if omega is None:
         return dx, None
     dh = dx.copy()
