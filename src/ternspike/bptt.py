@@ -3,9 +3,13 @@
 ``backward_exact`` walks the unrolled computation graph node by node,
 propagating adjoints through every dependency path (decay, reset, memory
 blend, spatial fan-out) with the rectangular surrogate substituted at every
-spike node.  It is the engine used for training; ``loss_and_grads`` wraps
-it with the forward pass, both losses and the regularizer's adjoint
-injection, and is the one entry point for training and the gradient checks.
+spike node.  It is the engine used for training; ``loss_and_grads`` wraps it
+with the forward pass, both losses and the regularizer's adjoint injection,
+and is the one entry point for training and the gradient checks.  One sweep
+serves every kind: the potential adjoint steps back through the blend's u-rate
+and the leak/reset carry, the memory adjoint through its h-rate, and the plain
+ternary neuron is the case of rates 1 and 0, where the memory adjoint is the
+potential adjoint and neither rate is applied.
 
 ``backward_recursion`` evaluates the closed-form per-timestep factor
 products instead: a potential adjoint is a sum over later timesteps of
@@ -14,7 +18,9 @@ factor is the blend's u-rate times the ternary leak/reset factor
 (``epsilon``), each later step's factor adds the blend's h-rate, and the
 plain ternary neuron is the case of rates 1 and 0.  Both implementations are
 algebraically identical for every kind, so agreement within float roundoff is
-a strong cross-check.  The paper's complemented factor (``xi``) drops the
+a strong cross-check; the exact sweep writes its step factor (the carry) out
+itself and only the recursion calls ``epsilon``, so the two engines share no
+statement of it.  The paper's complemented factor (``xi``) drops the
 leak-and-reset factor tau * (1 - |o|); it is kept only for the gradcheck
 command's report of the gap that omission opens beyond T=1.
 
@@ -313,52 +319,49 @@ def backward_exact(
     ``du_extra[l][t]``, when given, is an extra adjoint injected directly at
     layer l's post-integration potential at step t (the regularizer's direct
     term); it then propagates through every temporal and spatial path like
-    any other contribution.
+    any other contribution.  Every kind goes through one sweep, ``_exact_sweep``;
+    ``mode`` ("ternary" or "ctsn") is checked against the network's kind.
     """
-    sweep = _exact_sweep_ternary if mode == "ternary" else _exact_sweep_ctsn
-    return _backward(cache, dL_dO, net, mode, du_extra, sweep)
+    return _backward(cache, dL_dO, net, mode, du_extra, _exact_sweep)
 
 
-def _exact_sweep_ternary(cache: Trace, l: int, du: Array, H: Array, omega):
-    """Adjoint sweep over one ternary layer, newest timestep first, in place.
-
-    du(t) = A(t) * H(t) + inj(t) + du(t+1) * epsilon(t); the epsilon factor
-    bundles the leak through 1 - |o| with the surrogate reset path.
-    """
-    tr = cache.layers[l]
-    eps = epsilon(tr.u_tilde[:-1], tr.o[:-1], H[:-1], cache.cfg.tau)
-    for t in reversed(range(len(du) - 1)):
-        du[t] += du[t + 1] * eps[t]
-    return du, None
-
-
-def _exact_sweep_ctsn(cache: Trace, l: int, du_tilde: Array, H: Array, omega: CTSNParams):
-    """Adjoint sweep over one complemented layer (two carried adjoints), in place.
+def _exact_sweep(cache: Trace, l: int, du_tilde: Array, H: Array, omega):
+    """Adjoint sweep over one layer of any kind, newest timestep first, in place.
 
     The potential adjoint flows through u(t+1) = tau * u~(t) * (1 - |o(t)|)
-    into the blend; the memory adjoint flows along h(t+1) -> h(t) with the
-    blend's h-derivative.  Both reach the blend's parameters.  tau * u~ becomes u(t+1)
-    and the reset factor the carry, in place; the sign-free blend derivative is a
-    scalar.  The time loop runs through one (B, D) scratch.
+    into the blend: du~(t) gains dh(t+1) * g_u(t) * carry(t), where the carry
+    keep * tau - tau * u~ * sign(o) * H is the leak through 1 - |o| minus the
+    surrogate reset path.  A complemented layer also carries the memory adjoint
+    dh(t) = du~(t) + dh(t+1) * g_h(t) along h(t+1) -> h(t); both reach the
+    blend's parameters.  A ternary layer (no memory in its trace) is the case
+    g_u = 1, g_h = 0: its memory adjoint is the potential adjoint itself, so
+    neither the g_u product nor the memory update runs.  A complemented layer's
+    tau * u~ becomes u(t+1), and the reset factor becomes the carry, in place;
+    the loop runs through one (B, D) scratch.
     """
     tr, cfg = cache.layers[l], cache.cfg
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
     keep, tu = reset_keep(o), cfg.tau * ut
     reset = tu * np.sign(o)
     reset *= H[:-1]
-    u = np.multiply(tu, keep, out=tu)  # u(t + 1)
+    memory = tr.h is not None
+    if memory:
+        u = np.multiply(tu, keep, out=tu)  # u(t + 1)
+        gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u)
+        dh = np.empty_like(du_tilde)  # memory adjoint
+        dh[-1] = du_tilde[-1]
+    else:
+        dh = du_tilde
     carry = np.multiply(keep, cfg.tau, out=keep)  # du(t+1)/du~(t)
     carry -= reset
     del reset
-    gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u)
-    dh = np.empty_like(du_tilde)  # memory adjoint
-    dh[-1] = du_tilde[-1]
-    step = np.empty_like(dh[0])
+    step = np.empty_like(du_tilde[0])
     for t in reversed(range(len(du_tilde) - 1)):
-        np.multiply(dh[t + 1], gu[t], out=step)
-        du_tilde[t] += np.multiply(step, carry[t], out=step)
-        np.add(du_tilde[t], np.multiply(dh[t + 1], gh[t], out=step), out=dh[t])
-    return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, cfg.kind))
+        carried = np.multiply(dh[t + 1], gu[t], out=step) if memory else dh[t + 1]
+        du_tilde[t] += np.multiply(carried, carry[t], out=step)
+        if memory:
+            np.add(du_tilde[t], np.multiply(dh[t + 1], gh[t], out=step), out=dh[t])
+    return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, cfg.kind)) if memory else None
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +375,6 @@ def backward_recursion(
     net: Network,
     mode: str,
     du_extra: Sequence[Sequence[Array]] | None = None,
-    stats: dict | None = None,
     paper_xi: bool = False,
 ) -> GradSet:
     """Gradients via the explicit per-timestep factor products, one sweep for every kind.
@@ -383,15 +385,9 @@ def backward_recursion(
     blend's u-rate; pair(s) = first(s) + g_h(s) adds the memory path.  Ternary layers
     are the case g_u = 1, g_h = 0, where both factors are epsilon.
 
-    ``stats['comp_grad_factors']``, when a dict is supplied, counts how many pairs
-    (additive blend terms) entered the complemented layers' products (zero whenever
-    T <= 2).  ``paper_xi`` takes first(s) as the paper's ``xi`` instead, which lacks
-    the leak-and-reset factor; only ``gradcheck.ctsn_recursion_report`` passes it.
+    ``paper_xi`` takes first(s) as the paper's ``xi`` instead, which lacks the
+    leak-and-reset factor; only ``gradcheck.ctsn_recursion_report`` passes it.
     """
-    if stats is not None:  # a product reaching t' from t holds t' - t - 1 pairs
-        n = cache.n_steps
-        pairs = sum((n - t - 2) * (n - t - 1) // 2 for t in range(n))
-        stats["comp_grad_factors"] = pairs * cache.n_layers if net.cfg.is_ctsn else 0
     return _backward(cache, dL_dO, net, mode, du_extra, partial(_recursion, paper_xi=paper_xi))
 
 

