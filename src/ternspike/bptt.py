@@ -250,23 +250,25 @@ def _chain_omega(factors, partials) -> Array:
     return np.array([d * p * (1.0 - p) for d, p in zip(partials, factors)])
 
 
-def _step_rates(kind: str, factors, h_prev: Array, u: Array):
+def _step_rates(kind: str, factors, h_prev: Array, u: Array, out: Array | None = None):
     """Blend derivatives (d h(t+1)/d h(t), d h(t+1)/d u(t+1)) at every step of the (T-1, B, D)
-    operand stacks: a sign-keyed rate as an array, a sign-free one as one float per step."""
-    return tuple([rate(r, x) if isinstance(r, np.ndarray) else [r] * len(x)
+    operand stacks: a sign-keyed rate as an array, a sign-free one as one float per step.
+    Every kind has one sign-keyed rate; ``out``, when given, receives it."""
+    return tuple([rate(r, x, out) if isinstance(r, np.ndarray) else [r] * len(x)
                   for r, x in zip(blend_rule(kind, factors), (h_prev, u))])
 
 
-def _blend_partials(dh: Array, h: Array, u: Array, kind: str):
+def _blend_partials(dh: Array, h: Array, u: Array, kind: str, scratch=None):
     """(d_alpha, d_beta, d_gamma) of one layer before the sigmoid chain: each factor's
     partial is dh times the part of the operand it rates under ``BLEND_RULES[kind]``.
 
     ``dh`` is the memory adjoint and ``h`` the memory, both (T, B, D); ``u``
     is the decayed potential from the second step on, (T - 1, B, D).  The
     first step contributes nothing: both blend inputs are zero there.
+    ``scratch``, two float64 arrays shaped like ``u``, is allocated when left out.
     """
     dh, partials = dh[1:], [0.0] * 3
-    part, prod = np.empty_like(u), np.empty_like(u)  # reused by every product
+    part, prod = (np.empty_like(u), np.empty_like(u)) if scratch is None else scratch  # reused by every product
     for r, x in zip(BLEND_RULES[kind], (h[:-1], u)):
         if isinstance(r, int):
             partials[r] = float(np.multiply(dh, x, out=prod).sum())
@@ -287,7 +289,10 @@ def loss_and_grads(net: Network, input_seq, labels, tmpr=None, smooth=False):
 
     ``grads`` are the exact gradients of ce + tmpr_loss: the classifier
     gradient enters at the readout and, when ``tmpr`` is active, the
-    regularizer's direct term is injected at every captured potential.
+    regularizer's direct term is injected at every captured potential: each
+    layer's stack is formed when the backward reaches that layer and freed once
+    it is added into the direct adjoint, so one step holds the trace, the
+    gradient vector and a fixed set of layer-sized buffers.
     ``smooth=True`` runs the continuous stand-in network instead of the
     spiking one.  Training and the gradient checks both go through here.
     """
@@ -335,33 +340,42 @@ def _exact_sweep(cache: Trace, l: int, du_tilde: Array, H: Array, omega):
     dh(t) = du~(t) + dh(t+1) * g_h(t) along h(t+1) -> h(t); both reach the
     blend's parameters.  A ternary layer (no memory in its trace) is the case
     g_u = 1, g_h = 0: its memory adjoint is the potential adjoint itself, so
-    neither the g_u product nor the memory update runs.  A complemented layer's
-    tau * u~ becomes u(t+1), and the reset factor becomes the carry, in place;
-    the loop runs through one (B, D) scratch.
+    neither the g_u product nor the memory update runs.
+
+    The factors live in three (T - 1, B, D) buffers, two on a ternary layer,
+    each reused once its value is spent: sign(o) is formed in the reset buffer,
+    which later holds the sign-keyed rate; a ternary layer's keep overwrites
+    tau * u~, and a complemented layer's tau * u~ becomes u(t+1); keep becomes
+    the carry, in place.  After the loop the carry's and the rate's buffers are
+    the omega partials' scratch.  The loop runs through one (B, D) scratch.
     """
     tr, cfg = cache.layers[l], cache.cfg
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
-    keep, tu = reset_keep(o), cfg.tau * ut
-    reset = tu * np.sign(o)
-    reset *= H[:-1]
     memory = tr.h is not None
+    tu = cfg.tau * ut
+    reset = np.sign(o)
+    np.multiply(tu, reset, out=reset)
+    reset *= H[:-1]
+    keep = reset_keep(o, out=None if memory else tu)  # a ternary layer is done with tau * u~
     if memory:
         u = np.multiply(tu, keep, out=tu)  # u(t + 1)
-        gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u)
+    carry = np.multiply(keep, cfg.tau, out=keep)  # du(t+1)/du~(t)
+    carry -= reset
+    if memory:
+        gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u, out=reset)
         dh = np.empty_like(du_tilde)  # memory adjoint
         dh[-1] = du_tilde[-1]
     else:
         dh = du_tilde
-    carry = np.multiply(keep, cfg.tau, out=keep)  # du(t+1)/du~(t)
-    carry -= reset
-    del reset
     step = np.empty_like(du_tilde[0])
     for t in reversed(range(len(du_tilde) - 1)):
         carried = np.multiply(dh[t + 1], gu[t], out=step) if memory else dh[t + 1]
         du_tilde[t] += np.multiply(carried, carry[t], out=step)
         if memory:
             np.add(du_tilde[t], np.multiply(dh[t + 1], gh[t], out=step), out=dh[t])
-    return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, cfg.kind)) if memory else None
+    if not memory:
+        return du_tilde, None
+    return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, cfg.kind, scratch=(carry, reset)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ cheap to verify by finite differences.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,12 +121,29 @@ def tmpr_loss(potentials, cfg: TMPRConfig) -> float:
     return total / (n_steps * n_layers)
 
 
-def tmpr_grad(potentials, lam: float) -> list[Array]:
+def tmpr_grad(potentials, lam: float) -> TMPRGrad:
     """Direct derivative of the regularizer w.r.t. every captured potential.
 
     ``potentials`` is laid out as for ``tmpr_loss``; returns one (T, B, D_l)
     stack per layer whose step t (1-based) is 2*lam / (t*T*L*B*D_l) * u~_l(t).
+    The stacks are read by layer index and each is formed when it is read, so
+    a backward that adds layer l's into its adjoint when it reaches layer l
+    holds one of them at a time.
     """
-    n_layers, n_steps = len(potentials), len(potentials[0])
-    t = np.arange(1, n_steps + 1)
-    return [(2.0 * lam / (t * n_steps * n_layers * u[0].size))[:, None, None] * u for u in potentials]
+    return TMPRGrad(potentials, lam)
+
+
+class TMPRGrad(Sequence):
+    """``tmpr_grad``'s per-layer stacks, ``g[l]`` formed anew at each read."""
+
+    def __init__(self, potentials, lam: float) -> None:
+        n_steps = len(potentials[0])
+        self.potentials, self.lam = potentials, lam
+        self.denom = np.arange(1, n_steps + 1) * n_steps * len(potentials)  # t*T*L, exact integers
+
+    def __len__(self) -> int:
+        return len(self.potentials)
+
+    def __getitem__(self, l: int) -> Array:
+        u = self.potentials[l]
+        return (2.0 * self.lam / (self.denom * u[0].size))[:, None, None] * u

@@ -145,9 +145,14 @@ def ternary_fire(u_tilde: Array, v_th: float, out: Array | None = None, scratch=
 
 
 def surrogate(u_tilde: Array, v_th: float, a: float) -> Array:
-    """Rectangular spike-derivative stand-in: 1 where |u| - v_th < a, else 0."""
-    u_tilde = np.asarray(u_tilde, dtype=np.float64)
-    return (np.abs(u_tilde) - v_th < a).astype(np.float64)
+    """Rectangular spike-derivative stand-in: 1 where |u| - v_th < a, else 0.
+
+    ``u_tilde`` has at least one dimension.  The float64 window is formed in one
+    array: |u|, less v_th in place, then the comparison's 0/1 written over it.
+    """
+    window = np.abs(np.asarray(u_tilde, dtype=np.float64))
+    window -= v_th
+    return np.less(window, a, out=window)
 
 
 def reset_keep(o: Array, out: Array | None = None) -> Array:

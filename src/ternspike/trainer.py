@@ -85,10 +85,13 @@ def sgd_step(
     small scratch buffer: v <- m*v + (g + d); p <- p - lr*v, where d = wd*p, and 0*p
     on the omega entries.  ``vel`` is the momentum (start from ``GradSet.zeros_like``).
     A non-finite gradient raises before the update, leaving the model untouched, and
-    a non-finite parameter after it, so none reaches ``save_model``."""
+    a non-finite parameter after it, so none reaches ``save_model``.  Each block is
+    summed right after its update, while it is in cache; the parameters are scanned
+    by name only when the total is not finite."""
     grads.check_finite()
     p, g, v = net.params, grads.vector, vel.vector
     scratch = np.empty(min(p.size, _SGD_BLOCK))
+    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite parameter raises below
         for lo in range(0, p.size, _SGD_BLOCK):
             hi = min(lo + _SGD_BLOCK, p.size)
@@ -102,7 +105,9 @@ def sgd_step(
             v[lo:hi] += d
             np.multiply(v[lo:hi], lr, out=d)
             p[lo:hi] -= d
-    bptt.GradSet.of(net).check_finite("parameter")
+            total += p[lo:hi].sum()
+    if not math.isfinite(total):
+        bptt.GradSet.of(net).check_finite("parameter")
 
 
 def check_omega_constraint(net: net_mod.Network) -> None:
@@ -219,24 +224,21 @@ def fit(
 # ---------------------------------------------------------------------------
 
 
-def _pack_array(arr: Array) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    header = struct.pack("<I", arr.ndim) + b"".join(struct.pack("<I", d) for d in arr.shape)
-    return header + arr.astype("<f8").tobytes()
-
-
 def save_model(path, net: net_mod.Network) -> None:
+    """Write the model file (format above) straight from the parameter views: the header,
+    then each array's header and buffer, with the CRC taken as the bytes go out."""
     arrays = [a for _, a in bptt.GradSet.of(net).named()]
-    blob = MODEL_MAGIC
-    blob += struct.pack("<I", MODEL_VERSION)
-    blob += struct.pack("<BB", _KIND_CODES[net.cfg.kind], _RESET_CODES[net.cfg.reset])
-    blob += struct.pack("<H", len(net.layers))
-    blob += struct.pack("<I", len(arrays))
+    chunks = [MODEL_MAGIC + struct.pack("<IBBHI", MODEL_VERSION, _KIND_CODES[net.cfg.kind],
+                                        _RESET_CODES[net.cfg.reset], len(net.layers), len(arrays))]
     for arr in arrays:
-        blob += _pack_array(arr)
-    blob += struct.pack("<I", zlib.crc32(blob))
+        chunks += [struct.pack(f"<{1 + arr.ndim}I", arr.ndim, *arr.shape),
+                   np.ascontiguousarray(arr, dtype="<f8").reshape(-1)]
+    crc = 0
     with open(path, "wb") as f:
-        f.write(blob)
+        for chunk in chunks:
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(struct.pack("<I", crc))
 
 
 def load_model(path, cfg: NeuronConfig, n_steps: int) -> net_mod.Network:

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from reference import literal_pair_count, literal_recursion_ctsn
 
-from ternspike import bptt, loss as loss_mod, network as net_mod
+from ternspike import bptt, data as data_mod, loss as loss_mod, network as net_mod
 from ternspike.bptt import (
     GradSet,
     backward_exact,
@@ -678,3 +679,64 @@ class TestBatchSplit:
         assert np.concatenate([parts[0][2], parts[1][2]], axis=1).tobytes() == logits.tobytes()
         for (name, g), (_, g20), (_, g12) in zip(whole.named(), parts[0][3].named(), parts[1][3].named()):
             np.testing.assert_allclose(g, (20 * g20 + 12 * g12) / 32, rtol=0, atol=1e-12, err_msg=name)
+
+
+class TestLayerwiseInjection:
+    """``loss_and_grads`` forms the regularizer's injection one layer at a time, as the
+    backward reaches it; the literal path hands ``backward_exact`` every stack at once."""
+
+    @pytest.mark.parametrize("n_hidden", [1, 3])
+    @pytest.mark.parametrize("n_steps", [1, 4])
+    @pytest.mark.parametrize("smooth", [False, True])
+    @pytest.mark.parametrize("kind", ["ternary", "ctsn_static", "ctsn_neuromorphic"])
+    def test_same_bits_as_stacked_injection(self, kind, smooth, n_steps, n_hidden):
+        rng = component_rng(57, n_steps, n_hidden)
+        cfg = NeuronConfig(kind=kind)
+        net = net_mod.build_network([6] + [7] * n_hidden, 3, cfg, n_steps, rng, init_scale=1.5)
+        for layer in net.layers:
+            if layer.omega is not None:
+                layer.omega.set_vector(rng.normal(0.0, 0.7, size=3))
+        seq = [rng.normal(size=(5, 6)) for _ in range(n_steps)]
+        labels = rng.integers(0, 3, size=5)
+        lam = 0.05
+        ce, tmpr_val, logits, grads = loss_and_grads(net, seq, labels, TMPRConfig(lam=lam), smooth=smooth)
+        want_logits, cache = forward(net, seq, smooth=smooth)
+        want_ce, dL_dO = loss_mod.avg_ce_loss_and_grad(want_logits, labels)
+        pots = cache.potentials()
+        stacks = list(loss_mod.tmpr_grad(pots, lam))
+        assert [s.shape for s in stacks] == [u.shape for u in pots]
+        want = backward_exact(cache, dL_dO, net, "ctsn" if cfg.is_ctsn else "ternary", du_extra=stacks)
+        assert (ce, tmpr_val) == (want_ce, loss_mod.tmpr_loss(pots, TMPRConfig(lam=lam)))
+        assert logits.tobytes() == want_logits.tobytes()
+        assert grads.vector.tobytes() == want.vector.tobytes()
+        without = backward_exact(cache, dL_dO, net, "ctsn" if cfg.is_ctsn else "ternary")
+        assert without.vector.tobytes() != want.vector.tobytes()  # the injection reaches the gradients
+
+
+class TestBackwardMemory:
+    # The backward's own arrays, in (T, B, D) layer arrays, at its peak in a complemented
+    # layer's sweep: the direct adjoint, the surrogate window, the memory adjoint and three
+    # (T - 1)-row factor buffers (keep/carry, tau * u~ / u(t+1), reset / the sign-keyed
+    # rate), 5.25 in all, plus the loop's (B, D) scratch and the small readout arrays.
+    K_LAYER_ARRAYS = 6
+
+    def test_step_holds_trace_gradients_and_a_few_layer_arrays(self):
+        rng = component_rng(58)
+        data = data_mod.synth_event_frames(64, 64, 4, 0.05, rng, classes=10)
+        net = net_mod.build_network((64, 256, 256), 10, NeuronConfig(kind="ctsn_neuromorphic"), 4, rng)
+        xs_seq, labels = data_mod.encode_batch(data, np.arange(64), 4)
+        tmpr = TMPRConfig(lam=0.01)
+        _, cache = forward(net, xs_seq)
+        trace = sum(a.nbytes for tr in cache.layers for a in (tr.u_tilde, tr.o, tr.h))
+        layer = cache.layers[0].u_tilde.nbytes
+        del cache
+        loss_and_grads(net, xs_seq, labels, tmpr)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            grads = loss_and_grads(net, xs_seq, labels, tmpr)[3]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= trace + grads.vector.nbytes + self.K_LAYER_ARRAYS * layer, (
+            f"{(peak - trace - grads.vector.nbytes) / layer:.2f} layer arrays above the trace and gradients")

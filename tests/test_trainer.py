@@ -410,6 +410,23 @@ class TestFitAndPersistence:
         data = _toy_data()
         assert evaluate(net, data) == evaluate(loaded, data)
 
+    def test_save_model_streams_the_parameter_views(self, tmp_path):
+        # the arrays go to the file from the network's own vector: no copy of the model is made
+        net = net_mod.build_network((64, 256, 256), 10, NeuronConfig(kind="ctsn_static"), 4, component_rng(24))
+        path = tmp_path / "model.bin"
+        save_model(path, net)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_model(path, net)
+            transient = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert transient <= 64 * 1024 < net.params.nbytes
+        body = path.read_bytes()
+        assert struct.unpack("<I", body[-4:])[0] == zlib.crc32(body[:-4])
+        assert load_model(path, NeuronConfig(kind="ctsn_static"), 4).params.tobytes() == net.params.tobytes()
+
     @pytest.mark.parametrize("kind,code", [("ternary", 0), ("ctsn_static", 1), ("ctsn_neuromorphic", 2)])
     def test_header_kind_code_and_reset_byte_zero(self, tmp_path, kind, code):
         # the kind byte at offset 12; the reset byte at 13 is 0, the hard reset, for every kind
