@@ -4,12 +4,14 @@
 propagating adjoints through every dependency path (decay, reset, memory
 blend, spatial fan-out) with the rectangular surrogate substituted at every
 spike node.  It is the engine used for training; ``loss_and_grads`` wraps it
-with the forward pass, both losses and the regularizer's adjoint injection,
-and is the one entry point for training and the gradient checks.  One sweep
-serves every kind: the potential adjoint steps back through the blend's u-rate
-and the leak/reset carry, the memory adjoint through its h-rate, and the plain
-ternary neuron is the case of rates 1 and 0, where the memory adjoint is the
-potential adjoint and neither rate is applied.
+with the forward pass and both losses, and is the one entry point for
+training and the gradient checks.  Given the regularizer's settings, either
+engine adds ``loss.tmpr_grad`` of a layer's potentials to its adjoint when
+the backward reaches that layer, so one layer's injection is live at a time.
+One sweep serves every kind: the potential adjoint steps back through the
+blend's u-rate and the leak/reset carry, the memory adjoint through its
+h-rate, and the plain ternary neuron is the case of rates 1 and 0, where the
+memory adjoint is the potential adjoint and neither rate is applied.
 
 ``backward_recursion`` evaluates the closed-form per-timestep factor
 products instead: a potential adjoint is a sum over later timesteps of
@@ -221,10 +223,12 @@ def _layer_param_grads(x: Array, dx: Array, w: Array, grads: GradSet, name: str,
     return (flat @ w.T).reshape(dx.shape[:-1] + w.shape[:1]) if below else None
 
 
-def _backward(cache: Trace, dL_dO, net: Network, mode: str, du_extra, sweep) -> GradSet:
-    """Readout, then each layer top-down, into one gradient vector.  ``sweep(cache, l,
-    direct, H, omega)`` turns the adjoints entering layer l's potentials directly (A * H
-    plus any injection) into dL/dx, and returns the omega gradient (None if ternary)."""
+def _backward(cache: Trace, dL_dO, net: Network, mode: str, tmpr, sweep) -> GradSet:
+    """Readout, then each layer top-down, into one gradient vector.  When ``tmpr`` is
+    active, layer l's adjoint gains the regularizer's direct term ``loss.tmpr_grad`` of
+    its potentials as the backward reaches it.  ``sweep(cache, l, direct, H, omega)``
+    turns the adjoints entering layer l's potentials directly (A * H plus that term) into
+    dL/dx, and returns the omega gradient (None if ternary); it may overwrite H."""
     _mode_for(net, mode)
     if len(dL_dO) != cache.n_steps:
         raise ValueError(f"got {len(dL_dO)} upstream gradients for {cache.n_steps} timesteps")
@@ -234,8 +238,8 @@ def _backward(cache: Trace, dL_dO, net: Network, mode: str, du_extra, sweep) -> 
     for l in reversed(range(cache.n_layers)):
         H = cache.surrogate(l)
         A *= H  # A is the GEMM's own output, so it becomes the direct adjoint in place
-        if du_extra is not None:
-            A += np.asarray(du_extra[l], dtype=np.float64)
+        if tmpr is not None and tmpr.active:
+            A += loss_mod.tmpr_grad(cache.layers[l].u_tilde, tmpr.lam, cache.n_layers)
         dx, domega = sweep(cache, l, A, H, net.layers[l].omega)
         del A, H  # dx may be A itself; no array of this layer outlives it
         if domega is not None:
@@ -288,25 +292,19 @@ def loss_and_grads(net: Network, input_seq, labels, tmpr=None, smooth=False):
     """Forward one batch and return (ce, tmpr_loss, logits, grads).
 
     ``grads`` are the exact gradients of ce + tmpr_loss: the classifier
-    gradient enters at the readout and, when ``tmpr`` is active, the
-    regularizer's direct term is injected at every captured potential: each
-    layer's stack is formed when the backward reaches that layer and freed once
-    it is added into the direct adjoint, so one step holds the trace, the
-    gradient vector and a fixed set of layer-sized buffers.
+    gradient enters at the readout and, when ``tmpr`` is active, ``backward_exact``
+    adds the regularizer's direct term at every captured potential.
     ``smooth=True`` runs the continuous stand-in network instead of the
     spiking one.  Training and the gradient checks both go through here.
     """
     logits, cache = net_mod.forward(net, input_seq, smooth=smooth)
     ce, dL_dO = loss_mod.avg_ce_loss_and_grad(logits, labels)
     tmpr_val = 0.0
-    du_extra = None
     if tmpr is not None and tmpr.active:
-        pots = cache.potentials()
         with np.errstate(over="ignore"):  # an overflow is an infinite loss, which training raises on
-            tmpr_val = loss_mod.tmpr_loss(pots, tmpr)
-        du_extra = loss_mod.tmpr_grad(pots, tmpr.lam)
+            tmpr_val = loss_mod.tmpr_loss(cache.potentials(), tmpr)
     mode = "ctsn" if net.cfg.is_ctsn else "ternary"
-    grads = backward_exact(cache, dL_dO, net, mode, du_extra=du_extra)
+    grads = backward_exact(cache, dL_dO, net, mode, tmpr)
     return ce, tmpr_val, logits, grads
 
 
@@ -315,19 +313,20 @@ def backward_exact(
     dL_dO: Sequence[Array],
     net: Network,
     mode: str,
-    du_extra: Sequence[Sequence[Array]] | None = None,
+    tmpr: loss_mod.TMPRConfig | None = None,
 ) -> GradSet:
     """Reverse traversal of the exact unrolled graph.
 
     ``dL_dO[t]`` are the upstream gradients on the per-timestep logits, a
     sequence of (B, C) arrays or one (T, B, C) array.
-    ``du_extra[l][t]``, when given, is an extra adjoint injected directly at
-    layer l's post-integration potential at step t (the regularizer's direct
-    term); it then propagates through every temporal and spatial path like
-    any other contribution.  Every kind goes through one sweep, ``_exact_sweep``;
+    When ``tmpr`` is active, the regularizer's direct term ``loss.tmpr_grad`` is
+    injected at each layer's post-integration potentials, formed as the backward
+    reaches the layer and freed once added; it then propagates through every
+    temporal and spatial path like any other contribution, so the result is the
+    gradient of ce + tmpr_loss.  Every kind goes through one sweep, ``_exact_sweep``;
     ``mode`` ("ternary" or "ctsn") is checked against the network's kind.
     """
-    return _backward(cache, dL_dO, net, mode, du_extra, _exact_sweep)
+    return _backward(cache, dL_dO, net, mode, tmpr, _exact_sweep)
 
 
 def _exact_sweep(cache: Trace, l: int, du_tilde: Array, H: Array, omega):
@@ -342,20 +341,20 @@ def _exact_sweep(cache: Trace, l: int, du_tilde: Array, H: Array, omega):
     g_u = 1, g_h = 0: its memory adjoint is the potential adjoint itself, so
     neither the g_u product nor the memory update runs.
 
-    The factors live in three (T - 1, B, D) buffers, two on a ternary layer,
-    each reused once its value is spent: sign(o) is formed in the reset buffer,
-    which later holds the sign-keyed rate; a ternary layer's keep overwrites
-    tau * u~, and a complemented layer's tau * u~ becomes u(t+1); keep becomes
-    the carry, in place.  After the loop the carry's and the rate's buffers are
-    the omega partials' scratch.  The loop runs through one (B, D) scratch.
+    The factors live in the window H's first T - 1 rows and in two (T - 1, B, D)
+    buffers, one on a ternary layer, each reused once its value is spent: the
+    reset product is formed over H, which later holds the sign-keyed rate; a
+    ternary layer's keep overwrites tau * u~, and a complemented layer's tau * u~
+    becomes u(t+1); keep becomes the carry, in place.  After the loop the carry's
+    and the rate's buffers are the omega partials' scratch.  The loop runs
+    through one (B, D) scratch.
     """
     tr, cfg = cache.layers[l], cache.cfg
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
     memory = tr.h is not None
     tu = cfg.tau * ut
-    reset = np.sign(o)
-    np.multiply(tu, reset, out=reset)
-    reset *= H[:-1]
+    reset = np.multiply(H[:-1], np.sign(o), out=H[:-1])  # H is not read again
+    reset *= tu
     keep = reset_keep(o, out=None if memory else tu)  # a ternary layer is done with tau * u~
     if memory:
         u = np.multiply(tu, keep, out=tu)  # u(t + 1)
@@ -388,7 +387,7 @@ def backward_recursion(
     dL_dO: Sequence[Array],
     net: Network,
     mode: str,
-    du_extra: Sequence[Sequence[Array]] | None = None,
+    tmpr: loss_mod.TMPRConfig | None = None,
     paper_xi: bool = False,
 ) -> GradSet:
     """Gradients via the explicit per-timestep factor products, one sweep for every kind.
@@ -399,10 +398,11 @@ def backward_recursion(
     blend's u-rate; pair(s) = first(s) + g_h(s) adds the memory path.  Ternary layers
     are the case g_u = 1, g_h = 0, where both factors are epsilon.
 
+    ``tmpr`` injects the regularizer's direct term as in ``backward_exact``.
     ``paper_xi`` takes first(s) as the paper's ``xi`` instead, which lacks the
     leak-and-reset factor; only ``gradcheck.ctsn_recursion_report`` passes it.
     """
-    return _backward(cache, dL_dO, net, mode, du_extra, partial(_recursion, paper_xi=paper_xi))
+    return _backward(cache, dL_dO, net, mode, tmpr, partial(_recursion, paper_xi=paper_xi))
 
 
 def _recursion(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNParams | None, paper_xi: bool = False):

@@ -70,6 +70,9 @@ DEFAULTS: dict[str, object] = {
     "ablate.timesteps": "4",
 }
 
+# what event data (data.source = synth_events) changes of DEFAULTS, unless set otherwise
+EVENT_DEFAULTS: dict[str, object] = {"tmpr.lambda": 0.01, "train.weight_decay": 5e-4}
+
 
 def _ints(raw) -> list[int]:
     """The integers of a comma list, or [] if an entry is not an integer."""
@@ -155,7 +158,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
     Two defaults are data-kind dependent (the regularizer strength and the
     weight decay); when the event-frame source is selected and the user did
-    not set them explicitly, the neuromorphic defaults apply.
+    not set them explicitly, ``EVENT_DEFAULTS`` apply.
     """
     cfg = dict(DEFAULTS)
     overridden: set[str] = set()
@@ -178,10 +181,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if getattr(args, "neuron", None):
         cfg["neuron.kind"] = args.neuron
     if cfg["data.source"] == "synth_events":
-        if "tmpr.lambda" not in overridden:
-            cfg["tmpr.lambda"] = TMPRConfig.default_for("neuromorphic").lam
-        if "train.weight_decay" not in overridden:
-            cfg["train.weight_decay"] = 5e-4
+        cfg.update({key: val for key, val in EVENT_DEFAULTS.items() if key not in overridden})
     for key, (ok, domain) in DOMAINS.items():
         if not ok(cfg[key]):
             raise ConfigError(f"key {key}: must be {domain}, got {cfg[key]!r}")

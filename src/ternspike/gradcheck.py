@@ -199,7 +199,7 @@ def suite_tmpr_fd(seed: int = 0, n_configs: int = 100, tol: float = TOL_TMPR) ->
         ]
         l = int(rng.integers(0, n_layers))
         t = int(rng.integers(0, n_steps))
-        analytic = loss_mod.tmpr_grad(pots, lam)[l][t].ravel()
+        analytic = loss_mod.tmpr_grad(pots[l], lam, n_layers)[t].ravel()
         flat = pots[l][t].ravel()  # a view, so writes move the stacked potential
         for probe in rng.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[probe]

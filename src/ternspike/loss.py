@@ -5,12 +5,12 @@ logits averaged over the sequence.  The regularizer penalizes the mean
 squared post-integration potential of every spiking layer at every timestep,
 with a weight that decays as 1/t: strong early pressure toward zero, relaxed
 later.  It is a smooth quadratic, so its analytic gradient is exact and
-cheap to verify by finite differences.
+cheap to verify by finite differences; ``tmpr_grad`` forms it for one
+layer, which the backward adds into that layer's adjoint as it reaches it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +23,8 @@ from .numerics import Array
 class TMPRConfig:
     """Temporal membrane-potential regularization settings.
 
-    ``lam`` is the strength coefficient (the config key ``tmpr.lambda``).
-    Defaults: 0.05 for static tasks, 0.01 for neuromorphic tasks.
+    ``lam`` is the strength coefficient (the config key ``tmpr.lambda``):
+    0.05 by default, 0.01 for event data (``cli.EVENT_DEFAULTS``).
     """
 
     lam: float = 0.05
@@ -33,10 +33,6 @@ class TMPRConfig:
     def __post_init__(self) -> None:
         if self.lam < 0.0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
-
-    @classmethod
-    def default_for(cls, data_kind: str) -> "TMPRConfig":
-        return cls(lam=0.01 if data_kind == "neuromorphic" else 0.05)
 
     @property
     def active(self) -> bool:
@@ -121,29 +117,12 @@ def tmpr_loss(potentials, cfg: TMPRConfig) -> float:
     return total / (n_steps * n_layers)
 
 
-def tmpr_grad(potentials, lam: float) -> TMPRGrad:
-    """Direct derivative of the regularizer w.r.t. every captured potential.
+def tmpr_grad(u, lam: float, n_layers: int) -> Array:
+    """Direct derivative of the regularizer w.r.t. one layer's captured potentials.
 
-    ``potentials`` is laid out as for ``tmpr_loss``; returns one (T, B, D_l)
-    stack per layer whose step t (1-based) is 2*lam / (t*T*L*B*D_l) * u~_l(t).
-    The stacks are read by layer index and each is formed when it is read, so
-    a backward that adds layer l's into its adjoint when it reaches layer l
-    holds one of them at a time.
+    ``u`` is the layer's (T, B, D) stack and ``n_layers`` the L of ``tmpr_loss``;
+    step t (1-based) of the result is 2*lam / (t*T*L*B*D) * u~(t).  The backward
+    calls it for one layer at a time, as it reaches the layer.
     """
-    return TMPRGrad(potentials, lam)
-
-
-class TMPRGrad(Sequence):
-    """``tmpr_grad``'s per-layer stacks, ``g[l]`` formed anew at each read."""
-
-    def __init__(self, potentials, lam: float) -> None:
-        n_steps = len(potentials[0])
-        self.potentials, self.lam = potentials, lam
-        self.denom = np.arange(1, n_steps + 1) * n_steps * len(potentials)  # t*T*L, exact integers
-
-    def __len__(self) -> int:
-        return len(self.potentials)
-
-    def __getitem__(self, l: int) -> Array:
-        u = self.potentials[l]
-        return (2.0 * self.lam / (self.denom * u[0].size))[:, None, None] * u
+    n_steps = len(u)
+    return (2.0 * lam / (np.arange(1, n_steps + 1) * n_steps * n_layers * u[0].size))[:, None, None] * u

@@ -189,9 +189,9 @@ class TestRecursionAgainstExact:
             net, seq, labels = random_network(rng, kind="ternary")
             logits, cache = forward(net, seq)
             dL = loss_mod.avg_ce_grad(logits, labels)
-            inj = loss_mod.tmpr_grad(cache.potentials(), 0.05)
-            g_ex = backward_exact(cache, dL, net, "ternary", du_extra=inj)
-            g_rec = backward_recursion(cache, dL, net, "ternary", du_extra=inj)
+            tmpr = TMPRConfig(lam=0.05)
+            g_ex = backward_exact(cache, dL, net, "ternary", tmpr)
+            g_rec = backward_recursion(cache, dL, net, "ternary", tmpr)
             err, _ = max_relative_error(g_ex, g_rec)
             assert err <= 1e-10
 
@@ -682,14 +682,15 @@ class TestBatchSplit:
 
 
 class TestLayerwiseInjection:
-    """``loss_and_grads`` forms the regularizer's injection one layer at a time, as the
-    backward reaches it; the literal path hands ``backward_exact`` every stack at once."""
+    """The backward forms the regularizer's injection one layer at a time, as it reaches
+    the layer: ``loss.tmpr_grad`` of that layer's stack, which is what ``loss_and_grads``
+    differentiates, bit for bit."""
 
     @pytest.mark.parametrize("n_hidden", [1, 3])
     @pytest.mark.parametrize("n_steps", [1, 4])
     @pytest.mark.parametrize("smooth", [False, True])
     @pytest.mark.parametrize("kind", ["ternary", "ctsn_static", "ctsn_neuromorphic"])
-    def test_same_bits_as_stacked_injection(self, kind, smooth, n_steps, n_hidden):
+    def test_same_bits_as_stacked_injection(self, kind, smooth, n_steps, n_hidden, monkeypatch):
         rng = component_rng(57, n_steps, n_hidden)
         cfg = NeuronConfig(kind=kind)
         net = net_mod.build_network([6] + [7] * n_hidden, 3, cfg, n_steps, rng, init_scale=1.5)
@@ -698,27 +699,37 @@ class TestLayerwiseInjection:
                 layer.omega.set_vector(rng.normal(0.0, 0.7, size=3))
         seq = [rng.normal(size=(5, 6)) for _ in range(n_steps)]
         labels = rng.integers(0, 3, size=5)
-        lam = 0.05
-        ce, tmpr_val, logits, grads = loss_and_grads(net, seq, labels, TMPRConfig(lam=lam), smooth=smooth)
+        tmpr = TMPRConfig(lam=0.05)
+        formed, tmpr_grad = [], loss_mod.tmpr_grad
+
+        def recorded(u, lam, n_layers):
+            formed.append((u, lam, n_layers))
+            return tmpr_grad(u, lam, n_layers)
+
+        monkeypatch.setattr(loss_mod, "tmpr_grad", recorded)
+        ce, tmpr_val, logits, grads = loss_and_grads(net, seq, labels, tmpr, smooth=smooth)
         want_logits, cache = forward(net, seq, smooth=smooth)
         want_ce, dL_dO = loss_mod.avg_ce_loss_and_grad(want_logits, labels)
         pots = cache.potentials()
-        stacks = list(loss_mod.tmpr_grad(pots, lam))
-        assert [s.shape for s in stacks] == [u.shape for u in pots]
-        want = backward_exact(cache, dL_dO, net, "ctsn" if cfg.is_ctsn else "ternary", du_extra=stacks)
-        assert (ce, tmpr_val) == (want_ce, loss_mod.tmpr_loss(pots, TMPRConfig(lam=lam)))
+        # one stack per layer, top layer first, each formed from that layer's potentials
+        assert [u.tobytes() for u, _, _ in formed] == [u.tobytes() for u in reversed(pots)]
+        assert {(lam, n_layers) for _, lam, n_layers in formed} == {(tmpr.lam, n_hidden)}
+        mode = "ctsn" if cfg.is_ctsn else "ternary"
+        want = backward_exact(cache, dL_dO, net, mode, tmpr)
+        assert (ce, tmpr_val) == (want_ce, loss_mod.tmpr_loss(pots, tmpr))
         assert logits.tobytes() == want_logits.tobytes()
         assert grads.vector.tobytes() == want.vector.tobytes()
-        without = backward_exact(cache, dL_dO, net, "ctsn" if cfg.is_ctsn else "ternary")
+        without = backward_exact(cache, dL_dO, net, mode)
         assert without.vector.tobytes() != want.vector.tobytes()  # the injection reaches the gradients
 
 
 class TestBackwardMemory:
     # The backward's own arrays, in (T, B, D) layer arrays, at its peak in a complemented
-    # layer's sweep: the direct adjoint, the surrogate window, the memory adjoint and three
-    # (T - 1)-row factor buffers (keep/carry, tau * u~ / u(t+1), reset / the sign-keyed
-    # rate), 5.25 in all, plus the loop's (B, D) scratch and the small readout arrays.
-    K_LAYER_ARRAYS = 6
+    # layer's sweep: the direct adjoint, the surrogate window (its first T - 1 rows hold the
+    # reset product, then the sign-keyed rate), the memory adjoint and two (T - 1)-row factor
+    # buffers (keep/carry, tau * u~ / u(t+1)), 4.5 in all, plus the loop's (B, D) scratch and
+    # the small readout arrays.
+    K_LAYER_ARRAYS = 5
 
     def test_step_holds_trace_gradients_and_a_few_layer_arrays(self):
         rng = component_rng(58)

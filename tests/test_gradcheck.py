@@ -39,7 +39,7 @@ class TestNoVacuousPass:
         assert "worst at none" in format_suite(result)
 
     def test_nan_tmpr_gradient_fails(self, monkeypatch):
-        monkeypatch.setattr(loss_mod, "tmpr_grad", lambda pots, lam: [np.full_like(u, np.nan) for u in pots])
+        monkeypatch.setattr(loss_mod, "tmpr_grad", lambda u, lam, n_layers: np.full_like(u, np.nan))
         result = suite_tmpr_fd(n_configs=3)
         assert not result.passed
         assert np.isnan(result.max_rel_err)

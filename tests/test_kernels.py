@@ -188,7 +188,7 @@ class TestExactSweep:
         cache = _trace(kind, smooth)
         H = cache.surrogate(0)
         du = _adversarial(10, cache.layers[0].u_tilde.shape, finite=True)
-        got_dx, got_domega = _exact_sweep(cache, 0, du.copy(), H, None)
+        got_dx, got_domega = _exact_sweep(cache, 0, du.copy(), H.copy(), None)  # the sweep overwrites H
         want_dx, want_domega = _reference_sweep(cache, du.copy(), H)
         _same_bits(got_dx, want_dx)
         if kind == "ternary":

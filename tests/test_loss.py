@@ -151,10 +151,6 @@ class TestTMPRLoss:
         with pytest.raises(StateError):
             tmpr_loss([[np.ones((1, 1)), None]], TMPRConfig(lam=0.05))
 
-    def test_kind_defaults(self):
-        assert TMPRConfig.default_for("static").lam == 0.05
-        assert TMPRConfig.default_for("neuromorphic").lam == 0.01
-
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             TMPRConfig(lam=-0.1)
@@ -162,13 +158,12 @@ class TestTMPRLoss:
 
 class TestTMPRGrad:
     def test_hand_value(self):
-        g = tmpr_grad([np.array([[[1.0, 1.0]]])], lam=0.05)
-        assert g[0][0, 0, 0] == pytest.approx(0.05)
+        g = tmpr_grad(np.array([[[1.0, 1.0]]]), lam=0.05, n_layers=1)
+        assert g[0, 0, 0] == pytest.approx(0.05)
 
     def test_zero_potential_zero_grad(self):
-        g = tmpr_grad([np.zeros((5, 2, 4)), np.zeros((5, 2, 3))], lam=0.05)
-        for u in g:
-            np.testing.assert_array_equal(u, 0.0)
+        for u in (np.zeros((5, 2, 4)), np.zeros((5, 2, 3))):
+            np.testing.assert_array_equal(tmpr_grad(u, lam=0.05, n_layers=2), 0.0)
 
     def test_matches_finite_difference(self):
         rng = seeded_rng(5)
@@ -183,7 +178,7 @@ class TestTMPRGrad:
             pots = [rng.normal(size=(n_steps, batch, widths[l])) for l in range(n_layers)]
             l = int(rng.integers(0, n_layers))
             t = int(rng.integers(0, n_steps))
-            analytic = tmpr_grad(pots, lam)[l][t]
+            analytic = tmpr_grad(pots[l], lam, n_layers)[t]
             i = int(rng.integers(0, pots[l][t].size))
             orig = pots[l][t].flat[i]
             pots[l][t].flat[i] = orig + step
@@ -198,7 +193,7 @@ class TestTMPRGrad:
         rng = seeded_rng(9)
         pots = [rng.normal(size=(4, 3, d)) for d in (5, 2)]
         lam = 0.05
-        g = tmpr_grad(pots, lam)
+        g = [tmpr_grad(u, lam, len(pots)) for u in pots]
         for l, u in enumerate(pots):
             assert g[l].shape == u.shape
             for t in range(4):

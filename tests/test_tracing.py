@@ -53,3 +53,21 @@ def test_instrument_wraps_the_package_and_puts_every_name_back():
         for t, e in enumerate(rows):
             assert e.u.shape == e.surrogate.shape == (batch, dims[l + 1])
             assert e.surrogate.tobytes() == cache.surrogate(l)[t].tobytes()
+
+
+def test_the_regularizer_gradient_is_timed_inside_the_backward():
+    # the backward forms one layer's injection as it reaches the layer, through the module
+    # attribute, so the tracer's loss.tmpr_grad span covers that work once per hidden layer
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    cfg = NeuronConfig(kind="ctsn_neuromorphic")
+    n_steps, batch, dims = 3, 5, [6, 7, 8, 4]
+    net = network.build_network(dims, 3, cfg, n_steps, component_rng(3, 0), init_scale=2.0)
+    seq = [component_rng(4, t).normal(size=(batch, dims[0])) for t in range(n_steps)]
+    labels = component_rng(5).integers(0, 3, size=batch)
+    with tracing.instrument(tracer, SimpleNamespace(**MODULES)):
+        bptt.loss_and_grads(net, seq, labels, loss.TMPRConfig(lam=0.05))
+    names = [s[tracing.NAME] for s in tracer.spans]
+    spans = [s for s in tracer.spans if s[tracing.NAME] == "loss.tmpr_grad"]
+    assert len(spans) == len(dims) - 1
+    assert {names[s[tracing.PARENT]] for s in spans} == {"bptt.backward_exact"}
