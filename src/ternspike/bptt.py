@@ -162,7 +162,9 @@ def epsilon(u, o, H, tau: float):
 
 
 def kappa(u, tau: float, v_th: float):
-    """Piecewise closed form of the temporal factor, kept as a diagnostic.
+    """The paper's piecewise closed form of the temporal factor, kept as a diagnostic.  This engine's
+    factor, ``epsilon`` of the fired spikes and the surrogate window, differs: tau for |u| < v_th,
+    -tau * |u| for v_th <= |u| < v_th + a, and zero only from |u| >= v_th + a.
 
     Five-branch table on the potential, identically zero for
     |u| >= 1.5 * v_th.  The outer boundaries belong to the zero region (the

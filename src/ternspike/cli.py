@@ -297,11 +297,17 @@ def _build_net(cfg: dict, feature_dim: int, n_classes: int) -> net_mod.Network:
     )
 
 
-def cmd_train(cfg: dict) -> int:
+def _out_dir(cfg: dict, *names: str) -> Path:
+    """The run directory, once no output file ``names`` in it is a directory; checked before any work."""
     out_dir = Path(cfg["out_dir"])
-    for name in ("dataset.manifest", "metrics.csv", "model.bin"):  # checked before any work is done
+    for name in names:
         if (out_dir / name).is_dir():
             raise ConfigError(f"key out_dir: {out_dir / name} is a directory")
+    return out_dir
+
+
+def cmd_train(cfg: dict) -> int:
+    out_dir = _out_dir(cfg, "dataset.manifest", "metrics.csv", "model.bin")
     train_ds, eval_ds, manifest = build_datasets(cfg)
     echo_config(cfg, out_dir)
     data_mod.write_manifest(out_dir / "dataset.manifest", manifest)
@@ -399,19 +405,27 @@ def _demo_parameter_report(seed: int) -> None:
 
 
 def cmd_hist(cfg: dict, model_path: str) -> int:
-    out_dir = Path(cfg["out_dir"])
+    """Histograms of the eval set's u~, clipped into [hist.lo, hist.hi]: ``membrane_hist.csv`` has one
+    row per (layer, 1-based timestep, bin); its ``.meta`` holds +-v_th for plots, the bins and the range."""
+    out_dir = _out_dir(cfg, "membrane_hist.csv", "membrane_hist.csv.meta")
     _, eval_ds, _ = build_datasets(cfg)
     net = _load_model(cfg, model_path, eval_ds)
     echo_config(cfg, out_dir)
-    bins, lo, hi = cfg["hist.bins"], cfg["hist.lo"], cfg["hist.hi"]
+    bins, lo, hi, v_th = cfg["hist.bins"], cfg["hist.lo"], cfg["hist.hi"], cfg["neuron.v_th"]
     edges = np.linspace(lo, hi, bins + 1)
-    totals = {l: np.zeros((net.n_steps, bins), dtype=np.int64) for l in range(len(net.layers))}
+    counts = np.zeros((len(net.layers), net.n_steps, bins), dtype=np.int64)
     for _, _, cache in trainer.eval_batches(net, eval_ds):
-        for l in range(len(net.layers)):
-            counts, _ = net_mod.capture_histograms(cache, l, bins, (lo, hi))
-            totals[l] += counts
+        for l, tr in enumerate(cache.layers):
+            for t, u_tilde in enumerate(tr.u_tilde):
+                counts[l, t] += np.histogram(np.clip(u_tilde.ravel(), lo, hi), bins=edges)[0]
+    bounds = edges.tolist()
+    lines = ["layer,timestep,bin_left,bin_right,count"]
+    lines += [f"{l},{t + 1},{bounds[b]!r},{bounds[b + 1]!r},{n}" for (l, t, b), n in np.ndenumerate(counts)]
     path = out_dir / "membrane_hist.csv"
-    net_mod.write_histograms_csv(path, totals, edges, cfg["neuron.v_th"])
+    path.write_text("\n".join(lines) + "\n")
+    (out_dir / "membrane_hist.csv.meta").write_text(
+        f"v_th={v_th!r}\nthresholds={-v_th!r},{v_th!r}\nbins={bins}\nrange={bounds[0]!r},{bounds[-1]!r}\n"
+    )
     print(f"wrote {path} ({len(net.layers)} layers x {net.n_steps} timesteps x {bins} bins)")
     return 0
 
@@ -457,7 +471,7 @@ def run_ablation(cfg: dict) -> list[dict]:
 
 
 def cmd_ablate(cfg: dict) -> int:
-    out_dir = Path(cfg["out_dir"])
+    out_dir = _out_dir(cfg, "ablation.csv")
     echo_config(cfg, out_dir)
     rows = run_ablation(cfg)
     lines = ["method,timesteps,mean_eval_acc,sd_eval_acc"]

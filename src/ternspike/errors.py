@@ -6,7 +6,7 @@ class DimensionError(ValueError):
 
 
 class StateError(RuntimeError):
-    """A stateful structure (cache, histogram source) is incomplete or stale."""
+    """A stateful structure (a trace or its potential records) is incomplete or stale."""
 
 
 class NumericError(ArithmeticError):

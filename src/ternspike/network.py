@@ -335,49 +335,3 @@ def predict(logits) -> Array:
         raise ValueError("need at least one timestep of logits")
     return np.argmax(np.asarray(logits, dtype=np.float64).mean(axis=0), axis=1)
 
-
-def capture_histograms(
-    cache: Trace, layer: int, bins: int, value_range: tuple[float, float]
-) -> tuple[Array, Array]:
-    """Per-timestep histogram of one layer's captured potentials.
-
-    Returns (counts, edges) with counts shaped (timesteps, bins).  Values are
-    clipped into the range first so every sample lands in some bin and the
-    per-timestep mass equals batch * features.
-    """
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if not 0 <= layer < cache.n_layers:
-        raise StateError(f"layer {layer} out of range for {cache.n_layers}-layer cache")
-    lo, hi = value_range
-    edges = np.linspace(lo, hi, bins + 1)
-    counts = np.zeros((cache.n_steps, bins), dtype=np.int64)
-    for t in range(cache.n_steps):
-        vals = np.clip(cache.layers[layer].u_tilde[t].ravel(), lo, hi)
-        counts[t], _ = np.histogram(vals, bins=edges)
-    return counts, edges
-
-
-def write_histograms_csv(path, per_layer_counts: dict[int, Array], edges: Array, v_th: float) -> None:
-    """Histogram export: one CSV row per (layer, timestep, bin).
-
-    Header ``layer,timestep,bin_left,bin_right,count``; a sidecar ``.meta``
-    file records the threshold (so plots can mark +-v_th), bin count, and
-    range.  Timesteps are written 1-based.
-    """
-    bins = len(edges) - 1
-    lines = ["layer,timestep,bin_left,bin_right,count"]
-    for layer in sorted(per_layer_counts):
-        counts = per_layer_counts[layer]
-        for t in range(counts.shape[0]):
-            for b in range(bins):
-                lines.append(
-                    f"{layer},{t + 1},{float(edges[b])!r},{float(edges[b + 1])!r},{counts[t, b]}"
-                )
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-    with open(str(path) + ".meta", "w") as f:
-        f.write(f"v_th={float(v_th)!r}\n")
-        f.write(f"thresholds={float(-v_th)!r},{float(v_th)!r}\n")
-        f.write(f"bins={bins}\n")
-        f.write(f"range={float(edges[0])!r},{float(edges[-1])!r}\n")

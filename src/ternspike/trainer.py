@@ -295,19 +295,14 @@ def parse_model(blob: bytes, cfg: NeuronConfig, n_steps: int, name) -> net_mod.N
             raise FormatError(f"array at offset {offsets[-1]} holds a non-finite value")
     if off != len(blob):
         raise FormatError(f"{len(blob) - off} trailing bytes at offset {off}")
-    per_hidden = 3 if cfg.is_ctsn else 2
-    if n_hidden < 1 or n_arrays != n_hidden * per_hidden + 2:
+    weights = [a for a in arrays if a.ndim == 2]  # each hidden layer's w, then the readout's
+    if n_hidden < 1 or len(weights) != n_hidden + 1:
+        raise FormatError(f"{len(weights)} weight arrays inconsistent with {n_hidden} hidden layers")
+    dims, n_classes = [len(weights[0])] + [w.shape[1] for w in weights[:-1]], weights[-1].shape[1]
+    layout = net_mod.param_layout(dims, n_classes, cfg.is_ctsn)
+    if n_arrays != len(layout):
         raise FormatError(f"array count {n_arrays} inconsistent with {n_hidden} hidden layers")
-    dims, i = [], 0  # the input dimension, then each layer's output width
-    for l in range(n_hidden + 1):  # the last one is the readout
-        w, b = arrays[i], arrays[i + 1]
-        if w.ndim != 2 or b.shape != w.shape[1:] or (dims and dims[-1] != len(w)):
-            raise FormatError(f"layer {l} arrays {w.shape}, {b.shape} at offset {offsets[i]} do not chain")
-        dims += [w.shape[1]] if dims else list(w.shape)
-        i += 2
-        if cfg.is_ctsn and l < n_hidden:
-            if arrays[i].shape != (3,):
-                raise FormatError(f"omega array at offset {offsets[i]} has shape {arrays[i].shape}, not (3,)")
-            i += 1
-    params = np.concatenate([a.ravel() for a in arrays])
-    return net_mod.Network(dims[:-1], dims[-1], cfg, n_steps, params)
+    for (name, (_, shape)), arr, at in zip(layout.items(), arrays, offsets):
+        if arr.shape != shape:
+            raise FormatError(f"{name} array at offset {at} has shape {arr.shape}, the layout needs {shape}")
+    return net_mod.Network(dims, n_classes, cfg, n_steps, np.concatenate([a.ravel() for a in arrays]))

@@ -24,7 +24,7 @@ from ternspike.errors import NumericError, StateError
 from ternspike.gradcheck import random_network
 from ternspike.loss import TMPRConfig
 from ternspike.network import Network, forward, smooth_spike
-from ternspike.neuron import CTSNParams, NeuronConfig, blend_rule, effective_params, rate
+from ternspike.neuron import CTSNParams, NeuronConfig, blend_rule, effective_params, rate, surrogate, ternary_fire
 from ternspike.numerics import component_rng, seeded_rng
 
 
@@ -45,6 +45,23 @@ class TestEpsilon:
         H = (np.abs(u) - 0.5 < 0.5).astype(float)
         eps = epsilon(u, o, H, 0.25)
         assert np.all(np.abs(eps) <= 0.25 * (1.0 + np.abs(u) * H) + 1e-15)
+
+    @pytest.mark.parametrize("v_th,a", [(0.5, 0.5), (0.3, 0.2)])
+    def test_engine_factor_vanishes_only_past_the_window(self, v_th, a):
+        # o and H as the engine forms them: tau below threshold, -tau |u~| in the window,
+        # exactly 0 only from |u~| >= v_th + a (kappa is already 0 from 1.5 v_th)
+        tau = 0.25
+        u = np.concatenate([np.linspace(-3.0, 3.0, 6001), [v_th, -v_th, v_th + a, -(v_th + a)]])
+        eps = epsilon(u, ternary_fire(u, v_th), surrogate(u, v_th, a), tau)
+        mag = np.abs(u)
+        below, window = mag < v_th, (v_th <= mag) & (mag < v_th + a)
+        np.testing.assert_array_equal(eps[below], tau)
+        np.testing.assert_array_equal(eps[window], -tau * mag[window])
+        np.testing.assert_array_equal(eps[~below & ~window], 0.0)
+        assert min(below.sum(), window.sum(), (~below & ~window).sum()) >= 400
+        assert eps[-4:].tolist() == [-tau * v_th] * 2 + [0.0] * 2
+        if v_th == a == 0.5:
+            assert epsilon(0.8, 1.0, 1.0, tau) == pytest.approx(-0.2) and kappa(0.8, tau, v_th) == 0.0
 
 
 class TestKappa:

@@ -248,6 +248,12 @@ class TestTrainCommand:
         assert code == 0
 
 
+def _hist_counts(out_dir, n_layers, n_steps, bins):
+    """The count column of ``membrane_hist.csv`` as a (layers, timesteps, bins) array."""
+    rows = (out_dir / "membrane_hist.csv").read_text().splitlines()[1:]
+    return np.array([int(row.split(",")[4]) for row in rows]).reshape(n_layers, n_steps, bins)
+
+
 class TestEvalAndHist:
     @pytest.fixture()
     def trained(self, tmp_path):
@@ -270,20 +276,46 @@ class TestEvalAndHist:
         assert main(argv) == 2
         assert "array at offset 20 holds a non-finite value" in capsys.readouterr().err
 
-    def test_hist_row_count_and_determinism(self, trained, tmp_path):
+    def test_hist_csv_format_metadata_and_determinism(self, trained, tmp_path):
         out = tmp_path / "hist_out"
         argv = ["hist", "--model", str(trained / "model.bin"), "--out_dir", str(out),
                 "--hist.bins", "9"] + TRAIN_FAST
         assert main(argv) == 0
         csv_path = out / "membrane_hist.csv"
         lines = csv_path.read_text().splitlines()
-        # 1 hidden layer x 4 timesteps x 9 bins + header
+        assert lines[0] == "layer,timestep,bin_left,bin_right,count"
+        # 1 hidden layer x 4 timesteps x 9 bins + header, in (layer, timestep, bin) order
         assert len(lines) == 1 + 1 * 4 * 9
+        edges = np.linspace(-2.0, 2.0, 10).tolist()
+        expect = [f"0,{t},{edges[b]!r},{edges[b + 1]!r}" for t in range(1, 5) for b in range(9)]
+        assert [row.rpartition(",")[0] for row in lines[1:]] == expect
         first = csv_path.read_bytes()
         assert main(argv) == 0
         assert csv_path.read_bytes() == first
         meta = (out / "membrane_hist.csv.meta").read_text()
-        assert "v_th=0.5" in meta
+        assert meta == "v_th=0.5\nthresholds=-0.5,0.5\nbins=9\nrange=-2.0,2.0\n"
+
+    def test_hist_zero_potentials_all_mass_in_middle_bin(self, tmp_path):
+        # an all-zero parameter vector keeps u~ at 0 in every layer and step
+        path = tmp_path / "model.bin"
+        trainer.save_model(path, net_mod.Network((16, 10, 5), 4, NeuronConfig(), 4))
+        out = tmp_path / "hist_out"
+        argv = ["hist", "--model", str(path), "--out_dir", str(out),
+                "--hist.bins", "3", "--hist.lo", "-1", "--hist.hi", "1"] + TRAIN_FAST
+        assert main(argv) == 0
+        counts = _hist_counts(out, 2, 4, 3)
+        np.testing.assert_array_equal(counts[:, :, 1], [[48 * 10] * 4, [48 * 5] * 4])
+        assert counts[:, :, [0, 2]].sum() == 0
+
+    def test_hist_mass_conservation_with_out_of_range_values(self, trained, tmp_path):
+        # a range far narrower than u~: the clipped values land in the edge bins
+        out = tmp_path / "hist_out"
+        argv = ["hist", "--model", str(trained / "model.bin"), "--out_dir", str(out),
+                "--hist.lo", "-0.01", "--hist.hi", "0.01"] + TRAIN_FAST
+        assert main(argv) == 0
+        counts = _hist_counts(out, 1, 4, 81)
+        np.testing.assert_array_equal(counts.sum(axis=2), 48 * 10)
+        assert counts[:, :, 0].sum() > 0 and counts[:, :, -1].sum() > 0
 
     def test_hist_totals_are_the_sum_over_slices(self, tmp_path):
         # the default eval set goes through one forward; its counts equal those of 97-row slices
@@ -297,8 +329,10 @@ class TestEvalAndHist:
         for start in range(0, len(eval_ds.labels), 97):
             idx = np.arange(start, min(start + 97, len(eval_ds.labels)))
             _, cache = net_mod.forward(net, data_mod.encode_batch(eval_ds, idx, net.n_steps)[0])
-            for l in range(len(net.layers)):
-                totals[l] += net_mod.capture_histograms(cache, l, 9, (cfg["hist.lo"], cfg["hist.hi"]))[0]
+            for l, tr in enumerate(cache.layers):
+                for t, u_tilde in enumerate(tr.u_tilde):
+                    vals = np.clip(u_tilde.ravel(), cfg["hist.lo"], cfg["hist.hi"])
+                    totals[l, t] += np.histogram(vals, bins=np.linspace(cfg["hist.lo"], cfg["hist.hi"], 10))[0]
         rows = (out / "membrane_hist.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[4]) for row in rows] == totals.ravel().tolist()
 
@@ -406,16 +440,22 @@ class TestExitCodeDiscipline:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: key out_dir: cannot write {out_dir}/config.resolved: "), err
 
-    @pytest.mark.parametrize("name", ["dataset.manifest", "metrics.csv", "model.bin"])
-    def test_output_path_that_is_a_directory_exits_2_before_training(self, tmp_path, capsys, monkeypatch, name):
+    @pytest.mark.parametrize("command,name", [
+        ("train", "dataset.manifest"), ("train", "metrics.csv"), ("train", "model.bin"),
+        ("hist", "membrane_hist.csv"), ("hist", "membrane_hist.csv.meta"), ("ablate", "ablation.csv"),
+    ])
+    def test_output_path_that_is_a_directory_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch, command, name
+    ):
         out = tmp_path / "run"
         (out / name).mkdir(parents=True)
+        extra = ["--model", str(_saved_model(tmp_path))] if command == "hist" else []
 
         def no_data(cfg):
             raise AssertionError("built data although an output path is a directory")
 
         monkeypatch.setattr(cli, "build_datasets", no_data)
-        assert main(["train", "--out_dir", str(out)] + TRAIN_FAST) == 2
+        assert main([command, "--out_dir", str(out)] + extra + TRAIN_FAST) == 2
         assert capsys.readouterr().err == f"config error: key out_dir: {out / name} is a directory\n"
         assert sorted(p.name for p in out.iterdir()) == [name]
 

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from ternspike import bptt
-from ternspike.errors import DimensionError, StateError
+from ternspike.errors import DimensionError
 from ternspike.loss import TMPRConfig
 from ternspike.network import (
     Network,
-    Trace,
     build_network,
-    capture_histograms,
     forward,
     param_layout,
     predict,
-    write_histograms_csv,
 )
 from ternspike.neuron import (
     CTSNParams,
@@ -205,45 +202,3 @@ class TestBuildNetwork:
         np.testing.assert_array_equal(a.layers[0].w, b.layers[0].w)
         np.testing.assert_array_equal(a.readout.w, b.readout.w)
 
-
-class TestHistograms:
-    def test_zero_potentials_all_mass_in_middle_bin(self):
-        net = _net(n_steps=2)
-        _, cache = forward(net, [np.zeros((4, 4))] * 2)
-        counts, edges = capture_histograms(cache, 0, bins=3, value_range=(-1.0, 1.0))
-        assert counts.shape == (2, 3)
-        np.testing.assert_array_equal(counts[:, 1], 4 * 6)
-        np.testing.assert_array_equal(counts[:, 0], 0)
-
-    def test_mass_conservation_with_out_of_range_values(self):
-        net = _net(n_steps=3, init_scale=5.0)
-        batch = 7
-        seq = [seeded_rng(4).normal(size=(batch, 4)) * 10 for _ in range(3)]
-        _, cache = forward(net, seq)
-        counts, _ = capture_histograms(cache, 0, bins=81, value_range=(-2.0, 2.0))
-        np.testing.assert_array_equal(counts.sum(axis=1), batch * 6)
-
-    def test_empty_cache_rejected(self):
-        # an empty trace cannot be built, so it never reaches the histogram
-        with pytest.raises(StateError):
-            capture_histograms(Trace(layers=[], x=np.zeros((1, 4)), cfg=NeuronConfig()), 0, 3, (-1.0, 1.0))
-
-    def test_bad_layer_rejected(self):
-        net = _net(n_steps=1)
-        _, cache = forward(net, [np.zeros((1, 4))])
-        with pytest.raises(StateError):
-            capture_histograms(cache, 5, 3, (-1.0, 1.0))
-
-    def test_csv_format_and_metadata(self, tmp_path):
-        net = _net(n_steps=2)
-        _, cache = forward(net, [seeded_rng(5).normal(size=(3, 4)) for _ in range(2)])
-        counts, edges = capture_histograms(cache, 0, bins=4, value_range=(-2.0, 2.0))
-        path = tmp_path / "hist.csv"
-        write_histograms_csv(path, {0: counts}, edges, v_th=0.5)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "layer,timestep,bin_left,bin_right,count"
-        assert len(lines) == 1 + 2 * 4  # header + timesteps * bins
-        meta = (tmp_path / "hist.csv.meta").read_text()
-        assert "v_th=0.5" in meta
-        assert "thresholds=-0.5,0.5" in meta
-        assert "bins=4" in meta

@@ -464,7 +464,8 @@ class TestFitAndPersistence:
         [
             ("ternary", lambda b: b + b"\x00", "1 trailing bytes at offset 884"),
             # the readout w recorded as (5, 6): same payload size
-            ("ternary", lambda b: b[:604] + struct.pack("<II", 5, 6) + b[612:], "layer 1 .* at offset 600 do not chain"),
+            ("ternary", lambda b: b[:604] + struct.pack("<II", 5, 6) + b[612:],
+             r"readout.w array at offset 600 has shape \(5, 6\), the layout needs \(10, 6\)"),
             ("ctsn_static", lambda b: b[:604] + struct.pack("<I", 2) + b[608:624] + b[632:],
              r"omega array at offset 600 has shape \(2,\)"),
             ("ternary", lambda b: b[:20] + struct.pack("<4I", 3, 6, 10, 1) + b[32:], "offset 20 has 3 dimensions"),
