@@ -25,7 +25,7 @@ import numpy as np
 from . import bptt, data as data_mod, gradcheck, network as net_mod, trainer
 from .errors import ConfigError, ConsistencyError, FormatError, NumericError
 from .loss import TMPRConfig
-from .neuron import KINDS, RESETS, NeuronConfig
+from .neuron import BLEND_RULES, KINDS, RESETS, NeuronConfig
 from .numerics import component_rng
 
 ENV_PREFIX = "TERNSPIKE_"
@@ -62,7 +62,6 @@ DEFAULTS: dict[str, object] = {
     "hist.bins": 81,
     "hist.lo": -2.0,
     "hist.hi": 2.0,
-    "gradcheck.mode": "ternary",
     "gradcheck.fd_step": 1e-6,
     "gradcheck.networks": 100,
     "gradcheck.fd_networks": 4,
@@ -107,7 +106,6 @@ DOMAINS: dict[str, tuple] = {
                     ((lambda v: min(_ints(v), default=0) >= 1), "a comma list of integers of at least 1")),
     "neuron.kind": _one_of(*KINDS),
     "neuron.reset": _one_of(*RESETS),
-    "gradcheck.mode": _one_of(*KINDS, "ctsn"),
     "data.source": _one_of("synth_static", "synth_events", "idx"),
 }
 
@@ -353,17 +351,14 @@ def cmd_eval(cfg: dict, model_path: str) -> int:
 def cmd_gradcheck(cfg: dict, paper_recursion: bool) -> int:
     seed = cfg["seed"]
     step = cfg["gradcheck.fd_step"]
-    mode = cfg["gradcheck.mode"]
     if paper_recursion:
-        if not mode.startswith("ctsn"):
-            raise ConfigError(f"key gradcheck.mode: --paper-recursion needs a ctsn mode, got {mode!r}")
-        kind = mode if mode != "ctsn" else "ctsn_static"
-        report = gradcheck.ctsn_recursion_report(kind=kind, seed=seed)
-        print(f"closed-form recursion vs exact graph ({report['kind']}):")
-        print(f"  max relative gap {report['max_rel_err']:.3e} (worst at {report['worst']})")
-        agree = "n/a" if report["agree_at_T1"] is None else report["agree_at_T1"]
-        print(f"  agreement at T=1: {agree} ({report['n_T1']} networks with T=1)")
-        print(f"  note: {report['note']}")
+        for kind in BLEND_RULES:
+            report = gradcheck.ctsn_recursion_report(kind=kind, seed=seed)
+            print(f"closed-form recursion vs exact graph ({report['kind']}):")
+            print(f"  max relative gap {report['max_rel_err']:.3e} (worst at {report['worst']})")
+            agree = "n/a" if report["agree_at_T1"] is None else report["agree_at_T1"]
+            print(f"  agreement at T=1: {agree} ({report['n_T1']} networks with T=1)")
+            print(f"  note: {report['note']}")
         return 0
     _demo_parameter_report(seed)
     suites = [
@@ -418,6 +413,7 @@ def cmd_hist(cfg: dict, model_path: str) -> int:
         for l, tr in enumerate(cache.layers):
             for t, u_tilde in enumerate(tr.u_tilde):
                 counts[l, t] += np.histogram(np.clip(u_tilde.ravel(), lo, hi), bins=edges)[0]
+        del cache, tr, u_tilde  # free this batch's trace before the next forward
     bounds = edges.tolist()
     lines = ["layer,timestep,bin_left,bin_right,count"]
     lines += [f"{l},{t + 1},{bounds[b]!r},{bounds[b + 1]!r},{n}" for (l, t, b), n in np.ndenumerate(counts)]
@@ -449,10 +445,10 @@ def run_ablation(cfg: dict) -> list[dict]:
             run_cfg = dict(cfg)
             run_cfg["seed"] = cfg["seed"] + s
             run_cfg["train.t"] = t_steps
+            train_ds, eval_ds, _ = build_datasets(run_cfg)  # the arms differ in neither seed nor data
             for name, complemented, with_tmpr in _ABLATE_ARMS:
                 run_cfg["neuron.kind"] = ctsn_kind if complemented else "ternary"
                 run_cfg["tmpr.enabled"] = with_tmpr
-                train_ds, eval_ds, _ = build_datasets(run_cfg)
                 net = _build_net(run_cfg, train_ds.feature_dim, train_ds.num_classes)
                 tc = _train_config(run_cfg)
                 arm_accs[name].append(trainer.fit(net, train_ds, eval_ds, tc)[-1]["eval_acc"])
@@ -511,10 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--paper-recursion",
                 action="store_true",
-                help="report the closed-form recursion gap on complemented networks instead of gating",
+                help="report the closed-form recursion gap under each blend rule instead of gating",
             )
         p.add_argument("--fd-step", dest="gradcheck__fd_step", help=argparse.SUPPRESS)
-        p.add_argument("--mode", dest="gradcheck__mode", help=argparse.SUPPRESS)
         for key in DEFAULTS:
             p.add_argument(f"--{key}", dest=key.replace(".", "__"), help=argparse.SUPPRESS)
     return parser

@@ -5,9 +5,9 @@ repeated at every timestep (direct encoding); neuromorphic datasets hold one
 sparse signed frame per timestep as int8 {-1, 0, +1}, an eighth of the float64
 size, and a batch is widened to float64 once when it is gathered.
 
-The IDX reader/writer speaks the classic big-endian format (magic
-0x00000803 for ubyte image tensors, 0x00000801 for ubyte label vectors), and
-writing a parsed dataset back reproduces the original bytes exactly.
+The IDX reader parses the classic big-endian format (magic 0x00000803 for
+ubyte image tensors, 0x00000801 for ubyte label vectors) and rejects a file
+whose header, sizes or length disagree, naming the byte offset.
 Synthetic generators are pure functions of their parameters and generator
 stream, recorded in a key=value manifest alongside generated corpora.
 """
@@ -120,17 +120,6 @@ def parse_idx_images(blob: bytes) -> np.ndarray:
 def parse_idx_labels(blob: bytes) -> np.ndarray:
     """Big-endian IDX ubyte label vector -> uint8 array (N,)."""
     return _parse_idx(blob, IDX_LABELS_MAGIC, ("count",), "idx labels")
-
-
-def write_idx_images(images: np.ndarray) -> bytes:
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    return struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols) + images.tobytes()
-
-
-def write_idx_labels(labels: np.ndarray) -> bytes:
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    return struct.pack(">II", IDX_LABELS_MAGIC, len(labels)) + labels.tobytes()
 
 
 def idx_dataset(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> Dataset:

@@ -19,14 +19,14 @@ inspects.  The finite-difference oracle runs its own copy of this forward
 A ``Network`` is built from its widths and carved out of one float64 vector,
 ``params``, that every layer's ``w``, ``b`` and ``CTSNParams.vector`` view: a new zero
 vector, or one it is given (``build_network`` draws the weights into the former,
-``parse_model`` and ``Network.copy`` hand it the latter).  ``param_layout`` states the
-names, order and shapes once; gradients, momentum, FD members and model files follow it.
+``parse_model`` hands it the latter).  ``param_layout`` states the names, order and
+shapes once; gradients, momentum, FD members and model files follow it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -119,10 +119,6 @@ class Network:
     @property
     def input_dim(self) -> int:
         return self.dims[0]
-
-    def copy(self) -> "Network":
-        """An independent network over a copy of the parameter vector."""
-        return Network(self.dims, self.n_classes, replace(self.cfg), self.n_steps, self.params.copy())
 
 
 def build_network(

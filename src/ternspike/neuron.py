@@ -274,26 +274,3 @@ def ctsn_step(
     o = ternary_fire(u_tilde, cfg.v_th) if fire is None else fire(u_tilde)
     return o, NeuronState(u=u, h=h, u_tilde=u_tilde, o_prev=o)
 
-
-def closed_form_potential(x_hist, o_hist, tau: float, t: int) -> Array:
-    """Memoryless expansion of the hard-reset ternary potential at step t.
-
-    u(t) = x(t) + sum_{i=1}^{t-1} tau^(t-i) x(i) prod_{j=i}^{t-1} (1 - |o(j)|)
-
-    ``x_hist`` and ``o_hist`` are 1-indexed-by-position sequences (element 0
-    is timestep 1).  Any spike between i and t-1 zeroes the whole product, so
-    only the input run since the last spike contributes.
-    """
-    if t < 1:
-        raise ValueError(f"timestep must be >= 1, got {t}")
-    if len(x_hist) < t:
-        raise ValueError(f"input history has {len(x_hist)} steps, need {t}")
-    if len(o_hist) < t - 1:
-        raise ValueError(f"spike history has {len(o_hist)} steps, need {t - 1}")
-    u = np.asarray(x_hist[t - 1], dtype=np.float64).copy()
-    for i in range(1, t):
-        prod = np.ones_like(u)
-        for j in range(i, t):
-            prod = prod * (1.0 - np.abs(np.asarray(o_hist[j - 1], dtype=np.float64)))
-        u += tau ** (t - i) * np.asarray(x_hist[i - 1], dtype=np.float64) * prod
-    return u

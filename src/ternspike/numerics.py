@@ -61,11 +61,6 @@ def sigmoid(x) -> Array:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """PCG64 generator; equal seeds give equal draw sequences everywhere."""
-    return np.random.default_rng(int(seed))
-
-
 def component_rng(root_seed: int, *key: int) -> np.random.Generator:
     """Derive an independent, reproducible sub-stream from a root seed.
 

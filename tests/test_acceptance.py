@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from reference import literal_pair_count
+from reference import closed_form_potential, literal_pair_count, write_idx_images, write_idx_labels
 
 from ternspike import bptt, cli, data as data_mod, loss as loss_mod, network as net_mod, trainer
 from ternspike.bptt import kappa
@@ -21,11 +21,10 @@ from ternspike.loss import TMPRConfig
 from ternspike.neuron import (
     NeuronConfig,
     NeuronState,
-    closed_form_potential,
     effective_params,
     ternary_step,
 )
-from ternspike.numerics import component_rng, seeded_rng
+from ternspike.numerics import component_rng
 
 
 def _report(name: str, passed: bool, detail: str = "") -> None:
@@ -42,7 +41,7 @@ def _ablate_config(**overrides):
 def test_A1_closed_form_oracle():
     """1,000 random histories, T <= 10: closed form equals iteration <= 1e-12."""
     start = time.time()
-    rng = seeded_rng(11)
+    rng = np.random.default_rng(11)
     cfg = NeuronConfig()
     worst = 0.0
     for trial in range(1000):
@@ -239,14 +238,14 @@ def test_A10_run_determinism(tmp_path):
 
 def test_A11_idx_round_trip():
     """Parse-then-serialize reproduces a 100-sample IDX fixture bit-exactly."""
-    rng = seeded_rng(31)
+    rng = np.random.default_rng(31)
     images = rng.integers(0, 256, size=(100, 9, 7), dtype=np.uint8)
     labels = rng.integers(0, 10, size=100, dtype=np.uint8)
-    img_blob = data_mod.write_idx_images(images)
-    lbl_blob = data_mod.write_idx_labels(labels)
+    img_blob = write_idx_images(images)
+    lbl_blob = write_idx_labels(labels)
     ok = (
-        data_mod.write_idx_images(data_mod.parse_idx_images(img_blob)) == img_blob
-        and data_mod.write_idx_labels(data_mod.parse_idx_labels(lbl_blob)) == lbl_blob
+        write_idx_images(data_mod.parse_idx_images(img_blob)) == img_blob
+        and write_idx_labels(data_mod.parse_idx_labels(lbl_blob)) == lbl_blob
     )
     _report("A11 IDX round trip", ok, "100-sample fixture bit-exact")
     assert ok

@@ -25,7 +25,7 @@ from ternspike.gradcheck import random_network
 from ternspike.loss import TMPRConfig
 from ternspike.network import Network, forward, smooth_spike
 from ternspike.neuron import CTSNParams, NeuronConfig, blend_rule, effective_params, rate, surrogate, ternary_fire
-from ternspike.numerics import component_rng, seeded_rng
+from ternspike.numerics import component_rng
 
 
 class TestEpsilon:
@@ -39,7 +39,7 @@ class TestEpsilon:
         assert epsilon(1.2, 1.0, 0.0, 0.25) == pytest.approx(0.0)
 
     def test_magnitude_bound(self):
-        rng = seeded_rng(0)
+        rng = np.random.default_rng(0)
         u = rng.normal(0, 2, size=5000)
         o = np.sign(u) * (np.abs(u) >= 0.5)
         H = (np.abs(u) - 0.5 < 0.5).astype(float)

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from reference import write_idx_images, write_idx_labels
 
 from ternspike import cli, data as data_mod, network as net_mod, trainer
 from ternspike.cli import DEFAULTS, main, parse_config_file, resolve_config
-from ternspike.neuron import NeuronConfig
+from ternspike.neuron import BLEND_RULES, NeuronConfig
 from ternspike.numerics import component_rng
 
 
@@ -70,8 +71,8 @@ class TestBuildDatasets:
     def test_spare_idx_samples_are_not_kept(self, tmp_path):
         images = np.random.default_rng(3).integers(0, 256, size=(50, 4, 4), dtype=np.uint8)
         labels = np.arange(50, dtype=np.uint8) % 4
-        (tmp_path / "img").write_bytes(data_mod.write_idx_images(images))
-        (tmp_path / "lab").write_bytes(data_mod.write_idx_labels(labels))
+        (tmp_path / "img").write_bytes(write_idx_images(images))
+        (tmp_path / "lab").write_bytes(write_idx_labels(labels))
         cfg = resolve_config(_args("train", "--data.source", "idx", "--data.images", str(tmp_path / "img"),
                                    "--data.labels", str(tmp_path / "lab"), "--data.n_train", "20",
                                    "--data.n_eval", "10"))
@@ -163,7 +164,7 @@ OUT_OF_DOMAIN = {
     "neuron.v_th": "0", "neuron.a": "-0.5", "train.lr0": "-0.1", "gradcheck.fd_step": "-1",
     "neuron.tau": "1.5", "train.momentum": "1", "data.rate": "2", "data.margin": "inf",
     "hist.lo": "3", "hist.hi": "inf", "neuron.kind": "lif", "neuron.reset": "soft",
-    "gradcheck.mode": "ctsn_dynamic", "data.source": "mnist",
+    "data.source": "mnist",
 }
 
 
@@ -178,7 +179,7 @@ def _exits_2_naming_key(key, value, tmp_path, capsys):
 
 
 class TestConfigDomains:
-    @pytest.mark.parametrize("key", COUNT_KEYS + ("gradcheck.mode",))
+    @pytest.mark.parametrize("key", COUNT_KEYS)
     def test_value_below_one_exits_2_naming_key(self, key, tmp_path, capsys):
         _exits_2_naming_key(key, "0", tmp_path, capsys)
 
@@ -336,6 +337,31 @@ class TestEvalAndHist:
         rows = (out / "membrane_hist.csv").read_text().splitlines()[1:]
         assert [int(row.split(",")[4]) for row in rows] == totals.ravel().tolist()
 
+    def test_hist_holds_one_trace_at_a_time(self, tmp_path, monkeypatch):
+        # three eval batches of 256; the previous batch's trace must be gone before the next forward
+        argv = ["--data.dims", "64", "--data.classes", "10", "--model.hidden", "256,256",
+                "--data.n_train", "32", "--data.n_eval", "768"]
+        cfg = resolve_config(_args("eval", *argv))
+        datasets = cli.build_datasets(cfg)
+        eval_ds = datasets[1]
+        net = cli._build_net(cfg, eval_ds.feature_dim, eval_ds.num_classes)
+        trainer.save_model(tmp_path / "model.bin", net)
+        monkeypatch.setattr(cli, "build_datasets", lambda cfg: datasets)  # the data stay out of the measurement
+        hist = ["hist", "--model", str(tmp_path / "model.bin"), "--out_dir", str(tmp_path / "out")] + argv
+        tracemalloc.start()
+        try:
+            xs_seq, _ = data_mod.encode_batch(eval_ds, np.arange(256), net.n_steps)
+            net_mod.forward(net, xs_seq)
+            one_forward = tracemalloc.get_traced_memory()[1]
+            del xs_seq
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(hist) == 0
+            whole_pass = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert whole_pass <= 1.2 * one_forward
+
     def test_hist_dim_mismatch_exits_2(self, trained, tmp_path):
         out = tmp_path / "hist_out"
         code = main(
@@ -376,20 +402,15 @@ class TestGradcheckCommand:
         assert "per-parameter report" in out
 
     def test_closed_form_gap_report(self, capsys):
-        code = main(["gradcheck", "--mode", "ctsn", "--paper-recursion"])
+        code = main(["gradcheck", "--paper-recursion"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "closed-form recursion vs exact graph" in out
+        # one four-line report per blend rule, in BLEND_RULES order
+        headers = [line for line in out.splitlines() if line.startswith("closed-form recursion vs exact graph")]
+        assert headers == [f"closed-form recursion vs exact graph ({kind}):" for kind in BLEND_RULES]
+        assert len(out.splitlines()) == 4 * len(BLEND_RULES)
         # the default seed draws no T=1 network, so there is no agreement to claim
-        assert "  agreement at T=1: n/a (0 networks with T=1)\n" in out
-
-    @pytest.mark.parametrize("mode", [[], ["--mode", "ternary"]])
-    def test_paper_recursion_needs_a_ctsn_mode(self, capsys, mode):
-        # the closed-form recursion report exists only for complemented networks
-        assert main(["gradcheck", "--paper-recursion"] + mode) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("config error: key gradcheck.mode: "), err
+        assert out.count("  agreement at T=1: n/a (0 networks with T=1)\n") == len(BLEND_RULES)
 
     def test_coarse_fd_step_is_advisory(self, capsys):
         code = main(
@@ -497,15 +518,24 @@ class TestAblateCommand:
         assert kinds == ["ternary", ctsn_kind, ctsn_kind] * 2
 
 
+    def test_each_dataset_is_built_once_for_all_arms(self, monkeypatch):
+        calls, build = [], cli.build_datasets
+
+        def counting_build(cfg):
+            calls.append((cfg["seed"], cfg["train.t"]))
+            return build(cfg)
+
+        monkeypatch.setattr(cli, "build_datasets", counting_build)
+        monkeypatch.setattr(trainer, "fit", lambda net, *args: [{"eval_acc": 0.5}])
+        cfg = resolve_config(_args("ablate", "--ablate.seeds", "1", "--data.n_train", "40", "--data.n_eval", "24"))
+        cli.run_ablation(cfg)
+        assert calls == [(cfg["seed"], 4)]
+
 def _idx_pair(tmp_path, n=12, rows=4, cols=3):
     """An IDX image/label pair on disk: n samples of rows x cols pixels, 3 classes."""
-    import numpy as np
-
-    from ternspike import data as data_mod
-
     rng = np.random.default_rng(5)
-    images = data_mod.write_idx_images(rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8))
-    labels = data_mod.write_idx_labels(np.arange(n, dtype=np.uint8) % 3)
+    images = write_idx_images(rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8))
+    labels = write_idx_labels(np.arange(n, dtype=np.uint8) % 3)
     (tmp_path / "img").write_bytes(images)
     (tmp_path / "lbl").write_bytes(labels)
     return tmp_path / "img", tmp_path / "lbl"

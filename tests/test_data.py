@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference import write_idx_images, write_idx_labels
 
 from ternspike.data import (
     Dataset,
@@ -14,16 +15,13 @@ from ternspike.data import (
     parse_idx_labels,
     synth_event_frames,
     synth_static,
-    write_idx_images,
-    write_idx_labels,
     write_manifest,
 )
 from ternspike.errors import ConsistencyError, FormatError, LengthError
-from ternspike.numerics import seeded_rng
 
 
 def _fixture_idx(n=100, rows=7, cols=5, seed=0):
-    rng = seeded_rng(seed)
+    rng = np.random.default_rng(seed)
     images = rng.integers(0, 256, size=(n, rows, cols), dtype=np.uint8)
     labels = rng.integers(0, 10, size=n, dtype=np.uint8)
     return write_idx_images(images), write_idx_labels(labels), images, labels
@@ -89,7 +87,7 @@ class TestIdx:
 
 class TestNormalize:
     def test_identity(self):
-        ds = synth_static(10, 4, 2, 1.0, seeded_rng(0))
+        ds = synth_static(10, 4, 2, 1.0, np.random.default_rng(0))
         out = normalize(ds, 0.0, 1.0)
         np.testing.assert_array_equal(out.inputs, ds.inputs)
 
@@ -99,14 +97,14 @@ class TestNormalize:
         np.testing.assert_array_equal(out.inputs, 0.0)
 
     def test_corpus_stats_normalize_to_zero_mean_unit_std(self):
-        ds = synth_static(500, 6, 3, 2.0, seeded_rng(1))
+        ds = synth_static(500, 6, 3, 2.0, np.random.default_rng(1))
         mean, std = dataset_stats(ds)
         out = normalize(ds, mean, std)
         assert abs(out.inputs.mean()) < 1e-6
         assert out.inputs.std() == pytest.approx(1.0, abs=1e-9)
 
     def test_nonpositive_std_rejected(self):
-        ds = synth_static(10, 4, 2, 1.0, seeded_rng(0))
+        ds = synth_static(10, 4, 2, 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             normalize(ds, 0.0, 0.0)
 
@@ -119,27 +117,27 @@ class TestDirectEncode:
         np.testing.assert_array_equal(seq[0], x)
 
     def test_four_identical_copies(self):
-        x = seeded_rng(2).normal(size=(2, 3))
+        x = np.random.default_rng(2).normal(size=(2, 3))
         seq = direct_encode(x, 4)
         assert len(seq) == 4
         for frame in seq:
             np.testing.assert_array_equal(frame, x)
 
     def test_sum_is_t_times_input(self):
-        x = seeded_rng(3).normal(size=(2, 3))
+        x = np.random.default_rng(3).normal(size=(2, 3))
         seq = direct_encode(x, 5)
         np.testing.assert_allclose(sum(seq), 5 * x, atol=1e-15)
 
 
 class TestSynthStatic:
     def test_determinism(self):
-        a = synth_static(50, 8, 4, 2.0, seeded_rng(9))
-        b = synth_static(50, 8, 4, 2.0, seeded_rng(9))
+        a = synth_static(50, 8, 4, 2.0, np.random.default_rng(9))
+        b = synth_static(50, 8, 4, 2.0, np.random.default_rng(9))
         np.testing.assert_array_equal(a.inputs, b.inputs)
         np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_labels_round_robin(self):
-        ds = synth_static(10, 4, 3, 2.0, seeded_rng(0))
+        ds = synth_static(10, 4, 3, 2.0, np.random.default_rng(0))
         counts = np.bincount(ds.labels, minlength=3)
         assert counts.max() - counts.min() <= 1
 
@@ -147,7 +145,7 @@ class TestSynthStatic:
     def test_in_place_build_equals_the_literal_formula(self, dims, classes, mirror):
         # the reference adds the noise to a full (n, dims) array of +-class means
         n, margin = 203, 3.0
-        ours, ref = seeded_rng(21), seeded_rng(21)
+        ours, ref = np.random.default_rng(21), np.random.default_rng(21)
         got = synth_static(n, dims, classes, margin, ours, mirror=mirror)
         if dims >= classes:
             centers = np.zeros((classes, dims))
@@ -166,7 +164,7 @@ class TestSynthStatic:
 
     def test_large_margin_linearly_separable(self):
         # nearest-centroid (a linear rule) classifies a wide-margin corpus perfectly
-        ds = synth_static(200, 8, 4, 12.0, seeded_rng(4))
+        ds = synth_static(200, 8, 4, 12.0, np.random.default_rng(4))
         centers = np.stack([ds.inputs[ds.labels == c].mean(axis=0) for c in range(4)])
         pred = np.argmin(((ds.inputs[:, None, :] - centers[None]) ** 2).sum(axis=2), axis=1)
         assert np.all(pred == ds.labels)
@@ -174,22 +172,22 @@ class TestSynthStatic:
 
 class TestSynthEvents:
     def test_zero_rate_all_silent(self):
-        ds = synth_event_frames(10, 6, 4, 0.0, seeded_rng(5))
+        ds = synth_event_frames(10, 6, 4, 0.0, np.random.default_rng(5))
         np.testing.assert_array_equal(ds.inputs, 0.0)
 
     def test_nonzero_fraction_near_rate(self):
         rate = 0.07
-        ds = synth_event_frames(500, 40, 6, rate, seeded_rng(6))
+        ds = synth_event_frames(500, 40, 6, rate, np.random.default_rng(6))
         measured = np.mean(ds.inputs != 0.0)
         assert abs(measured - rate) / rate < 0.10
 
     def test_values_are_signed_ternary(self):
-        ds = synth_event_frames(20, 10, 5, 0.3, seeded_rng(7))
+        ds = synth_event_frames(20, 10, 5, 0.3, np.random.default_rng(7))
         assert set(np.unique(ds.inputs)) <= {-1.0, 0.0, 1.0}
 
     def test_determinism(self):
-        a = synth_event_frames(20, 10, 5, 0.3, seeded_rng(8))
-        b = synth_event_frames(20, 10, 5, 0.3, seeded_rng(8))
+        a = synth_event_frames(20, 10, 5, 0.3, np.random.default_rng(8))
+        b = synth_event_frames(20, 10, 5, 0.3, np.random.default_rng(8))
         np.testing.assert_array_equal(a.inputs, b.inputs)
 
     @staticmethod
@@ -209,7 +207,7 @@ class TestSynthEvents:
         (30, 64, 40, 1.0, 4),  # rate 1, across chunks
     ])
     def test_int8_frames_equal_the_float64_formula(self, n, dims, n_steps, rate, classes):
-        ours, ref = seeded_rng(12), seeded_rng(12)
+        ours, ref = np.random.default_rng(12), np.random.default_rng(12)
         ds = synth_event_frames(n, dims, n_steps, rate, ours, classes=classes)
         want = self._float64_frames(n, dims, n_steps, rate, ref, classes)
         assert ds.inputs.dtype == np.int8 and ds.inputs.shape == want.shape
@@ -217,7 +215,7 @@ class TestSynthEvents:
         assert ours.random() == ref.random()  # both consumed the same stream
 
     def test_generation_holds_its_int8_result_and_one_chunk(self):
-        rng = seeded_rng(13)
+        rng = np.random.default_rng(13)
         tracemalloc.start()
         try:
             ds = synth_event_frames(256, 784, 4, 0.05, rng)
@@ -234,20 +232,20 @@ class TestSynthEvents:
 
 class TestEncodeBatch:
     def test_static_repeats(self):
-        ds = synth_static(6, 4, 2, 2.0, seeded_rng(10))
+        ds = synth_static(6, 4, 2, 2.0, np.random.default_rng(10))
         seq, labels = encode_batch(ds, np.array([0, 2]), 3)
         assert len(seq) == 3
         np.testing.assert_array_equal(seq[0], seq[2])
         np.testing.assert_array_equal(labels, ds.labels[[0, 2]])
 
     def test_neuromorphic_frames_per_step(self):
-        ds = synth_event_frames(6, 4, 3, 0.5, seeded_rng(11))
+        ds = synth_event_frames(6, 4, 3, 0.5, np.random.default_rng(11))
         seq, _ = encode_batch(ds, np.array([1, 3]), 3)
         assert len(seq) == 3
         np.testing.assert_array_equal(seq[1], ds.inputs[[1, 3], 1, :])
 
     def test_neuromorphic_batch_is_one_contiguous_stack(self):
-        ds = synth_event_frames(6, 4, 3, 0.5, seeded_rng(11))
+        ds = synth_event_frames(6, 4, 3, 0.5, np.random.default_rng(11))
         seq, _ = encode_batch(ds, np.array([4, 1, 3]), 3)
         assert isinstance(seq, np.ndarray) and seq.shape == (3, 3, 4) and seq.flags.c_contiguous
         want = np.stack([ds.inputs[[4, 1, 3], t, :] for t in range(3)]).astype(np.float64)

