@@ -412,6 +412,24 @@ class TestGradcheckCommand:
         # the default seed draws no T=1 network, so there is no agreement to claim
         assert out.count("  agreement at T=1: n/a (0 networks with T=1)\n") == len(BLEND_RULES)
 
+    def test_mode_is_an_ambiguous_prefix(self, capsys):
+        # --mode is gone; argparse reads it as a prefix of --model.hidden and --model.init_scale
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--mode", "ctsn", "--paper-recursion"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "ambiguous option: --mode" in err
+
+    def test_stale_mode_key_in_config_exits_2(self, tmp_path, capsys):
+        # a config file written for the removed gradcheck.mode key is refused, not ignored
+        f = tmp_path / "run.cfg"
+        f.write_text("gradcheck.mode=ctsn\n")
+        assert main(["gradcheck", "--config", str(f), "--paper-recursion"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: {f}:1: unknown key 'gradcheck.mode'\n"
+
     def test_coarse_fd_step_is_advisory(self, capsys):
         code = main(
             ["gradcheck", "--fd-step", "1e-2", "--gradcheck.networks", "4",

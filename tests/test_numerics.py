@@ -21,6 +21,15 @@ class TestElementwise:
 
 
 class TestRng:
+    def test_equal_seeds_equal_streams(self):
+        a = component_rng(1234).random(10_000)
+        b = component_rng(1234).random(10_000)
+        np.testing.assert_array_equal(a, b)
+
+    def test_different_seeds_differ(self):
+        # the same component key under two root seeds draws two streams
+        assert not np.array_equal(component_rng(1, 5).random(100), component_rng(2, 5).random(100))
+
     def test_component_streams_reproducible_and_distinct(self):
         a = component_rng(7, 1, 2).random(100)
         b = component_rng(7, 1, 2).random(100)
