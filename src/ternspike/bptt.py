@@ -512,10 +512,8 @@ def _standin_loss(logits: Array, pots: list[Array], labels: Array, tmpr) -> Arra
 
 
 def _standin(net: Network, params: GradSet, input_seq, labels, tmpr) -> Array:
-    """Stand-in loss per member of ``params``, whose vector is (P,) or (members, P)."""
-    shared = all(step is input_seq[0] for step in input_seq)
-    x = np.asarray(input_seq[0] if shared else np.stack(input_seq), dtype=np.float64)
-    x, pots = x.reshape((-1,) + x.shape[-2:]), []
+    """Stand-in loss per member of ``params``, whose vector is (P,) or (members, P), on the (T', B, D) input."""
+    x, pots = np.asarray(input_seq, dtype=np.float64), []
     for l, layer in enumerate(net.layers):
         factors = None if layer.omega is None else sigmoid(params[f"layer{l}.omega"])
         pre = _standin_pre(x, params[f"layer{l}.w"], params[f"layer{l}.b"])

@@ -152,7 +152,7 @@ def parse_config_file(path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < environment < flags.
+    """defaults < config file < environment < flags; a ``TERNSPIKE_`` variable naming no key is refused.
 
     Two defaults are data-kind dependent (the regularizer strength and the
     weight decay); when the event-frame source is selected and the user did
@@ -164,8 +164,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
         file_vals = parse_config_file(args.config)
         cfg.update(file_vals)
         overridden |= set(file_vals)
-    for key in DEFAULTS:
-        env_key = ENV_PREFIX + key.upper().replace(".", "_")
+    env_keys = {ENV_PREFIX + key.upper().replace(".", "_"): key for key in DEFAULTS}
+    stray = sorted(name for name in os.environ if name.startswith(ENV_PREFIX) and name not in env_keys)
+    if stray:
+        raise ConfigError(f"environment variable {', '.join(stray)} names no key")
+    for env_key, key in env_keys.items():
         if env_key in os.environ:
             cfg[key] = _coerce(key, os.environ[env_key])
             overridden.add(key)
@@ -354,7 +357,7 @@ def cmd_gradcheck(cfg: dict, paper_recursion: bool) -> int:
     if paper_recursion:
         for kind in BLEND_RULES:
             report = gradcheck.ctsn_recursion_report(kind=kind, seed=seed)
-            print(f"closed-form recursion vs exact graph ({report['kind']}):")
+            print(f"paper's closed form vs exact graph ({report['kind']}):")
             print(f"  max relative gap {report['max_rel_err']:.3e} (worst at {report['worst']})")
             agree = "n/a" if report["agree_at_T1"] is None else report["agree_at_T1"]
             print(f"  agreement at T=1: {agree} ({report['n_T1']} networks with T=1)")
@@ -507,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--paper-recursion",
                 action="store_true",
-                help="report the closed-form recursion gap under each blend rule instead of gating",
+                help="report the gap of the paper's closed form (xi) under each blend rule instead of gating",
             )
         p.add_argument("--fd-step", dest="gradcheck__fd_step", help=argparse.SUPPRESS)
         for key in DEFAULTS:

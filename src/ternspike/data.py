@@ -1,9 +1,9 @@
 """Dataset ingestion and encoding.
 
-Static datasets hold flat float64 per-sample feature vectors that are
-repeated at every timestep (direct encoding); neuromorphic datasets hold one
-sparse signed frame per timestep as int8 {-1, 0, +1}, an eighth of the float64
-size, and a batch is widened to float64 once when it is gathered.
+Static datasets hold flat float64 per-sample feature vectors, and a batch is
+one (1, B, D) input shared by every timestep (direct encoding); neuromorphic
+datasets hold one sparse signed int8 {-1, 0, +1} frame per timestep, and a
+batch is widened to one (T, B, D) float64 array once when it is gathered.
 
 The IDX reader parses the classic big-endian format (magic 0x00000803 for
 ubyte image tensors, 0x00000801 for ubyte label vectors) and rejects a file
@@ -63,27 +63,19 @@ class Dataset:
 
 
 def encode_batch(data: Dataset, idx, n_steps: int):
-    """Materialize one batch as a per-timestep input sequence.
+    """Materialize one batch as a (T', batch, input) array and its labels.
 
-    Static samples are direct-encoded (repeated); neuromorphic samples must
-    carry exactly ``n_steps`` frames, and come as one contiguous float64
-    (T, B, D) array, gathered as int8 and widened once, which
-    ``network.forward`` takes as is.
+    Static samples are direct-encoded as one (1, B, D) input, which
+    ``network.forward`` shares across timesteps; neuromorphic samples must
+    carry exactly ``n_steps`` frames and come as one contiguous float64
+    (T, B, D) array, gathered as int8 and widened once.  Both are taken as is.
     """
     labels = data.labels[idx]
     if data.kind == "static":
-        return direct_encode(data.inputs[idx], n_steps), labels
+        return data.inputs[idx][None], labels
     if data.inputs.shape[1] != n_steps:
         raise DimensionError(f"dataset has {data.inputs.shape[1]} frames per sample, network expects {n_steps}")
     return data.inputs[np.asarray(idx)[None], np.arange(n_steps)[:, None]].astype(np.float64), labels
-
-
-def direct_encode(x: Array, n_steps: int) -> list[Array]:
-    """Repeat a static input identically at every timestep."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    x = np.asarray(x, dtype=np.float64)
-    return [x for _ in range(n_steps)]
 
 
 # ---------------------------------------------------------------------------

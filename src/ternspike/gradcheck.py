@@ -235,9 +235,9 @@ def ctsn_recursion_report(kind: str = "ctsn_static", seed: int = 0, n_networks: 
         "n_T1": len(t1_errs),
         "agree_at_T1": all(err <= 1e-12 for err in t1_errs) if t1_errs else None,
         "note": (
-            "closed-form recursion evaluates the potential-to-memory derivative "
+            "the paper's closed form (xi) evaluates the potential-to-memory derivative "
             "as the bare blend coefficient, omitting the decay-and-reset factor "
-            "of the carried potential; the exact graph keeps it"
+            "of the carried potential; the exact graph and the default recursion keep it"
         ),
     }
 

@@ -6,11 +6,12 @@ top layer's spikes into real-valued logits at every timestep.  Prediction
 averages the logits over time and takes the argmax (ties resolve to the
 lowest class index).
 
-``forward`` runs the network layer by layer, each layer over all timesteps
-at once (the network is feedforward, so a layer's whole spike train is known
-before the next layer starts).  It records one ``LayerTrace`` per spiking
-layer, arrays shaped (timesteps, batch, features), which is everything the
-gradient engines need.  With ``smooth=True`` the firing nonlinearity is
+``forward`` takes one (T', batch, input) array, T' = T, or T' = 1 for an input
+that every timestep shares (direct encoding).  It runs the network layer by
+layer, each layer over all timesteps at once (the network is feedforward, so
+a layer's whole spike train is known before the next layer starts), and
+records one ``LayerTrace`` per spiking layer, arrays shaped (timesteps,
+batch, features): everything the gradient engines need.  With ``smooth=True`` the firing nonlinearity is
 swapped for its continuous piecewise-linear stand-in: the pass the
 analytic gradient is checked on, and the one the gradcheck kink search
 inspects.  The finite-difference oracle runs its own copy of this forward
@@ -297,32 +298,28 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
 
 
 def forward(net: Network, input_seq, smooth: bool = False) -> tuple[Array, Trace]:
-    """Run the sequence, returning the (T, B, C) per-timestep logits and the trace.
+    """Run the input, returning the (T, B, C) per-timestep logits and the trace.
 
-    ``input_seq`` is a sequence of length ``net.n_steps`` of (batch, input)
-    arrays, or one (T, batch, input) array, which is used without a copy.
-    When every element is the same array object (direct encoding) the first
-    layer's input current is computed once for all timesteps.  State starts
-    at zero and is private to this call.
+    ``input_seq`` is one (T', batch, input) array, or a sequence of T' (batch,
+    input) arrays.  T' = T gives every timestep its own input; T' = 1 gives
+    every timestep the same one (direct encoding), whose first-layer input
+    current is then computed once.  A float64 array is used without a copy.
+    State starts at zero and is private to this call.
     """
-    if len(input_seq) != net.n_steps:
-        raise DimensionError(f"input sequence has {len(input_seq)} steps, network expects {net.n_steps}")
-    cfg = net.cfg
-    first = np.asarray(input_seq[0], dtype=np.float64)
-    if first.ndim != 2 or first.shape[1] != net.input_dim:
-        raise DimensionError(f"input shape {first.shape} does not match input dim {net.input_dim}")
-    if all(step is input_seq[0] for step in input_seq):
-        x = first
-    else:
-        for t, step in enumerate(input_seq):
-            if np.shape(step) != first.shape:
-                raise DimensionError(f"step {t} input shape {np.shape(step)} differs from {first.shape}")
-        x = np.asarray(input_seq, dtype=np.float64)  # a (T, B, D) float64 array passes through uncopied
+    try:
+        x = np.asarray(input_seq, dtype=np.float64)
+    except ValueError as exc:  # a ragged sequence
+        raise DimensionError(f"input sequence is ragged: {exc}") from exc
+    if x.ndim != 3 or x.shape[2] != net.input_dim:
+        raise DimensionError(f"input shape {x.shape[1:]} does not match input dim {net.input_dim}")
+    if len(x) not in (1, net.n_steps):
+        raise DimensionError(f"input sequence has {len(x)} steps, network expects {net.n_steps}")
+    x = x[0] if len(x) < net.n_steps else x  # one input shared by every timestep: (B, D) in the trace
     layers, cur = [], x
     for layer in net.layers:
-        layers.append(_run_layer(_affine(cur, layer), layer.omega, cfg, net.n_steps, smooth))
+        layers.append(_run_layer(_affine(cur, layer), layer.omega, net.cfg, net.n_steps, smooth))
         cur = layers[-1].o
-    return _affine(cur, net.readout), Trace(layers, x, cfg)
+    return _affine(cur, net.readout), Trace(layers, x, net.cfg)
 
 
 def predict(logits) -> Array:

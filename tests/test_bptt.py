@@ -667,7 +667,7 @@ class TestRerunDeterminism:
         rng = component_rng(12, int(shared))
         net = net_mod.build_network((784, 800, 800), 10, NeuronConfig(kind=kind), 4, rng)
         x = rng.normal(size=(64, 784))
-        seq = [x] * 4 if shared else [rng.normal(size=(64, 784)) for _ in range(4)]
+        seq = x[None] if shared else [rng.normal(size=(64, 784)) for _ in range(4)]
         labels = rng.integers(0, 10, size=64)
         runs = [bptt.loss_and_grads(net, seq, labels, TMPRConfig(lam=0.05)) for _ in range(3)]
         for ce, tmpr_val, _, grads in runs[1:]:
@@ -688,7 +688,7 @@ class TestBatchSplit:
             if layer.omega is not None:
                 layer.omega.set_vector(rng.normal(0.0, 0.7, size=3))
         x = rng.normal(size=(32, 16)) if shared else rng.normal(size=(4, 32, 16))
-        seq = lambda rows: [x[rows]] * 4 if shared else list(x[:, rows])  # shared: direct encoding
+        seq = lambda rows: x[None, rows] if shared else list(x[:, rows])  # shared: direct encoding
         labels = rng.integers(0, 4, size=32)
         tmpr = TMPRConfig(lam=0.05)
         _, _, logits, whole = loss_and_grads(net, seq(slice(None)), labels, tmpr)

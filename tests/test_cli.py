@@ -116,6 +116,14 @@ class TestConfigResolution:
         assert cfg["train.epochs"] == 9
         assert cfg["seed"] == 11
 
+    def test_stray_env_variable_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a misspelt key in the environment is refused, as the same key in a config file is
+        monkeypatch.setenv("TERNSPIKE_TRAIN_EPOCS", "2")
+        assert main(["train", *TRAIN_FAST, "--out_dir", str(tmp_path / "run")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "run").exists()
+        assert err == "config error: environment variable TERNSPIKE_TRAIN_EPOCS names no key\n"
+
     def test_neuron_shorthand(self):
         cfg = resolve_config(_args("train", "--neuron", "ctsn_static"))
         assert cfg["neuron.kind"] == "ctsn_static"
@@ -406,8 +414,9 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert code == 0
         # one four-line report per blend rule, in BLEND_RULES order
-        headers = [line for line in out.splitlines() if line.startswith("closed-form recursion vs exact graph")]
-        assert headers == [f"closed-form recursion vs exact graph ({kind}):" for kind in BLEND_RULES]
+        headers = [line for line in out.splitlines() if line.startswith("paper's closed form vs exact graph")]
+        assert headers == [f"paper's closed form vs exact graph ({kind}):" for kind in BLEND_RULES]
+        assert out.count("the exact graph and the default recursion keep it\n") == len(BLEND_RULES)
         assert len(out.splitlines()) == 4 * len(BLEND_RULES)
         # the default seed draws no T=1 network, so there is no agreement to claim
         assert out.count("  agreement at T=1: n/a (0 networks with T=1)\n") == len(BLEND_RULES)

@@ -7,7 +7,6 @@ from reference import write_idx_images, write_idx_labels
 from ternspike.data import (
     Dataset,
     dataset_stats,
-    direct_encode,
     encode_batch,
     idx_dataset,
     normalize,
@@ -107,26 +106,6 @@ class TestNormalize:
         ds = synth_static(10, 4, 2, 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             normalize(ds, 0.0, 0.0)
-
-
-class TestDirectEncode:
-    def test_single_step(self):
-        x = np.ones((2, 3))
-        seq = direct_encode(x, 1)
-        assert len(seq) == 1
-        np.testing.assert_array_equal(seq[0], x)
-
-    def test_four_identical_copies(self):
-        x = np.random.default_rng(2).normal(size=(2, 3))
-        seq = direct_encode(x, 4)
-        assert len(seq) == 4
-        for frame in seq:
-            np.testing.assert_array_equal(frame, x)
-
-    def test_sum_is_t_times_input(self):
-        x = np.random.default_rng(3).normal(size=(2, 3))
-        seq = direct_encode(x, 5)
-        np.testing.assert_allclose(sum(seq), 5 * x, atol=1e-15)
 
 
 class TestSynthStatic:
@@ -231,11 +210,12 @@ class TestSynthEvents:
 
 
 class TestEncodeBatch:
-    def test_static_repeats(self):
+    def test_static_is_one_shared_input(self):
+        # direct encoding: one (1, B, D) input that forward shares across all 3 timesteps
         ds = synth_static(6, 4, 2, 2.0, np.random.default_rng(10))
         seq, labels = encode_batch(ds, np.array([0, 2]), 3)
-        assert len(seq) == 3
-        np.testing.assert_array_equal(seq[0], seq[2])
+        assert isinstance(seq, np.ndarray) and seq.shape == (1, 2, 4) and seq.dtype == np.float64
+        assert seq[0].tobytes() == ds.inputs[[0, 2]].tobytes()
         np.testing.assert_array_equal(labels, ds.labels[[0, 2]])
 
     def test_neuromorphic_frames_per_step(self):

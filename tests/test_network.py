@@ -88,6 +88,19 @@ class TestForward:
         with pytest.raises(DimensionError, match=r"^input shape \(1, 5\) does not match input dim 4$"):
             forward(net, np.zeros((3, 1, 5)))
 
+    def test_ragged_sequence_is_a_dimension_error(self):
+        net = _net(n_steps=2)
+        with pytest.raises(DimensionError, match="ragged"):
+            forward(net, [np.zeros((1, 4)), np.zeros((2, 4))])
+
+    def test_one_step_input_is_shared_by_every_step(self):
+        # (1, B, D) at T > 1 is recorded as the shared (B, D) input; T equal copies stay stacked
+        net = _net(n_steps=3)
+        x = np.random.default_rng(5).normal(size=(2, 4))
+        _, shared = forward(net, x[None])
+        _, copies = forward(net, [x] * 3)
+        assert shared.x.shape == (2, 4) and copies.x.shape == (3, 2, 4)
+
     def test_determinism(self):
         net = _net(dims=(4, 8, 8), n_steps=4, seed=9)
         seq = [component_rng(9, 1).normal(size=(5, 4)) for _ in range(4)]
@@ -151,12 +164,12 @@ class TestTrace:
 
     @pytest.mark.parametrize("kind", ["ternary", "ctsn_static", "ctsn_neuromorphic"])
     def test_shared_input_matches_distinct_copies(self, kind):
-        # direct encoding hands forward one array T times; copies take the stacked path
+        # direct encoding hands forward one (1, B, D) input; T copies take the stacked path
         net = _ctsn_net(kind)
         x = np.random.default_rng(3).normal(size=(6, 5))
         labels = np.random.default_rng(4).integers(0, 3, size=6)
         tmpr = TMPRConfig(lam=0.05)
-        shared = bptt.loss_and_grads(net, [x] * 4, labels, tmpr)
+        shared = bptt.loss_and_grads(net, x[None], labels, tmpr)
         copies = bptt.loss_and_grads(net, [x.copy() for _ in range(4)], labels, tmpr)
         assert shared[0] == copies[0] and shared[1] == copies[1]
         for a, b in zip(shared[2], copies[2]):

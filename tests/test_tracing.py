@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ternspike import bptt, cli, gradcheck, loss, network, neuron, trainer
+from ternspike.data import synth_static
 from ternspike.neuron import NeuronConfig
 from ternspike.numerics import component_rng
 
@@ -71,3 +72,20 @@ def test_the_regularizer_gradient_is_timed_inside_the_backward():
     spans = [s for s in tracer.spans if s[tracing.NAME] == "loss.tmpr_grad"]
     assert len(spans) == len(dims) - 1
     assert {names[s[tracing.PARENT]] for s in spans} == {"bptt.backward_exact"}
+
+
+def test_static_batches_are_counted_at_their_batch_size():
+    # direct encoding hands forward one (1, B, D) input: the tracer reads B from its first
+    # row and the input density from its values, as it did when every timestep held a copy
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    data = synth_static(40, 6, 3, 2.0, component_rng(6))
+    np.maximum(data.inputs, 0.0, out=data.inputs)  # about half the values zero
+    cfg = trainer.TrainConfig(batch_size=20, epochs=1, n_steps=3, seed=7)
+    net = network.build_network([6, 7], 3, NeuronConfig(kind="ctsn_static"), cfg.n_steps, component_rng(8))
+    with tracing.instrument(tracer, SimpleNamespace(**MODULES)):
+        trainer.train_epoch(net, data, cfg, 0, bptt.GradSet.zeros_like(net))
+    assert tracer.counts[("train", "forward_flops")] == 2 * tracing.forward_flops(tracing.net_dims(net), 3, 20)
+    density = tracer.counts[("train", "input_nonzero")] / tracer.counts[("train", "input_values")]
+    assert 0.0 < density < 1.0
+    assert density == np.count_nonzero(data.inputs) / data.inputs.size
