@@ -215,11 +215,11 @@ def _mode_for(net: Network, mode: str) -> None:
 
 def _layer_param_grads(x: Array, dx: Array, w: Array, grads: GradSet, name: str, below: bool = True):
     """Write dW and db of linear map ``name`` into ``grads``; return its input adjoint.
-    ``dx`` is (T, B, D_out).  ``x`` is the map's input: (T, B, D_in), or (B, D_in)
+    ``dx`` is (T, B, D_out).  ``x`` is the map's input: (T, B, D_in), or (1, B, D_in)
     when every timestep shares it, where dW = x^T sum_t dx(t).  The input adjoint is
     None unless ``below`` (the network input needs none)."""
     flat = dx.reshape(-1, dx.shape[-1])
-    lhs, rhs = (x.T, dx.sum(axis=0)) if x.ndim == 2 else (x.reshape(-1, x.shape[-1]).T, flat)
+    lhs, rhs = (x[0].T, dx.sum(axis=0)) if len(x) < len(dx) else (x.reshape(-1, x.shape[-1]).T, flat)
     np.matmul(lhs, rhs, out=grads[f"{name}.w"])
     flat.sum(axis=0, out=grads[f"{name}.b"])
     return (flat @ w.T).reshape(dx.shape[:-1] + w.shape[:1]) if below else None

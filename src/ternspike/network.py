@@ -182,8 +182,8 @@ class LayerTrace:
 class Trace:
     """Record of one forward pass: one ``LayerTrace`` per spiking layer.
 
-    ``x`` is the network input, (B, D_in) when every timestep shares one
-    array (direct encoding) and (T, B, D_in) otherwise.  A pass of the stand-in
+    ``x`` is the network input, (T', B, D_in): T' = T, or T' = 1 when every
+    timestep shares one array (direct encoding).  A pass of the stand-in
     holds a continuous ``o``; ``reset_keep``'s 1 - |o| serves both kinds of pass.
     """
 
@@ -235,7 +235,7 @@ class Trace:
             h = np.zeros_like(tr.u_tilde) if tr.h is None else tr.h
             rows.append([
                 SimpleNamespace(u=u[t], h=h[t], u_tilde=tr.u_tilde[t], o=tr.o[t], surrogate=H[t],
-                                layer_input=x if x.ndim == 2 else x[t])
+                                layer_input=x[min(t, len(x) - 1)])
                 for t in range(self.n_steps)
             ])
         return rows
@@ -251,7 +251,7 @@ def _affine(x: Array, layer: Layer) -> Array:
 def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps: int, smooth: bool) -> LayerTrace:
     """All timesteps of one spiking layer, fired by the stand-in when ``smooth``.
 
-    ``pre`` is the input current, (T, B, D), or (B, D) when every timestep
+    ``pre`` is the input current, (T, B, D), or (1, B, D) when every timestep
     shares it.  A stacked ``pre`` is turned into u~ in place; each step's
     results are written straight into the trace arrays.  The layer allocates
     two (B, D) float64 scratches, which hold the decayed potential and the reset
@@ -261,8 +261,10 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
     overwrites, cost a wide 256 x 800 layer 10-18%: that row is not yet in cache.)
     """
     shape = (n_steps,) + pre.shape[-2:]
-    stacked = pre.ndim == 3
+    stacked = len(pre) == n_steps
     u_tilde = pre if stacked else np.empty(shape)
+    if not stacked:  # zero initial state: u~(1) = x(1)
+        u_tilde[0] = pre[0]
     o = np.empty(shape)
     h = np.empty(shape) if cfg.is_ctsn else None
     factors = None
@@ -274,16 +276,12 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
         factors = neuron_mod.effective_params(omega)
         rule = blend_rule(cfg.kind, factors)
         step_h = list(h)
+        step_h[0][...] = 0.0  # zero initial state: h(1) = 0
     step_u, step_o = list(u_tilde), list(o)
-    step_x = list(pre) if stacked else [pre] * n_steps
+    step_x = list(pre) if stacked else [pre[0]] * n_steps
     for t in range(n_steps):
         ut = step_u[t]
-        if t == 0:  # zero initial state: u~(1) = x(1)
-            if h is not None:
-                step_h[0][...] = 0.0
-            if not stacked:
-                ut[...] = pre
-        else:
+        if t > 0:
             decay(step_u[t - 1], step_o[t - 1], tau, out=scratch, keep=keep)
             if h is None:
                 np.add(scratch, step_x[t], out=ut)
@@ -310,11 +308,12 @@ def forward(net: Network, input_seq, smooth: bool = False) -> tuple[Array, Trace
         x = np.asarray(input_seq, dtype=np.float64)
     except ValueError as exc:  # a ragged sequence
         raise DimensionError(f"input sequence is ragged: {exc}") from exc
-    if x.ndim != 3 or x.shape[2] != net.input_dim:
+    if x.ndim != 3:
+        raise DimensionError(f"input shape {x.shape} is not (steps, batch, {net.input_dim})")
+    if x.shape[2] != net.input_dim:
         raise DimensionError(f"input shape {x.shape[1:]} does not match input dim {net.input_dim}")
     if len(x) not in (1, net.n_steps):
         raise DimensionError(f"input sequence has {len(x)} steps, network expects {net.n_steps}")
-    x = x[0] if len(x) < net.n_steps else x  # one input shared by every timestep: (B, D) in the trace
     layers, cur = [], x
     for layer in net.layers:
         layers.append(_run_layer(_affine(cur, layer), layer.omega, net.cfg, net.n_steps, smooth))

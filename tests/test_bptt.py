@@ -430,7 +430,7 @@ class TestFiniteDifferenceOracle:
         from ternspike.gradcheck import _smooth_case
 
         net, seq, labels = _smooth_case(2, 1, kind)
-        seq = [seq[0]] * len(seq)  # one array object at every step: layer 0's input current is shared
+        seq = np.asarray(seq[0])[None]  # one (1, B, D) input for every step: layer 0's input current is shared
         tmpr = TMPRConfig(lam=0.05)
         want = _reference_finite_difference(net, seq, labels, tmpr, 1e-6)
         _assert_bit_equal(finite_difference(net, seq, labels, tmpr, 1e-6), want)

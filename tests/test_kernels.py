@@ -374,7 +374,7 @@ def test_run_layer_matches_the_step_functions(kind, reset, smooth, stacked, shap
     n_steps = 5
     cfg = NeuronConfig(kind=kind, reset=reset, v_th=V_TH)
     omega = CTSNParams(0.4, -0.9, 1.3) if cfg.is_ctsn else None
-    pre = 2.0 * _adversarial(16, (n_steps,) + shape if stacked else shape)
+    pre = 2.0 * _adversarial(16, ((n_steps,) if stacked else (1,)) + shape)
     seq = pre if stacked else np.broadcast_to(pre, (n_steps,) + shape)
     want_ut, want_o, want_h = _reference_layer(seq, omega, cfg, smooth)
     tr = _run_layer(pre.copy(), omega, cfg, n_steps, smooth)

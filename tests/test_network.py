@@ -93,13 +93,21 @@ class TestForward:
         with pytest.raises(DimensionError, match="ragged"):
             forward(net, [np.zeros((1, 4)), np.zeros((2, 4))])
 
+    def test_bare_batch_names_the_expected_form(self):
+        # a (B, D) array with the right width is refused for its rank, not its width
+        net = _net(n_steps=3)
+        with pytest.raises(DimensionError, match=r"^input shape \(2, 4\) is not \(steps, batch, 4\)$"):
+            forward(net, np.zeros((2, 4)))
+
     def test_one_step_input_is_shared_by_every_step(self):
-        # (1, B, D) at T > 1 is recorded as the shared (B, D) input; T equal copies stay stacked
+        # (1, B, D) at T > 1 is kept as the one shared input; T equal copies stay stacked
         net = _net(n_steps=3)
         x = np.random.default_rng(5).normal(size=(2, 4))
-        _, shared = forward(net, x[None])
+        one = x[None]
+        _, shared = forward(net, one)
         _, copies = forward(net, [x] * 3)
-        assert shared.x.shape == (2, 4) and copies.x.shape == (3, 2, 4)
+        assert shared.x is one and copies.x.shape == (3, 2, 4)
+        assert all(e.layer_input.shape == (2, 4) and np.array_equal(e.layer_input, x) for e in shared.entries[0])
 
     def test_determinism(self):
         net = _net(dims=(4, 8, 8), n_steps=4, seed=9)
