@@ -90,7 +90,7 @@ class GradSet:
         """Raise NumericError naming the first array with a NaN or an infinity.  A finite
         sum means every entry is finite, so the arrays are scanned only when it is not."""
         with np.errstate(over="ignore", invalid="ignore"):
-            if math.isfinite(self.vector.sum()):
+            if math.isfinite(np.add.reduce(self.vector, axis=None)):
                 return
         for name, arr in self.named():
             if not np.isfinite(arr).all():
@@ -207,21 +207,23 @@ def xi(u_next, o, u_tilde, H, params: CTSNParams, kind: str, tau: float):
 def _mode_for(net: Network, mode: str) -> None:
     if mode == "ternary" and net.cfg.kind != "ternary":
         raise ValueError(f"mode 'ternary' but network kind is {net.cfg.kind!r}")
-    if mode == "ctsn" and not net.cfg.is_ctsn:
+    if mode == "ctsn" and net.cfg.kind == "ternary":
         raise ValueError(f"mode 'ctsn' but network kind is {net.cfg.kind!r}")
     if mode not in ("ternary", "ctsn"):
         raise ValueError(f"unknown backward mode {mode!r}")
 
 
-def _layer_param_grads(x: Array, dx: Array, w: Array, grads: GradSet, name: str, below: bool = True):
-    """Write dW and db of linear map ``name`` into ``grads``; return its input adjoint.
-    ``dx`` is (T, B, D_out).  ``x`` is the map's input: (T, B, D_in), or (1, B, D_in)
-    when every timestep shares it, where dW = x^T sum_t dx(t).  The input adjoint is
-    None unless ``below`` (the network input needs none)."""
+def _layer_param_grads(x: Array, dx: Array, w: Array, dw: Array, db: Array, below: bool = True):
+    """Write the dW and db of one linear map into the views ``dw`` and ``db``; return its
+    input adjoint.  ``dx`` is (T, B, D_out).  ``x`` is the map's input: (T, B, D_in), or
+    (1, B, D_in) when every timestep shares it, where dW = x^T sum_t dx(t).  The input
+    adjoint is None unless ``below`` (the network input needs none)."""
     flat = dx.reshape(-1, dx.shape[-1])
-    lhs, rhs = (x[0].T, dx.sum(axis=0)) if len(x) < len(dx) else (x.reshape(-1, x.shape[-1]).T, flat)
-    np.matmul(lhs, rhs, out=grads[f"{name}.w"])
-    flat.sum(axis=0, out=grads[f"{name}.b"])
+    if len(x) < len(dx):
+        np.matmul(x[0].T, np.add.reduce(dx, axis=0), out=dw)
+    else:
+        np.matmul(x.reshape(-1, x.shape[-1]).T, flat, out=dw)
+    np.add.reduce(flat, axis=0, out=db)
     return (flat @ w.T).reshape(dx.shape[:-1] + w.shape[:1]) if below else None
 
 
@@ -230,25 +232,34 @@ def _backward(cache: Trace, dL_dO, net: Network, mode: str, tmpr, sweep) -> Grad
     active, layer l's adjoint gains the regularizer's direct term ``loss.tmpr_grad`` of
     its potentials as the backward reaches it.  ``sweep(cache, l, direct, H, omega)``
     turns the adjoints entering layer l's potentials directly (A * H plus that term) into
-    dL/dx, and returns the omega gradient (None if ternary); it may overwrite H."""
+    dL/dx, and returns the omega gradient (None if ternary); it may overwrite H.
+
+    The views of the gradient vector are taken once, in layout order: each hidden layer's
+    w, b and, for complemented kinds, omega, then the readout's w and b."""
     _mode_for(net, mode)
-    if len(dL_dO) != cache.n_steps:
+    n_layers = len(cache.layers)
+    if len(dL_dO) != len(cache.layers[0].u_tilde):
         raise ValueError(f"got {len(dL_dO)} upstream gradients for {cache.n_steps} timesteps")
     g = np.asarray(dL_dO, dtype=np.float64)  # a (T, B, C) array passes through uncopied
-    grads = GradSet(net, np.empty_like(net.params))  # every entry is written below
-    A = _layer_param_grads(cache.layers[-1].o, g, net.readout.w, grads, "readout")
-    for l in reversed(range(cache.n_layers)):
+    vector = np.empty(net.params.shape)  # every entry is written below
+    views = [vector[span].reshape(shape) for span, shape in net.layout.values()]
+    per_layer = (len(views) - 2) // n_layers
+    A = _layer_param_grads(cache.layers[-1].o, g, net.readout.w, views[-2], views[-1])
+    lam = tmpr.lam if tmpr is not None and tmpr.active else None
+    for l in reversed(range(n_layers)):
+        tr, layer, k = cache.layers[l], net.layers[l], per_layer * l
         H = cache.surrogate(l)
         A *= H  # A is the GEMM's own output, so it becomes the direct adjoint in place
-        if tmpr is not None and tmpr.active:
-            A += loss_mod.tmpr_grad(cache.layers[l].u_tilde, tmpr.lam, cache.n_layers)
-        dx, domega = sweep(cache, l, A, H, net.layers[l].omega)
+        if lam is not None:
+            A += loss_mod.tmpr_grad(tr.u_tilde, lam, n_layers)
+        dx, domega = sweep(cache, l, A, H, layer.omega)
         del A, H  # dx may be A itself; no array of this layer outlives it
         if domega is not None:
-            grads[f"layer{l}.omega"][...] = domega
-        A = _layer_param_grads(cache.layer_input(l), dx, net.layers[l].w, grads, f"layer{l}", below=l > 0)
+            views[k + 2][...] = domega
+        x = cache.x if l == 0 else cache.layers[l - 1].o
+        A = _layer_param_grads(x, dx, layer.w, views[k], views[k + 1], below=l > 0)
         del dx
-    return grads
+    return GradSet(net, vector)
 
 
 def _chain_omega(factors, partials) -> Array:
@@ -256,12 +267,15 @@ def _chain_omega(factors, partials) -> Array:
     return np.array([d * p * (1.0 - p) for d, p in zip(partials, factors)])
 
 
-def _step_rates(kind: str, factors, h_prev: Array, u: Array, out: Array | None = None):
+def _step_rates(rule, h_prev: Array, u: Array, out: Array | None = None):
     """Blend derivatives (d h(t+1)/d h(t), d h(t+1)/d u(t+1)) at every step of the (T-1, B, D)
-    operand stacks: a sign-keyed rate as an array, a sign-free one as one float per step.
-    Every kind has one sign-keyed rate; ``out``, when given, receives it."""
-    return tuple([rate(r, x, out) if isinstance(r, np.ndarray) else [r] * len(x)
-                  for r, x in zip(blend_rule(kind, factors), (h_prev, u))])
+    operand stacks, under the ``blend_rule`` table ``rule`` the forward kept on the trace: a
+    sign-keyed rate as an array, a sign-free one as its 0-d array once per step.  Every kind
+    has one sign-keyed rate; ``out``, when given, receives it."""
+    r_h, r_u = rule
+    gh = rate(r_h, h_prev, out) if r_h.ndim else [r_h] * len(h_prev)
+    gu = rate(r_u, u, out) if r_u.ndim else [r_u] * len(u)
+    return gh, gu
 
 
 def _blend_partials(dh: Array, h: Array, u: Array, kind: str, scratch=None):
@@ -273,15 +287,15 @@ def _blend_partials(dh: Array, h: Array, u: Array, kind: str, scratch=None):
     first step contributes nothing: both blend inputs are zero there.
     ``scratch``, two float64 arrays shaped like ``u``, is allocated when left out.
     """
-    dh, partials = dh[1:], [0.0] * 3
+    dh, partials, zero = dh[1:], [0.0] * 3, np.zeros(())  # a 0-d operand: see neuron.blend_rule
     part, prod = (np.empty_like(u), np.empty_like(u)) if scratch is None else scratch  # reused by every product
     for r, x in zip(BLEND_RULES[kind], (h[:-1], u)):
         if isinstance(r, int):
-            partials[r] = float(np.multiply(dh, x, out=prod).sum())
+            partials[r] = float(np.add.reduce(np.multiply(dh, x, out=prod), axis=None))
         else:
             below, above = r
-            partials[above] = float(np.multiply(dh, np.maximum(x, 0.0, out=part), out=prod).sum())
-            partials[below] = float(np.multiply(dh, np.minimum(x, 0.0, out=part), out=prod).sum())
+            partials[above] = float(np.add.reduce(np.multiply(dh, np.maximum(x, zero, out=part), out=prod), axis=None))
+            partials[below] = float(np.add.reduce(np.multiply(dh, np.minimum(x, zero, out=part), out=prod), axis=None))
     return tuple(partials)
 
 
@@ -291,7 +305,10 @@ def _blend_partials(dh: Array, h: Array, u: Array, kind: str, scratch=None):
 
 
 def loss_and_grads(net: Network, input_seq, labels, tmpr=None, smooth=False):
-    """Forward one batch and return (ce, tmpr_loss, logits, grads).
+    """Forward one batch and return (ce, tmpr_loss, avg_logits, grads).
+
+    ``avg_logits`` is the (B, C) time average of the logits that the loss head
+    formed; its row argmax is ``network.predict`` of the logits.
 
     ``grads`` are the exact gradients of ce + tmpr_loss: the classifier
     gradient enters at the readout and, when ``tmpr`` is active, ``backward_exact``
@@ -300,14 +317,14 @@ def loss_and_grads(net: Network, input_seq, labels, tmpr=None, smooth=False):
     spiking one.  Training and the gradient checks both go through here.
     """
     logits, cache = net_mod.forward(net, input_seq, smooth=smooth)
-    ce, dL_dO = loss_mod.avg_ce_loss_and_grad(logits, labels)
+    ce, dL_dO, avg = loss_mod.avg_ce_loss_and_grad(logits, labels)
     tmpr_val = 0.0
     if tmpr is not None and tmpr.active:
         with np.errstate(over="ignore"):  # an overflow is an infinite loss, which training raises on
             tmpr_val = loss_mod.tmpr_loss(cache.potentials(), tmpr)
-    mode = "ctsn" if net.cfg.is_ctsn else "ternary"
+    mode = "ternary" if net.cfg.kind == "ternary" else "ctsn"
     grads = backward_exact(cache, dL_dO, net, mode, tmpr)
-    return ce, tmpr_val, logits, grads
+    return ce, tmpr_val, avg, grads
 
 
 def backward_exact(
@@ -344,31 +361,31 @@ def _exact_sweep(cache: Trace, l: int, du_tilde: Array, H: Array, omega):
     neither the g_u product nor the memory update runs.
 
     The factors live in the window H's first T - 1 rows and in two (T - 1, B, D)
-    buffers, one on a ternary layer, each reused once its value is spent: the
-    reset product is formed over H, which later holds the sign-keyed rate; a
-    ternary layer's keep overwrites tau * u~, and a complemented layer's tau * u~
-    becomes u(t+1); keep becomes the carry, in place.  After the loop the carry's
-    and the rate's buffers are the omega partials' scratch.  The loop runs
-    through one (B, D) scratch.
+    buffers, each reused once its value is spent: the reset product is formed over
+    H, which later holds the sign-keyed rate; sign(o)'s buffer becomes keep and then
+    the carry, in place; tau * u~ becomes a complemented layer's u(t+1) and is freed
+    on a ternary layer.  After the loop the carry's and the rate's buffers are the
+    omega partials' scratch.  The loop runs through one (B, D) scratch.
     """
-    tr, cfg = cache.layers[l], cache.cfg
+    tr, tau = cache.layers[l], np.array(cache.cfg.tau)  # a 0-d operand: see neuron.blend_rule
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
     memory = tr.h is not None
-    tu = cfg.tau * ut
-    reset = np.multiply(H[:-1], np.sign(o), out=H[:-1])  # H is not read again
+    tu = tau * ut
+    keep = np.sign(o)
+    reset = np.multiply(H[:-1], keep, out=H[:-1])  # H is not read again
     reset *= tu
-    keep = reset_keep(o, out=None if memory else tu)  # a ternary layer is done with tau * u~
-    if memory:
-        u = np.multiply(tu, keep, out=tu)  # u(t + 1)
-    carry = np.multiply(keep, cfg.tau, out=keep)  # du(t+1)/du~(t)
+    keep = reset_keep(o, out=keep)
+    u = np.multiply(tu, keep, out=tu) if memory else None  # u(t + 1)
+    del tu  # a ternary layer is done with tau * u~
+    carry = np.multiply(keep, tau, out=keep)  # du(t+1)/du~(t)
     carry -= reset
     if memory:
-        gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u, out=reset)
-        dh = np.empty_like(du_tilde)  # memory adjoint
+        gh, gu = _step_rates(tr.rule, tr.h[:-1], u, out=reset)
+        dh = np.empty(du_tilde.shape)  # memory adjoint
         dh[-1] = du_tilde[-1]
     else:
         dh = du_tilde
-    step = np.empty_like(du_tilde[0])
+    step = np.empty(du_tilde.shape[1:])
     for t in reversed(range(len(du_tilde) - 1)):
         carried = np.multiply(dh[t + 1], gu[t], out=step) if memory else dh[t + 1]
         du_tilde[t] += np.multiply(carried, carry[t], out=step)
@@ -376,7 +393,7 @@ def _exact_sweep(cache: Trace, l: int, du_tilde: Array, H: Array, omega):
             np.add(du_tilde[t], np.multiply(dh[t + 1], gh[t], out=step), out=dh[t])
     if not memory:
         return du_tilde, None
-    return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, cfg.kind, scratch=(carry, reset)))
+    return du_tilde, _chain_omega(tr.factors, _blend_partials(dh, tr.h, u, cache.cfg.kind, scratch=(carry, reset)))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +439,7 @@ def _recursion(cache: Trace, l: int, direct: Array, H: Array, omega: CTSNParams 
     first = pair = epsilon(tr.u_tilde[:-1], tr.o[:-1], H[:-1], cfg.tau)
     if omega is not None:
         u = cache.decayed(l)[1:]  # u(s + 1), the operand g_u rates
-        gh, gu = _step_rates(cfg.kind, tr.factors, tr.h[:-1], u)
+        gh, gu = _step_rates(tr.rule, tr.h[:-1], u)
         first = (xi(u, tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau) if paper_xi
                  else np.array([g * e for g, e in zip(gu, first)]))
         pair = np.array([f + g for f, g in zip(first, gh)])

@@ -109,7 +109,7 @@ def _recursion_gaps(kind: str, seed: int, stream: int, n_networks: int, paper_xi
     for i in range(n_networks):
         net, input_seq, labels = random_network(component_rng(seed, stream, i), kind=kind)
         logits, cache = net_mod.forward(net, input_seq)
-        _, dL_dO = loss_mod.avg_ce_loss_and_grad(logits, labels)
+        _, dL_dO, _ = loss_mod.avg_ce_loss_and_grad(logits, labels)
         g_exact = bptt.backward_exact(cache, dL_dO, net, mode)
         g_rec = bptt.backward_recursion(cache, dL_dO, net, mode, paper_xi=paper_xi)
         yield (i, net, *bptt.max_relative_error(g_exact, g_rec))

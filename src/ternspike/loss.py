@@ -39,13 +39,16 @@ class TMPRConfig:
         return self.enabled and self.lam > 0.0
 
 
-def avg_ce_loss_and_grad(logits, labels) -> tuple[float, Array]:
-    """Cross-entropy of the time-averaged logits and its gradient, from one softmax.
+def avg_ce_loss_and_grad(logits, labels) -> tuple[float, Array, Array]:
+    """Cross-entropy of the time-averaged logits, its gradient and that average, from one softmax.
 
     ``logits`` is (T, B, C), or a sequence of T (B, C) arrays.  The loss is
     the batch mean of log-sum-exp minus the picked logit, which stays finite
     for any margin.  Every timestep's gradient is (softmax(avg) - onehot) /
-    (B * T), repeated into a (T, B, C) array.
+    (B * T), repeated into a (T, B, C) array.  The (B, C) average is returned
+    as well: its row argmax is ``network.predict(logits)``.  The reductions
+    are ``np.add.reduce`` and ``np.maximum.reduce`` called directly, with
+    ``mean``'s and ``sum``'s bits and without their Python wrappers.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 3 or len(logits) == 0:
@@ -54,17 +57,21 @@ def avg_ce_loss_and_grad(logits, labels) -> tuple[float, Array]:
     if labels.size == 0:
         raise ValueError("empty batch")
     n_steps, batch, n_classes = logits.shape
-    if labels.min() < 0 or labels.max() >= n_classes:
+    if np.maximum.reduce(labels.view(np.uint64)) >= n_classes:  # a negative label reads as a huge one
         raise ValueError("label index out of range")
-    avg = logits.mean(axis=0)
-    shifted = avg - avg.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    norm = e.sum(axis=-1, keepdims=True)
-    rows = np.arange(batch)
-    ce = float(np.mean(np.log(norm[:, 0]) - shifted[rows, labels]))
-    p = e / norm
-    p[rows, labels] -= 1.0
-    return ce, np.repeat(p[None] / (batch * n_steps), n_steps, axis=0)
+    avg = np.add.reduce(logits, axis=0)
+    avg /= n_steps
+    shifted = avg - np.maximum.reduce(avg, axis=1, keepdims=True)
+    p = np.exp(shifted)
+    norm = np.add.reduce(p, axis=1, keepdims=True)
+    picked = np.arange(0, batch * n_classes, n_classes) + labels  # flat index of each row's label
+    ce = float(np.add.reduce(np.log(norm[:, 0]) - shifted.reshape(-1)[picked])) / batch
+    p /= norm
+    p.reshape(-1)[picked] -= 1.0
+    p /= batch * n_steps
+    grad = np.empty(logits.shape)
+    grad[...] = p
+    return ce, grad, avg
 
 
 def avg_ce_loss(outputs, labels) -> float:
@@ -102,7 +109,6 @@ def tmpr_loss(potentials, cfg: TMPRConfig) -> float:
     if n_layers == 0:
         raise StateError("no captured potentials")
     n_steps = len(potentials[0])
-    layer_sum = 0.0  # per timestep, summed over layers in layer order
     for l, u in enumerate(potentials):
         try:
             u = np.asarray(u, dtype=np.float64)
@@ -110,10 +116,15 @@ def tmpr_loss(potentials, cfg: TMPRConfig) -> float:
             raise StateError(f"missing or ragged potential record for layer {l}") from exc
         if u.ndim != 3 or len(u) != n_steps:
             raise StateError(f"layer {l} has {len(u)} potential records, expected {n_steps}")
-        layer_sum = layer_sum + np.square(u).reshape(n_steps, -1).sum(axis=1) / u[0].size
+        mean_sq = np.add.reduce(np.square(u).reshape(n_steps, -1), axis=1)
+        mean_sq /= u[0].size
+        if l == 0:
+            layer_sum = mean_sq  # per timestep, summed over layers in layer order
+        else:
+            layer_sum += mean_sq
     total = 0.0
-    for t in range(n_steps):
-        total += (cfg.lam / (t + 1)) * float(layer_sum[t])
+    for t, value in enumerate(layer_sum.tolist()):
+        total += (cfg.lam / (t + 1)) * value
     return total / (n_steps * n_layers)
 
 
@@ -125,4 +136,6 @@ def tmpr_grad(u, lam: float, n_layers: int) -> Array:
     calls it for one layer at a time, as it reaches the layer.
     """
     n_steps = len(u)
-    return (2.0 * lam / (np.arange(1, n_steps + 1) * n_steps * n_layers * u[0].size))[:, None, None] * u
+    denom = n_steps * n_layers * u[0].size
+    weights = np.array([2.0 * lam / (t * denom) for t in range(1, n_steps + 1)])  # Python floats
+    return weights[:, None, None] * u

@@ -167,7 +167,9 @@ class LayerTrace:
     (continuous under the smooth stand-in) and ``h`` the complemented unit's
     memory term, None for the plain ternary unit (whose potential is u~
     itself).  ``factors`` are the effective (alpha, beta, gamma) the blend
-    used, computed once per pass (None for the plain unit).  The surrogate
+    used, computed once per pass, and ``rule`` is its ``blend_rule`` table at
+    them, which the backward reads its rates from (both None for the plain
+    unit).  The surrogate
     window and the complemented unit's decayed potential are not stored:
     ``Trace`` recomputes them from these.
     """
@@ -176,6 +178,7 @@ class LayerTrace:
     o: Array
     h: Array | None = None
     factors: tuple[float, float, float] | None = None
+    rule: tuple | None = None
 
 
 @dataclass
@@ -260,18 +263,19 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
     taken once.  (Staging the factor in o(t) instead, which the fire then
     overwrites, cost a wide 256 x 800 layer 10-18%: that row is not yet in cache.)
     """
-    shape = (n_steps,) + pre.shape[-2:]
+    shape = (n_steps,) + pre.shape[1:]
     stacked = len(pre) == n_steps
     u_tilde = pre if stacked else np.empty(shape)
     if not stacked:  # zero initial state: u~(1) = x(1)
         u_tilde[0] = pre[0]
     o = np.empty(shape)
-    h = np.empty(shape) if cfg.is_ctsn else None
-    factors = None
-    tau, v_th, a = cfg.tau, cfg.v_th, cfg.a
-    scratch, keep, masks = np.empty(shape[1:]), np.empty(shape[1:]), fire_scratch(shape[1:])
+    h = np.empty(shape) if omega is not None else None
+    factors = rule = None
+    tau, v_th, a = np.array(cfg.tau), cfg.v_th, cfg.a  # a 0-d tau: see neuron.blend_rule
+    scratch, keep = np.empty((2,) + shape[1:])
+    masks = fire_scratch(shape[1:])
     mask = masks[0]  # also the blend's sign mask, which the fire rewrites last
-    if cfg.is_ctsn:
+    if h is not None:
         # looked up on the module, so a wrapper installed there sees the call
         factors = neuron_mod.effective_params(omega)
         rule = blend_rule(cfg.kind, factors)
@@ -292,7 +296,7 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
             smooth_spike(ut, v_th, a, out=step_o[t])
         else:
             ternary_fire(ut, v_th, out=step_o[t], scratch=masks)
-    return LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=factors)
+    return LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=factors, rule=rule)
 
 
 def forward(net: Network, input_seq, smooth: bool = False) -> tuple[Array, Trace]:
@@ -308,22 +312,27 @@ def forward(net: Network, input_seq, smooth: bool = False) -> tuple[Array, Trace
         x = np.asarray(input_seq, dtype=np.float64)
     except ValueError as exc:  # a ragged sequence
         raise DimensionError(f"input sequence is ragged: {exc}") from exc
+    n_steps, cfg, input_dim = net.n_steps, net.cfg, net.dims[0]
     if x.ndim != 3:
-        raise DimensionError(f"input shape {x.shape} is not (steps, batch, {net.input_dim})")
-    if x.shape[2] != net.input_dim:
-        raise DimensionError(f"input shape {x.shape[1:]} does not match input dim {net.input_dim}")
-    if len(x) not in (1, net.n_steps):
-        raise DimensionError(f"input sequence has {len(x)} steps, network expects {net.n_steps}")
+        raise DimensionError(f"input shape {x.shape} is not (steps, batch, {input_dim})")
+    if x.shape[2] != input_dim:
+        raise DimensionError(f"input shape {x.shape[1:]} does not match input dim {input_dim}")
+    if len(x) not in (1, n_steps):
+        raise DimensionError(f"input sequence has {len(x)} steps, network expects {n_steps}")
     layers, cur = [], x
     for layer in net.layers:
-        layers.append(_run_layer(_affine(cur, layer), layer.omega, net.cfg, net.n_steps, smooth))
-        cur = layers[-1].o
-    return _affine(cur, net.readout), Trace(layers, x, net.cfg)
+        cur = _run_layer(_affine(cur, layer), layer.omega, cfg, n_steps, smooth)
+        layers.append(cur)
+        cur = cur.o
+    return _affine(cur, net.readout), Trace(layers, x, cfg)
 
 
 def predict(logits) -> Array:
-    """Class index per batch element: argmax of the time-averaged logits."""
+    """Class index per batch element: argmax of the time-averaged logits (``mean``'s
+    bits, from one ``np.add.reduce`` and an in-place division)."""
     if len(logits) == 0:
         raise ValueError("need at least one timestep of logits")
-    return np.argmax(np.asarray(logits, dtype=np.float64).mean(axis=0), axis=1)
+    avg = np.add.reduce(np.asarray(logits, dtype=np.float64), axis=0)
+    avg /= len(logits)
+    return avg.argmax(axis=1)
 

@@ -85,27 +85,34 @@ def sgd_step(
     small scratch buffer: v <- m*v + (g + d); p <- p - lr*v, where d = wd*p, and 0*p
     on the omega entries.  ``vel`` is the momentum (start from ``GradSet.zeros_like``).
     A non-finite gradient raises before the update, leaving the model untouched, and
-    a non-finite parameter after it, so none reaches ``save_model``.  Each block is
-    summed right after its update, while it is in cache; the parameters are scanned
-    by name only when the total is not finite."""
-    grads.check_finite()
+    a non-finite parameter after it, so none reaches ``save_model``.  Both are found
+    by a sum under one ``errstate``: the gradient's before the update, and each
+    block's right after its update, while it is in cache; the arrays are scanned by
+    name only when a sum is not finite."""
     p, g, v = net.params, grads.vector, vel.vector
-    scratch = np.empty(min(p.size, _SGD_BLOCK))
+    size = p.size
+    scratch = np.empty(size if size < _SGD_BLOCK else _SGD_BLOCK)
+    # 0-d operands: a ufunc takes them in well under half the time of Python floats, same bits
+    lr, momentum, weight_decay, zero = np.array(lr), np.array(momentum), np.array(weight_decay), np.zeros(())
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite parameter raises below
-        for lo in range(0, p.size, _SGD_BLOCK):
-            hi = min(lo + _SGD_BLOCK, p.size)
-            d = np.multiply(p[lo:hi], weight_decay, out=scratch[: hi - lo])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        if not math.isfinite(np.add.reduce(g)):
+            grads.check_finite()
+        for lo in range(0, size, _SGD_BLOCK):
+            hi = lo + _SGD_BLOCK if lo + _SGD_BLOCK < size else size
+            pb, vb = p[lo:hi], v[lo:hi]
+            d = np.multiply(pb, weight_decay, out=scratch[: hi - lo])
             for span in net.omega_slices:
-                a, b = max(span.start, lo), min(span.stop, hi)
+                a = span.start if span.start > lo else lo
+                b = span.stop if span.stop < hi else hi
                 if a < b:
-                    np.multiply(p[a:b], 0.0, out=d[a - lo : b - lo])
+                    np.multiply(p[a:b], zero, out=d[a - lo : b - lo])
             d += g[lo:hi]
-            v[lo:hi] *= momentum
-            v[lo:hi] += d
-            np.multiply(v[lo:hi], lr, out=d)
-            p[lo:hi] -= d
-            total += p[lo:hi].sum()
+            vb *= momentum
+            vb += d
+            np.multiply(vb, lr, out=d)
+            pb -= d
+            total += np.add.reduce(pb)
     if not math.isfinite(total):
         bptt.GradSet.of(net).check_finite("parameter")
 
@@ -143,16 +150,17 @@ def train_epoch(
         idx = order[start : start + cfg.batch_size]
         xs_seq, labels = encode_batch(data, idx, cfg.n_steps)
         try:
-            ce, tmpr_val, logits, grads = bptt.loss_and_grads(net, xs_seq, labels, cfg.tmpr)
+            ce, tmpr_val, avg, grads = bptt.loss_and_grads(net, xs_seq, labels, cfg.tmpr)
             sgd_step(net, grads, vel, lr, cfg.momentum, cfg.weight_decay)
             del grads  # so the next batch's gradient vector can take its memory
             if not (math.isfinite(ce) and math.isfinite(tmpr_val)):
                 raise NumericError(f"non-finite loss: ce {ce!r}, tmpr {tmpr_val!r}")
         except NumericError as exc:
             raise NumericError(f"batch starting at sample {start}: {exc}") from exc
-        ce_sum += ce * len(idx)
-        tmpr_sum += tmpr_val * len(idx)
-        correct += int(np.sum(net_mod.predict(logits) == labels))
+        size = len(labels)
+        ce_sum += ce * size
+        tmpr_sum += tmpr_val * size
+        correct += int(np.add.reduce(avg.argmax(axis=1) == labels))  # network.predict(logits) == labels
     check_omega_constraint(net)
     return {
         "lr": lr,
@@ -188,7 +196,7 @@ def evaluate(net: net_mod.Network, data: Dataset) -> float:
     correct = 0
     for labels, logits, cache in eval_batches(net, data):
         del cache  # free this trace before the next batch's forward
-        correct += int(np.sum(net_mod.predict(logits) == labels))
+        correct += int(np.add.reduce(net_mod.predict(logits) == labels))
     return correct / n
 
 

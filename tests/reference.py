@@ -12,6 +12,11 @@ build IDX files for the reader, and writing a parsed file back must give its
 bytes exactly.
 
 ``copy_network`` is an independent network over a copy of a parameter vector.
+
+``ce_head_reference``, ``predict_reference``, ``tmpr_loss_reference`` and
+``tmpr_grad_reference`` are the loss head, prediction and regularizer as they
+were written before the per-batch path was made lean (``mean``, ``.sum()``,
+``np.repeat`` and an ``arange`` of weights); the lean forms must give their bits.
 """
 
 import struct
@@ -35,7 +40,7 @@ def literal_recursion_ctsn(cache, l, direct, H, omega, paper_xi=False):
     tr, cfg = cache.layers[l], cache.cfg
     n_steps = len(direct)
     u = cache.decayed(l)
-    gh, gu = bptt._step_rates(cfg.kind, tr.factors, tr.h[:-1], u[1:])
+    gh, gu = bptt._step_rates(tr.rule, tr.h[:-1], u[1:])
     if paper_xi:
         first = xi(u[1:], tr.o[:-1], tr.u_tilde[:-1], H[:-1], omega, cfg.kind, cfg.tau)
     else:
@@ -106,3 +111,40 @@ def write_idx_labels(labels: np.ndarray) -> bytes:
 def copy_network(net: Network) -> Network:
     """An independent network over a copy of ``net``'s parameter vector."""
     return Network(net.dims, net.n_classes, replace(net.cfg), net.n_steps, net.params.copy())
+
+
+def ce_head_reference(logits, labels):
+    """(ce, (T, B, C) gradient) of the time-averaged cross-entropy, through ``mean`` and ``np.repeat``."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_steps, batch, n_classes = logits.shape
+    avg = logits.mean(axis=0)
+    shifted = avg - avg.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    norm = e.sum(axis=-1, keepdims=True)
+    rows = np.arange(batch)
+    ce = float(np.mean(np.log(norm[:, 0]) - shifted[rows, labels]))
+    p = e / norm
+    p[rows, labels] -= 1.0
+    return ce, np.repeat(p[None] / (batch * n_steps), n_steps, axis=0)
+
+
+def predict_reference(logits) -> np.ndarray:
+    return np.argmax(np.asarray(logits, dtype=np.float64).mean(axis=0), axis=1)
+
+
+def tmpr_loss_reference(potentials, lam: float) -> float:
+    n_layers, n_steps = len(potentials), len(potentials[0])
+    layer_sum = 0.0
+    for u in potentials:
+        u = np.asarray(u, dtype=np.float64)
+        layer_sum = layer_sum + np.square(u).reshape(n_steps, -1).sum(axis=1) / u[0].size
+    total = 0.0
+    for t in range(n_steps):
+        total += (lam / (t + 1)) * float(layer_sum[t])
+    return total / (n_steps * n_layers)
+
+
+def tmpr_grad_reference(u, lam: float, n_layers: int) -> np.ndarray:
+    n_steps = len(u)
+    return (2.0 * lam / (np.arange(1, n_steps + 1) * n_steps * n_layers * u[0].size))[:, None, None] * u

@@ -338,7 +338,7 @@ def _reference_finite_difference(net, input_seq, labels, tmpr, step):
 
     def loss():
         logits, cache = forward(net, input_seq, smooth=True)
-        total, _ = loss_mod.avg_ce_loss_and_grad(logits, labels)
+        total = loss_mod.avg_ce_loss_and_grad(logits, labels)[0]
         if tmpr is not None and tmpr.active:
             total = total + loss_mod.tmpr_loss(cache.potentials(), tmpr)
         return total
@@ -691,9 +691,9 @@ class TestBatchSplit:
         seq = lambda rows: x[None, rows] if shared else list(x[:, rows])  # shared: direct encoding
         labels = rng.integers(0, 4, size=32)
         tmpr = TMPRConfig(lam=0.05)
-        _, _, logits, whole = loss_and_grads(net, seq(slice(None)), labels, tmpr)
+        _, _, avg, whole = loss_and_grads(net, seq(slice(None)), labels, tmpr)
         parts = [loss_and_grads(net, seq(rows), labels[rows], tmpr) for rows in (slice(0, 20), slice(20, 32))]
-        assert np.concatenate([parts[0][2], parts[1][2]], axis=1).tobytes() == logits.tobytes()
+        assert np.concatenate([parts[0][2], parts[1][2]]).tobytes() == avg.tobytes()
         for (name, g), (_, g20), (_, g12) in zip(whole.named(), parts[0][3].named(), parts[1][3].named()):
             np.testing.assert_allclose(g, (20 * g20 + 12 * g12) / 32, rtol=0, atol=1e-12, err_msg=name)
 
@@ -724,9 +724,9 @@ class TestLayerwiseInjection:
             return tmpr_grad(u, lam, n_layers)
 
         monkeypatch.setattr(loss_mod, "tmpr_grad", recorded)
-        ce, tmpr_val, logits, grads = loss_and_grads(net, seq, labels, tmpr, smooth=smooth)
+        ce, tmpr_val, avg, grads = loss_and_grads(net, seq, labels, tmpr, smooth=smooth)
         want_logits, cache = forward(net, seq, smooth=smooth)
-        want_ce, dL_dO = loss_mod.avg_ce_loss_and_grad(want_logits, labels)
+        want_ce, dL_dO, want_avg = loss_mod.avg_ce_loss_and_grad(want_logits, labels)
         pots = cache.potentials()
         # one stack per layer, top layer first, each formed from that layer's potentials
         assert [u.tobytes() for u, _, _ in formed] == [u.tobytes() for u in reversed(pots)]
@@ -734,7 +734,7 @@ class TestLayerwiseInjection:
         mode = "ctsn" if cfg.is_ctsn else "ternary"
         want = backward_exact(cache, dL_dO, net, mode, tmpr)
         assert (ce, tmpr_val) == (want_ce, loss_mod.tmpr_loss(pots, tmpr))
-        assert logits.tobytes() == want_logits.tobytes()
+        assert avg.tobytes() == want_avg.tobytes() == want_logits.mean(axis=0).tobytes()
         assert grads.vector.tobytes() == want.vector.tobytes()
         without = backward_exact(cache, dL_dO, net, mode)
         assert without.vector.tobytes() != want.vector.tobytes()  # the injection reaches the gradients

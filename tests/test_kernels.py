@@ -153,7 +153,8 @@ def _trace(kind: str, smooth: bool, n_steps: int = 5, tau: float = 0.25) -> Trac
         return Trace([LayerTrace(u_tilde=u_tilde, o=o)], np.zeros((SHAPE[0], 3)), cfg)
     h = _adversarial(9, (n_steps,) + SHAPE)
     h[0] = 0.0
-    return Trace([LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=FACTORS)], np.zeros((SHAPE[0], 3)), cfg)
+    layer = LayerTrace(u_tilde=u_tilde, o=o, h=h, factors=FACTORS, rule=blend_rule(kind, FACTORS))
+    return Trace([layer], np.zeros((SHAPE[0], 3)), cfg)
 
 
 def _reference_sweep(cache: Trace, du_tilde, H):

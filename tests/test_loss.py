@@ -71,7 +71,7 @@ class TestAvgCE:
         # every step's gradient is (softmax - onehot) / (B * T)
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 7, size=6)
-        _, grad = avg_ce_loss_and_grad(rng.normal(size=(2, 6, 7)) * 50, labels)
+        _, grad, _ = avg_ce_loss_and_grad(rng.normal(size=(2, 6, 7)) * 50, labels)
         p = grad[0] * (6 * 2)
         p[np.arange(6), labels] += 1.0
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
@@ -100,9 +100,10 @@ class TestLossHead:
             n_steps, batch, n_classes = rng.integers(1, 7), rng.integers(1, 40), rng.integers(2, 11)
             logits = rng.normal(0.0, scale, size=(n_steps, batch, n_classes))
             labels = rng.integers(0, n_classes, size=batch)
-            ce, grad = avg_ce_loss_and_grad(logits, labels)
+            ce, grad, avg = avg_ce_loss_and_grad(logits, labels)
             want_ce, want_grad = _reference_ce(list(logits), labels)
             assert grad.shape == logits.shape
+            assert avg.tobytes() == logits.mean(axis=0).tobytes()
             assert ce == want_ce == avg_ce_loss(list(logits), labels)
             for got, ref, per_step in zip(grad, want_grad, avg_ce_grad(list(logits), labels)):
                 assert got.tobytes() == ref.tobytes() == per_step.tobytes()
@@ -111,7 +112,7 @@ class TestLossHead:
         # a margin above ~745 underflows exp to 0: the loss is the margin, the gradient finite
         logits = np.array([[[2000.0, -2000.0], [0.0, 800.0]]] * 3)
         labels = np.array([1, 0])
-        ce, grad = avg_ce_loss_and_grad(logits, labels)
+        ce, grad, _ = avg_ce_loss_and_grad(logits, labels)
         want_ce, want_grad = _reference_ce(list(logits), labels)
         assert ce == want_ce == (4000.0 + 800.0) / 2
         assert np.all(np.isfinite(grad))
