@@ -94,7 +94,7 @@ def effective_params(p: CTSNParams) -> tuple[float, float, float]:
     on the three -|omega|: the same bits, without its array temporaries.
     """
     omega = p.vector.tolist()
-    e = np.exp([-abs(w) for w in omega]).tolist()
+    e = np.exp(np.negative(np.abs(p.vector))).tolist()
     return tuple([1.0 / (1.0 + x) if w >= 0.0 else x / (1.0 + x) for w, x in zip(omega, e)])
 
 
