@@ -90,21 +90,19 @@ def sgd_step(
     block's right after its update, while it is in cache; the arrays are scanned by
     name only when a sum is not finite."""
     p, g, v = net.params, grads.vector, vel.vector
-    size = p.size
-    scratch = np.empty(size if size < _SGD_BLOCK else _SGD_BLOCK)
+    scratch = np.empty(min(p.size, _SGD_BLOCK))
     # numpy scalars: a ufunc takes them in about half the time of Python floats, with the same bits
     lr, momentum, weight_decay, zero = np.array((lr, momentum, weight_decay, 0.0))
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
         if not math.isfinite(np.add.reduce(g)):
             grads.check_finite()
-        for lo in range(0, size, _SGD_BLOCK):
-            hi = lo + _SGD_BLOCK if lo + _SGD_BLOCK < size else size
+        for lo in range(0, p.size, _SGD_BLOCK):
+            hi = min(lo + _SGD_BLOCK, p.size)
             pb, vb = p[lo:hi], v[lo:hi]
             d = np.multiply(pb, weight_decay, out=scratch[: hi - lo])
             for span in net.omega_slices:
-                a = span.start if span.start > lo else lo
-                b = span.stop if span.stop < hi else hi
+                a, b = max(span.start, lo), min(span.stop, hi)
                 if a < b:
                     np.multiply(p[a:b], zero, out=d[a - lo : b - lo])
             d += g[lo:hi]
@@ -157,9 +155,8 @@ def train_epoch(
                 raise NumericError(f"non-finite loss: ce {ce!r}, tmpr {tmpr_val!r}")
         except NumericError as exc:
             raise NumericError(f"batch starting at sample {start}: {exc}") from exc
-        size = len(labels)
-        ce_sum += ce * size
-        tmpr_sum += tmpr_val * size
+        ce_sum += ce * len(idx)
+        tmpr_sum += tmpr_val * len(idx)
         correct += int(np.add.reduce(avg.argmax(axis=1) == labels))  # network.predict(logits) == labels
     check_omega_constraint(net)
     return {
