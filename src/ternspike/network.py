@@ -169,9 +169,8 @@ class LayerTrace:
     itself).  ``factors`` are the effective (alpha, beta, gamma) the blend
     used, computed once per pass, and ``rule`` is its ``blend_rule`` table at
     them, which the backward reads its rates from (both None for the plain
-    unit).  The surrogate
-    window and the complemented unit's decayed potential are not stored:
-    ``Trace`` recomputes them from these.
+    unit).  The surrogate window and the complemented unit's decayed
+    potential are not stored: ``Trace`` recomputes them from these.
     """
 
     u_tilde: Array

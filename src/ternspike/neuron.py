@@ -91,7 +91,7 @@ def effective_params(p: CTSNParams) -> tuple[float, float, float]:
     """Map raw omegas to the effective (alpha, beta, gamma) in (0, 1).
 
     ``numerics.sigmoid``'s formula on Python floats around one ``np.exp`` call
-    on the three -|omega|: the same bits, without its array temporaries.
+    on the three -|omega|: the same bits, without its ``np.where`` over two branches.
     """
     omega = p.vector.tolist()
     e = np.exp(np.negative(np.abs(p.vector))).tolist()

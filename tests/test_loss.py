@@ -50,6 +50,13 @@ class TestAvgCE:
         with pytest.raises(ValueError):
             avg_ce_loss([np.zeros((1, 3))], np.array([3]))
 
+    @pytest.mark.parametrize("labels", [[-1], [0, -1, 2], np.array([2, -1], dtype=np.int32), np.arange(-2, 4)[::3]],
+                             ids=["alone", "among valid", "int32", "strided"])
+    def test_negative_label_rejected(self, labels):
+        labels = np.asarray(labels)
+        with pytest.raises(ValueError, match="label index out of range"):
+            avg_ce_loss([np.zeros((len(labels), 3))], labels)
+
     def test_grad_matches_finite_difference(self):
         rng = np.random.default_rng(2)
         outputs = [rng.normal(size=(2, 3)) for _ in range(4)]
