@@ -198,10 +198,6 @@ class Trace:
             raise StateError("empty trace")
 
     @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
-    @property
     def n_steps(self) -> int:
         return len(self.layers[0].u_tilde)
 

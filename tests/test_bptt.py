@@ -266,7 +266,7 @@ class TestRecursionAgainstLiteralLoops:
             if layer.omega is not None:
                 layer.omega.set_vector(rng.normal(0.0, 0.7, size=3))
         _, cache = forward(net, [rng.normal(size=(4, 6)) for _ in range(n_steps)])
-        for l in range(cache.n_layers):
+        for l in range(len(cache.layers)):
             H = cache.surrogate(l)
             yield net, cache, l, H, rng.normal(size=H.shape) * (rng.random(H.shape) < 0.8)
 

@@ -34,13 +34,13 @@ class TestForward:
         logits, cache = forward(net, seq)
         for o in logits:
             np.testing.assert_array_equal(o, 0.0)
-        assert cache.n_layers == 1 and cache.n_steps == 3
+        assert len(cache.layers) == 1 and cache.n_steps == 3
 
     def test_cache_completeness(self):
         net = _net(dims=(4, 6, 5), n_steps=4)
         seq = [np.random.default_rng(1).normal(size=(2, 4)) for _ in range(4)]
         _, cache = forward(net, seq)
-        assert cache.n_layers == 2 and cache.n_steps == 4
+        assert len(cache.layers) == 2 and cache.n_steps == 4
         for tr, width in zip(cache.layers, (6, 5)):
             assert tr.u_tilde.shape == tr.o.shape == (4, 2, width)
 
