@@ -233,21 +233,18 @@ def _backward(cache: Trace, dL_dO, net: Network, mode: str, tmpr, sweep) -> Grad
     its potentials as the backward reaches it.  ``sweep(cache, l, direct, H, omega)``
     turns the adjoints entering layer l's potentials directly (A * H plus that term) into
     dL/dx, and returns the omega gradient (None if ternary); it may overwrite H.
-
-    The views of the gradient vector are taken once, in layout order: each hidden layer's
-    w, b and, for complemented kinds, omega, then the readout's w and b."""
+    The gradient vector's views are taken once, by ``Network.views``."""
     _mode_for(net, mode)
     n_layers = len(cache.layers)
     if len(dL_dO) != len(cache.layers[0].u_tilde):
         raise ValueError(f"got {len(dL_dO)} upstream gradients for {cache.n_steps} timesteps")
     g = np.asarray(dL_dO, dtype=np.float64)  # a (T, B, C) array passes through uncopied
     vector = np.empty(net.params.shape)  # every entry is written below
-    views = [vector[span].reshape(shape) for span, shape in net.layout.values()]
-    per_layer = (len(views) - 2) // n_layers
-    A = _layer_param_grads(cache.layers[-1].o, g, net.readout.w, views[-2], views[-1])
+    hidden, (dw, db) = net.views(vector)
+    A = _layer_param_grads(cache.layers[-1].o, g, net.readout.w, dw, db)
     lam = tmpr.lam if tmpr is not None and tmpr.active else None
     for l in reversed(range(n_layers)):
-        tr, layer, k = cache.layers[l], net.layers[l], per_layer * l
+        tr, layer, (dw, db, domega_view) = cache.layers[l], net.layers[l], hidden[l]
         H = cache.surrogate(l)
         A *= H  # A is the GEMM's own output, so it becomes the direct adjoint in place
         if lam is not None:
@@ -255,9 +252,9 @@ def _backward(cache: Trace, dL_dO, net: Network, mode: str, tmpr, sweep) -> Grad
         dx, domega = sweep(cache, l, A, H, layer.omega)
         del A, H  # dx may be A itself; no array of this layer outlives it
         if domega is not None:
-            views[k + 2][...] = domega
+            domega_view[...] = domega
         x = cache.x if l == 0 else cache.layers[l - 1].o
-        A = _layer_param_grads(x, dx, layer.w, views[k], views[k + 1], below=l > 0)
+        A = _layer_param_grads(x, dx, layer.w, dw, db, below=l > 0)
         del dx
     return GradSet(net, vector)
 
@@ -270,7 +267,7 @@ def _chain_omega(factors, partials) -> Array:
 def _step_rates(rule, h_prev: Array, u: Array, out: Array | None = None):
     """Blend derivatives (d h(t+1)/d h(t), d h(t+1)/d u(t+1)) at every step of the (T-1, B, D)
     operand stacks, under the ``blend_rule`` table ``rule`` the forward kept on the trace: a
-    sign-keyed rate as an array, a sign-free one as its 0-d array once per step.  Every kind
+    sign-keyed rate as an array, a sign-free one as it is once per step.  Every kind
     has one sign-keyed rate; ``out``, when given, receives it."""
     r_h, r_u = rule
     gh = rate(r_h, h_prev, out) if r_h.ndim else [r_h] * len(h_prev)
@@ -287,15 +284,15 @@ def _blend_partials(dh: Array, h: Array, u: Array, kind: str, scratch=None):
     first step contributes nothing: both blend inputs are zero there.
     ``scratch``, two float64 arrays shaped like ``u``, is allocated when left out.
     """
-    dh, partials, zero = dh[1:], [0.0] * 3, np.zeros(())  # a 0-d operand: see neuron.blend_rule
+    dh, partials = dh[1:], [0.0] * 3
     part, prod = (np.empty_like(u), np.empty_like(u)) if scratch is None else scratch  # reused by every product
     for r, x in zip(BLEND_RULES[kind], (h[:-1], u)):
         if isinstance(r, int):
             partials[r] = float(np.add.reduce(np.multiply(dh, x, out=prod), axis=None))
         else:
             below, above = r
-            partials[above] = float(np.add.reduce(np.multiply(dh, np.maximum(x, zero, out=part), out=prod), axis=None))
-            partials[below] = float(np.add.reduce(np.multiply(dh, np.minimum(x, zero, out=part), out=prod), axis=None))
+            partials[above] = float(np.add.reduce(np.multiply(dh, np.maximum(x, 0.0, out=part), out=prod), axis=None))
+            partials[below] = float(np.add.reduce(np.multiply(dh, np.minimum(x, 0.0, out=part), out=prod), axis=None))
     return tuple(partials)
 
 
@@ -367,7 +364,7 @@ def _exact_sweep(cache: Trace, l: int, du_tilde: Array, H: Array, omega):
     on a ternary layer.  After the loop the carry's and the rate's buffers are the
     omega partials' scratch.  The loop runs through one (B, D) scratch.
     """
-    tr, tau = cache.layers[l], np.array(cache.cfg.tau)  # a 0-d operand: see neuron.blend_rule
+    tr, tau = cache.layers[l], cache.cfg.tau
     o, ut = tr.o[:-1], tr.u_tilde[:-1]
     memory = tr.h is not None
     tu = tau * ut

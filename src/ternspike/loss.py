@@ -57,17 +57,17 @@ def avg_ce_loss_and_grad(logits, labels) -> tuple[float, Array, Array]:
     if labels.size == 0:
         raise ValueError("empty batch")
     n_steps, batch, n_classes = logits.shape
-    if np.maximum.reduce(labels.view(np.uint64)) >= n_classes:  # a negative label reads as a huge one
+    if np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= n_classes:
         raise ValueError("label index out of range")
     avg = np.add.reduce(logits, axis=0)
     avg /= n_steps
     shifted = avg - np.maximum.reduce(avg, axis=1, keepdims=True)
     p = np.exp(shifted)
     norm = np.add.reduce(p, axis=1, keepdims=True)
-    picked = np.arange(0, batch * n_classes, n_classes) + labels  # flat index of each row's label
-    ce = float(np.add.reduce(np.log(norm[:, 0]) - shifted.reshape(-1)[picked])) / batch
+    rows = np.arange(batch)
+    ce = float(np.add.reduce(np.log(norm[:, 0]) - shifted[rows, labels])) / batch
     p /= norm
-    p.reshape(-1)[picked] -= 1.0
+    p[rows, labels] -= 1.0
     p /= batch * n_steps
     grad = np.empty(logits.shape)
     grad[...] = p

@@ -107,15 +107,23 @@ class Network:
         elif params.shape != (size,):
             raise ValueError(f"params has shape {params.shape}, the layout needs ({size},)")
         self.params = params
-        view = lambda name: params[self.layout[name][0]].reshape(self.layout[name][1])
+        hidden, readout = self.views(params)
         self.layers = []
-        for l in range(len(self.dims) - 1):
-            omega = CTSNParams() if cfg.is_ctsn else None
+        for w, b, omega_vector in hidden:
+            omega = CTSNParams() if omega_vector is not None else None
             if omega is not None:
-                omega.vector = view(f"layer{l}.omega")
-            self.layers.append(Layer(view(f"layer{l}.w"), view(f"layer{l}.b"), omega))
-        self.readout = Layer(view("readout.w"), view("readout.b"))
+                omega.vector = omega_vector
+            self.layers.append(Layer(w, b, omega))
+        self.readout = Layer(*readout)
         self.omega_slices = [span for name, (span, _) in self.layout.items() if name.endswith(".omega")]
+
+    def views(self, vector: Array):
+        """``vector``'s arrays by ``layout`` name: per hidden layer the (w, b, omega) views,
+        omega None for the plain ternary unit, then the readout's (w, b)."""
+        views = {name: vector[span].reshape(shape) for name, (span, shape) in self.layout.items()}
+        hidden = [(views[f"layer{l}.w"], views[f"layer{l}.b"], views.get(f"layer{l}.omega"))
+                  for l in range(len(self.dims) - 1)]
+        return hidden, (views["readout.w"], views["readout.b"])
 
     @property
     def input_dim(self) -> int:
@@ -266,7 +274,7 @@ def _run_layer(pre: Array, omega: CTSNParams | None, cfg: NeuronConfig, n_steps:
     o = np.empty(shape)
     h = np.empty(shape) if omega is not None else None
     factors = rule = None
-    tau, v_th, a = np.array(cfg.tau), cfg.v_th, cfg.a  # a 0-d tau: see neuron.blend_rule
+    tau, v_th, a = np.array(cfg.tau), cfg.v_th, cfg.a  # tau as a 0-d operand (see numerics)
     scratch, keep = np.empty((2,) + shape[1:])
     masks = fire_scratch(shape[1:])
     mask = masks[0]  # also the blend's sign mask, which the fire rewrites last

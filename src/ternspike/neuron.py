@@ -224,10 +224,9 @@ BLEND_RULES = {
 
 
 def blend_rule(kind: str, factors) -> tuple:
-    """(r_h, r_u) of ``kind``'s blend at the effective ``factors``: each a 0-d float64 array,
-    or for a sign-keyed rate the (2,) table (below 0, at or above 0).  Built once per layer.
-    (A ufunc takes a 0-d array operand in well under half the time of a Python float, with
-    the same bits.)"""
+    """(r_h, r_u) of ``kind``'s blend at the effective ``factors``: each a 0-d float64 array
+    (a 0-d operand, see ``numerics``), or for a sign-keyed rate the (2,) table (below 0, at or
+    above 0).  Built once per layer."""
     return tuple([np.array(factors[r]) if isinstance(r, int) else np.array((factors[r[0]], factors[r[1]]))
                   for r in BLEND_RULES[kind]])
 

@@ -91,8 +91,6 @@ def sgd_step(
     name only when a sum is not finite."""
     p, g, v = net.params, grads.vector, vel.vector
     scratch = np.empty(min(p.size, _SGD_BLOCK))
-    # numpy scalars: a ufunc takes them in about half the time of Python floats, with the same bits
-    lr, momentum, weight_decay, zero = np.array((lr, momentum, weight_decay, 0.0))
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
         if not math.isfinite(np.add.reduce(g)):
@@ -104,7 +102,7 @@ def sgd_step(
             for span in net.omega_slices:
                 a, b = max(span.start, lo), min(span.stop, hi)
                 if a < b:
-                    np.multiply(p[a:b], zero, out=d[a - lo : b - lo])
+                    np.multiply(p[a:b], 0.0, out=d[a - lo : b - lo])
             d += g[lo:hi]
             vb *= momentum
             vb += d

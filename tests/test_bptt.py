@@ -694,6 +694,10 @@ class TestBatchSplit:
         _, _, avg, whole = loss_and_grads(net, seq(slice(None)), labels, tmpr)
         parts = [loss_and_grads(net, seq(rows), labels[rows], tmpr) for rows in (slice(0, 20), slice(20, 32))]
         assert np.concatenate([parts[0][2], parts[1][2]]).tobytes() == avg.tobytes()
+        # the per-step logits too, not only their time average
+        logits = forward(net, seq(slice(None)))[0]
+        halves = [forward(net, seq(rows))[0] for rows in (slice(0, 20), slice(20, 32))]
+        assert np.concatenate(halves, axis=1).tobytes() == logits.tobytes()
         for (name, g), (_, g20), (_, g12) in zip(whole.named(), parts[0][3].named(), parts[1][3].named()):
             np.testing.assert_allclose(g, (20 * g20 + 12 * g12) / 32, rtol=0, atol=1e-12, err_msg=name)
 
@@ -724,6 +728,14 @@ class TestLayerwiseInjection:
             return tmpr_grad(u, lam, n_layers)
 
         monkeypatch.setattr(loss_mod, "tmpr_grad", recorded)
+        ran, net_forward = [], net_mod.forward
+
+        def recorded_forward(*args, **kwargs):
+            out = net_forward(*args, **kwargs)
+            ran.append(out[0])  # the per-step logits the loss head reads
+            return out
+
+        monkeypatch.setattr(net_mod, "forward", recorded_forward)
         ce, tmpr_val, avg, grads = loss_and_grads(net, seq, labels, tmpr, smooth=smooth)
         want_logits, cache = forward(net, seq, smooth=smooth)
         want_ce, dL_dO, want_avg = loss_mod.avg_ce_loss_and_grad(want_logits, labels)
@@ -734,6 +746,7 @@ class TestLayerwiseInjection:
         mode = "ctsn" if cfg.is_ctsn else "ternary"
         want = backward_exact(cache, dL_dO, net, mode, tmpr)
         assert (ce, tmpr_val) == (want_ce, loss_mod.tmpr_loss(pots, tmpr))
+        assert [logits.tobytes() for logits in ran] == [want_logits.tobytes()]
         assert avg.tobytes() == want_avg.tobytes() == want_logits.mean(axis=0).tobytes()
         assert grads.vector.tobytes() == want.vector.tobytes()
         without = backward_exact(cache, dL_dO, net, mode)
